@@ -3,8 +3,8 @@
 //! offline timing harness in [`drgpum_bench::timing`].
 
 use drgpum_bench::timing::{bench, group};
-use drgpum_bench::{profile_with_options, profile_workload, run_native};
-use drgpum_core::{AnalysisLevel, ProfilerOptions, SamplingPolicy};
+use drgpum_bench::{profile_workload, run_native};
+use drgpum_core::{AnalysisLevel, SamplingPolicy};
 use drgpum_workloads::common::Variant;
 use gpu_sim::PlatformConfig;
 use std::hint::black_box;
@@ -35,21 +35,6 @@ fn main() {
                 AnalysisLevel::IntraObject,
                 PlatformConfig::rtx3090(),
                 SamplingPolicy::every_instance(),
-            );
-            black_box(report.findings.len())
-        });
-        // The low-overhead collection pipeline (Sec. 5.5): sharded
-        // aggregation plus warp-level record coalescing. Reports are
-        // byte-identical to `intra_object`; only the wall-clock differs.
-        bench(&format!("intra_parallel_coalesced/{name}"), 10, || {
-            let options = ProfilerOptions::intra_object()
-                .with_collector_shards(4)
-                .with_coalescing();
-            let (report, _, _, _) = profile_with_options(
-                &spec,
-                Variant::Unoptimized,
-                options,
-                PlatformConfig::rtx3090(),
             );
             black_box(report.findings.len())
         });

@@ -16,7 +16,7 @@
 
 pub mod timing;
 
-use drgpum_core::{AnalysisLevel, PhaseTimings, Profiler, ProfilerOptions, Report, SamplingPolicy};
+use drgpum_core::{AnalysisLevel, Profiler, ProfilerOptions, Report, SamplingPolicy};
 use drgpum_workloads::common::{RunOutcome, Variant};
 use drgpum_workloads::registry::{RunConfig, WorkloadSpec};
 use gpu_sim::{DeviceContext, PlatformConfig};
@@ -61,86 +61,6 @@ pub fn profile_workload(
     let outcome = (spec.run)(&mut ctx, variant, &cfg)
         .unwrap_or_else(|e| panic!("workload {} failed: {e}", spec.name));
     (profiler.report(&ctx), outcome)
-}
-
-/// Profiles one workload with fully explicit [`ProfilerOptions`] and
-/// additionally returns the serialized trace (format v2 text) — the
-/// byte-exact artifact the determinism checks compare across collection
-/// modes — plus the wall-clock time of the instrumented run alone
-/// (report rendering and trace serialization excluded; those costs are
-/// identical across collection modes and would dilute overhead ratios).
-///
-/// # Panics
-///
-/// Panics if the workload itself fails (a workload bug, not a profiler
-/// condition).
-pub fn profile_with_options(
-    spec: &WorkloadSpec,
-    variant: Variant,
-    options: ProfilerOptions,
-    platform: PlatformConfig,
-) -> (Report, String, RunOutcome, Duration) {
-    profile_in_ctx(spec, variant, options, DeviceContext::new(platform))
-}
-
-/// Like [`profile_with_options`], but against a caller-built context —
-/// the overhead bench uses this to pin `kernel_workers` through
-/// [`gpu_sim::SimConfig`] independent of any environment override.
-///
-/// # Panics
-///
-/// Panics if the workload itself fails (a workload bug, not a profiler
-/// condition).
-pub fn profile_in_ctx(
-    spec: &WorkloadSpec,
-    variant: Variant,
-    options: ProfilerOptions,
-    ctx: DeviceContext,
-) -> (Report, String, RunOutcome, Duration) {
-    let (report, trace, outcome, elapsed, _) = profile_in_ctx_timed(spec, variant, options, ctx);
-    (report, trace, outcome, elapsed)
-}
-
-/// Like [`profile_in_ctx`], additionally returning the collector's
-/// cumulative hot-path [`PhaseTimings`] (resolve / aggregate / flush) —
-/// the overhead bench's per-phase breakdown.
-///
-/// # Panics
-///
-/// Panics if the workload itself fails (a workload bug, not a profiler
-/// condition).
-pub fn profile_in_ctx_timed(
-    spec: &WorkloadSpec,
-    variant: Variant,
-    mut options: ProfilerOptions,
-    mut ctx: DeviceContext,
-) -> (Report, String, RunOutcome, Duration, PhaseTimings) {
-    if let Some(elem) = spec.elem_size_hint {
-        options.elem_size = elem;
-    }
-    if spec.uses_pool {
-        options.track_pool_tensors = true;
-    }
-    let profiler = Profiler::attach(&mut ctx, options);
-    let cfg = RunConfig {
-        pool_observer: spec.uses_pool.then(|| {
-            let collector = profiler.collector();
-            collector as gpu_sim::pool::SharedPoolObserver
-        }),
-    };
-    let start = Instant::now();
-    let outcome = (spec.run)(&mut ctx, variant, &cfg)
-        .unwrap_or_else(|e| panic!("workload {} failed: {e}", spec.name));
-    let elapsed = start.elapsed();
-    let (trace, phases) = {
-        let collector = profiler.collector();
-        let collector = collector.lock();
-        (
-            drgpum_core::trace_io::save(&collector, ctx.call_stack().table(), "rtx3090").to_text(),
-            collector.phase_timings(),
-        )
-    };
-    (profiler.report(&ctx), trace, outcome, elapsed, phases)
 }
 
 /// Convenience: profile with the paper's defaults (intra-object analysis,

@@ -170,10 +170,11 @@ pub enum CollectionRung {
     /// Everything the options ask for: per-element bitmaps, per-API range
     /// sets, and access-frequency maps.
     FullAccessMaps,
-    /// Frequency maps are dropped and warp-level coalescing is requested
-    /// from the sanitizer; bitmaps and range sets survive, so
-    /// overallocation and structured-access detection still work (NUAF
-    /// does not). Modeled on CUTHERMO's aggregate fallback.
+    /// Frequency maps are dropped and smaller sanitizer record buffers are
+    /// requested; bitmaps and range sets survive, so overallocation and
+    /// structured-access detection still work (NUAF does not). Modeled on
+    /// CUTHERMO's aggregate fallback. (Warp-level coalescing, which gave
+    /// the rung its name, is always on in DrGPUM sessions.)
     CoalescedOnly,
     /// Intra-object collection is additionally thinned by multiplying the
     /// sampling period by [`SAMPLING_DEMOTION_SCALE`] — GPA-style

@@ -137,20 +137,6 @@ pub struct ProfilerOptions {
     pub track_pool_tensors: bool,
     /// Element width for frequency maps, in bytes.
     pub elem_size: u32,
-    /// Number of worker shards for per-kernel access-map aggregation.
-    /// `0` or `1` keeps the serial path; higher values partition objects
-    /// across scoped worker threads and merge the per-shard maps at kernel
-    /// end. Reports are byte-identical across all values.
-    ///
-    /// Orthogonal to `gpu_sim::SimConfig::kernel_workers`, which
-    /// parallelizes kernel *execution* under the same byte-identical
-    /// contract; the two compose freely.
-    pub collector_shards: usize,
-    /// Merge contiguous same-kind accesses from one warp into a single
-    /// record inside the simulated sanitizer before they reach the host —
-    /// the paper's "merging memory accesses" (Sec. 5.5). Does not change
-    /// any analysis result or simulated timestamp.
-    pub coalesce_accesses: bool,
     /// Resource limits enforced by the session governor. The default is
     /// unlimited; any unset field may still be filled from the environment
     /// (`DRGPUM_MEM_BUDGET`, `DRGPUM_DETECTOR_DEADLINE_MS`) when the
@@ -158,14 +144,6 @@ pub struct ProfilerOptions {
     /// ever trips, the governor is inert and reports are byte-identical to
     /// a run without it.
     pub budget: ResourceBudget,
-    /// Test/bench hook: route per-access resolution and aggregation through
-    /// the pre-epoch-index slow path (descending `BTreeMap` walks, no resolve
-    /// caches, per-record governor remetering). Byte-identical to the fast
-    /// path by contract — determinism tests pin the fast path against a
-    /// baseline collected with this flag, and the overhead bench uses it to
-    /// measure the speedup it enforces. Not a user-facing option.
-    #[doc(hidden)]
-    pub slow_path: bool,
 }
 
 impl ProfilerOptions {
@@ -177,10 +155,7 @@ impl ProfilerOptions {
             sampling: SamplingPolicy::default(),
             track_pool_tensors: false,
             elem_size: DEFAULT_ELEM_SIZE,
-            collector_shards: 1,
-            coalesce_accesses: false,
             budget: ResourceBudget::default(),
-            slow_path: false,
         }
     }
 
@@ -192,10 +167,7 @@ impl ProfilerOptions {
             sampling: SamplingPolicy::every_instance(),
             track_pool_tensors: false,
             elem_size: DEFAULT_ELEM_SIZE,
-            collector_shards: 1,
-            coalesce_accesses: false,
             budget: ResourceBudget::default(),
-            slow_path: false,
         }
     }
 
@@ -217,31 +189,9 @@ impl ProfilerOptions {
         self
     }
 
-    /// Sets the number of aggregation shards (builder style). `0` and `1`
-    /// both mean serial.
-    pub fn with_collector_shards(mut self, shards: usize) -> Self {
-        self.collector_shards = shards;
-        self
-    }
-
-    /// Enables warp-level access coalescing in the sanitizer (builder
-    /// style).
-    pub fn with_coalescing(mut self) -> Self {
-        self.coalesce_accesses = true;
-        self
-    }
-
     /// Replaces the resource budget (builder style).
     pub fn with_budget(mut self, budget: ResourceBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Routes collection through the pre-epoch-index slow path (builder
-    /// style). See [`ProfilerOptions::slow_path`].
-    #[doc(hidden)]
-    pub fn with_slow_path(mut self) -> Self {
-        self.slow_path = true;
         self
     }
 }

@@ -47,16 +47,13 @@ impl Profiler {
     /// Attaches a profiler to `ctx` via the Sanitizer-style instrumentation
     /// API. All GPU APIs invoked on `ctx` from this point on are observed.
     pub fn attach(ctx: &mut DeviceContext, options: ProfilerOptions) -> Self {
-        ctx.sanitizer_mut()
-            .set_coalescing(options.coalesce_accesses);
-        // Pin merge junctions to the element grid so per-element access
-        // frequencies (the NUAF detector's input) are identical with and
-        // without coalescing.
+        // DrGPUM always merges memory accesses (Sec. 5.5). Merge junctions
+        // are pinned to the element grid, so per-element access frequencies
+        // (the NUAF detector's input) are identical to the raw record
+        // stream's.
+        ctx.sanitizer_mut().set_coalescing(true);
         ctx.sanitizer_mut()
             .set_coalesce_alignment(options.elem_size.max(1));
-        // The slow-path hook measures the unmemoized baseline end to end,
-        // so it also disables the simulator-side per-pc allocation memo.
-        ctx.sanitizer_mut().set_pc_memo(!options.slow_path);
         let collector = Arc::new(Mutex::new(Collector::new(
             options,
             ctx.config().device_memory_bytes,

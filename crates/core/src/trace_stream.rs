@@ -17,8 +17,8 @@
 //! event up to the last fsynced frame, and `drgpum run --resume <trace>`
 //! re-analyzes the recovered prefix. The writer is driven by the
 //! collector's [`StreamState`] at deterministic boundaries (end of each
-//! API callback, kernel end), so the on-disk frame sequence is identical
-//! across serial, sharded, and parallel-kernel collection modes.
+//! API callback, kernel end), so the on-disk frame sequence is a pure
+//! function of the profiled program.
 
 use crate::collector::Collector;
 use crate::error::ProfilerError;

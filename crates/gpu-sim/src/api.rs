@@ -9,14 +9,13 @@ use crate::callstack::{CallPath, CallStack, SourceLoc};
 use crate::config::{PlatformConfig, SimConfig};
 use crate::error::{Result, SimError};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, InjectedFault, RetryPolicy};
-use crate::kernel::{Dim3, KernelCounters, KernelMem, LaunchConfig, ThreadCtx};
+use crate::kernel::{Dim3, KernelCounters, LaunchConfig, ThreadCtx};
 use crate::mem::{DeviceAllocator, DevicePtr, PagedStore};
 use crate::sanitizer::{AccessSink, KernelInfo, PatchMode, Sanitizer, SinkArena};
 use crate::stream::{EventId, SimTime, StreamId, StreamSet};
 use crate::unified::{Side, UnifiedManager};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -230,27 +229,12 @@ pub struct DeviceContext {
     labels: HashMap<DevicePtr, String>,
     stats: ContextStats,
     fault: Option<FaultInjector>,
-    /// Recycled collection storage (record buffers, staging arenas, the
-    /// per-pc allocation memo) lent to each launch's sinks.
+    /// Recycled collection storage (record buffer, merge-candidate table,
+    /// the per-pc allocation memo) lent to each launch's sink.
     sink_arena: SinkArena,
-    /// Worker threads for parallel block execution (1 = serial loop).
-    kernel_workers: usize,
     /// Wall-clock deadline applied to each kernel's block loop
     /// (see [`SimConfig::kernel_deadline_ms`]). `None` = unlimited.
     kernel_deadline: Option<Duration>,
-}
-
-/// Reads the `DRGPUM_KERNEL_WORKERS` override once per process. Lets CI
-/// (and users) run an entire existing test suite or binary with parallel
-/// kernel execution without touching any call site.
-fn env_kernel_workers() -> Option<usize> {
-    static WORKERS: OnceLock<Option<usize>> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("DRGPUM_KERNEL_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-    })
 }
 
 /// Reads the `DRGPUM_KERNEL_DEADLINE_MS` override once per process: a
@@ -283,26 +267,22 @@ impl fmt::Debug for DeviceContext {
 impl DeviceContext {
     /// Creates a context for the given platform.
     ///
-    /// Kernel execution is serial unless the `DRGPUM_KERNEL_WORKERS`
-    /// environment variable overrides the worker count; use
+    /// The `DRGPUM_KERNEL_DEADLINE_MS` environment variable, when set,
+    /// supplies the kernel watchdog deadline; use
     /// [`DeviceContext::with_config`] to pin it programmatically.
     pub fn new(config: PlatformConfig) -> Self {
         let mut sim = SimConfig::new(config);
-        if let Some(workers) = env_kernel_workers() {
-            sim.kernel_workers = workers;
-        }
         if let Some(ms) = env_kernel_deadline_ms() {
             sim.kernel_deadline_ms = Some(ms);
         }
         DeviceContext::with_config(sim)
     }
 
-    /// Creates a context from a full [`SimConfig`], taking the worker count
-    /// verbatim (no environment override).
+    /// Creates a context from a full [`SimConfig`], taken verbatim (no
+    /// environment override).
     pub fn with_config(sim: SimConfig) -> Self {
         let SimConfig {
             platform: config,
-            kernel_workers,
             kernel_deadline_ms,
         } = sim;
         let alloc = DeviceAllocator::new(config.device_memory_bytes);
@@ -321,7 +301,6 @@ impl DeviceContext {
             stats: ContextStats::default(),
             fault: None,
             sink_arena: SinkArena::default(),
-            kernel_workers: kernel_workers.max(1),
             kernel_deadline: kernel_deadline_ms.map(Duration::from_millis),
         }
     }
@@ -334,17 +313,6 @@ impl DeviceContext {
     /// The platform configuration.
     pub fn config(&self) -> &PlatformConfig {
         &self.config
-    }
-
-    /// Number of worker threads used for kernel block execution
-    /// (see [`SimConfig::kernel_workers`]).
-    pub fn kernel_workers(&self) -> usize {
-        self.kernel_workers
-    }
-
-    /// Sets the kernel worker count; `0` is treated as `1` (serial).
-    pub fn set_kernel_workers(&mut self, workers: usize) {
-        self.kernel_workers = workers.max(1);
     }
 
     /// The device allocator (live allocations, peak statistics).
@@ -1018,7 +986,7 @@ impl DeviceContext {
         body: F,
     ) -> Result<KernelCounters>
     where
-        F: Fn(&mut ThreadCtx<'_>) + Sync,
+        F: Fn(&mut ThreadCtx<'_>),
     {
         if cfg.total_threads() == 0 {
             return Err(SimError::EmptyLaunch {
@@ -1060,22 +1028,8 @@ impl DeviceContext {
             total_threads
         };
 
-        // The parallel path requires block-order-independent execution:
-        // an active fault plan (mid-kill thread prefixes, injected faults
-        // with per-call triggers) and unified-memory migration (ordered
-        // hook dispatch from inside threads) both depend on the serial
-        // schedule, so they force the serial loop, as do launches flagged
-        // `serial_only` (kernels with cross-block read-modify-write).
-        let parallel = self.kernel_workers > 1
-            && cfg.grid.count() > 1
-            && !cfg.serial_only
-            && self.fault.is_none()
-            && self.unified.region_count() == 0;
-        let (mut sink, counters, executed, deadline_hit) = if parallel {
-            self.run_blocks_parallel(&cfg, &info, mode, &body)
-        } else {
-            self.run_blocks_serial(&cfg, &info, mode, thread_budget, &body)
-        };
+        let (mut sink, counters, executed, deadline_hit) =
+            self.run_blocks(&cfg, &info, mode, thread_budget, &body);
         if injected_oob && sink.fault.is_none() {
             // Synthesize the access fault the plan asked for: one word just
             // past the end of device memory.
@@ -1140,12 +1094,13 @@ impl DeviceContext {
         Ok(counters)
     }
 
-    /// The classic serial interpreter loop: every thread of every block in
-    /// flat block order, with per-block shared memory re-zeroed between
-    /// blocks. Returns the sink, the aggregate counters, and the number of
-    /// threads actually executed (short of the grid only under an injected
-    /// mid-kill's `thread_budget`).
-    fn run_blocks_serial<F>(
+    /// The interpreter loop: every thread of every block in flat block
+    /// order, with per-block shared memory re-zeroed between blocks.
+    /// Returns the sink, the aggregate counters, the number of threads
+    /// actually executed (short of the grid only under an injected
+    /// mid-kill's `thread_budget` or the watchdog), and whether the
+    /// watchdog deadline stopped the grid.
+    fn run_blocks<F>(
         &mut self,
         cfg: &LaunchConfig,
         info: &KernelInfo,
@@ -1156,7 +1111,7 @@ impl DeviceContext {
     where
         F: Fn(&mut ThreadCtx<'_>),
     {
-        let mut sink = self.serial_sink(mode);
+        let mut sink = self.access_sink(mode);
         let mut counters = KernelCounters::default();
         let mut shared = vec![0u8; cfg.shared_mem_bytes as usize];
         let mut executed: u64 = 0;
@@ -1194,12 +1149,12 @@ impl DeviceContext {
                                 let flat_thread = grid.flatten(block_idx) * block.count()
                                     + block.flatten(thread_idx);
                                 let mut tctx = ThreadCtx {
-                                    mem: KernelMem::Exclusive(&mut self.mem),
+                                    mem: &mut self.mem,
                                     alloc: &self.alloc,
                                     sink: &mut sink,
-                                    sanitizer: Some(&self.sanitizer),
+                                    sanitizer: &self.sanitizer,
                                     info,
-                                    unified: Some(&mut self.unified),
+                                    unified: &mut self.unified,
                                     shared: &mut shared,
                                     counters: &mut counters,
                                     block_idx,
@@ -1219,178 +1174,24 @@ impl DeviceContext {
         (sink, counters, executed, deadline_hit)
     }
 
-    /// Builds the serial-shaped [`AccessSink`] for one kernel, applying any
+    /// Builds the [`AccessSink`] for one kernel, applying any
     /// [`crate::CollectionHint`] backpressure the registered tools request.
     /// With the default hint this is exactly the sanitizer-wide
-    /// configuration, so undegraded runs are byte-identical.
-    fn serial_sink(&mut self, mode: PatchMode) -> AccessSink {
+    /// configuration.
+    fn access_sink(&mut self, mode: PatchMode) -> AccessSink {
         let hint = self.sanitizer.dispatch_collection_hint();
         let capacity = hint
             .buffer_capacity
             .map_or(self.sanitizer.buffer_capacity(), |cap| {
                 cap.clamp(1, self.sanitizer.buffer_capacity())
             });
-        self.sink_arena.serial_sink(
+        self.sink_arena.sink(
             mode,
             capacity,
-            self.sanitizer.coalescing() || hint.coalesce,
+            self.sanitizer.coalescing(),
             self.sanitizer.coalesce_alignment(),
             self.alloc.epoch(),
-            self.sanitizer.pc_memo(),
         )
-    }
-
-    /// Executes the grid's blocks on a scoped worker pool and merges the
-    /// workers' staged observations back into one serial-shaped sink.
-    ///
-    /// Workers claim flat block indices from an atomic counter, so block
-    /// *assignment* is nondeterministic — but each worker stages raw
-    /// records per block and [`AccessSink::merge_staged`] replays them in
-    /// flat block-index order through the exact serial coalesce/flush
-    /// path, so every tool-visible byte (record buffers, flush boundaries,
-    /// touched-sets, counters, and therefore simulated timestamps) is
-    /// identical to the serial loop's.
-    ///
-    /// Only called for fault-free, unified-memory-free launches (see
-    /// [`DeviceContext::launch`]), so the thread budget is always the full
-    /// grid.
-    fn run_blocks_parallel<F>(
-        &mut self,
-        cfg: &LaunchConfig,
-        info: &KernelInfo,
-        mode: PatchMode,
-        body: &F,
-    ) -> (AccessSink, KernelCounters, u64, bool)
-    where
-        F: Fn(&mut ThreadCtx<'_>) + Sync,
-    {
-        let grid = cfg.grid;
-        let block = cfg.block;
-        let grid_blocks = grid.count();
-        let workers = self
-            .kernel_workers
-            .min(usize::try_from(grid_blocks).unwrap_or(usize::MAX));
-        // More shards than workers keeps the probability of two workers
-        // serializing on one fresh-page shard low.
-        let view = self.mem.split_shared(workers * 8);
-        let shared_bytes = cfg.shared_mem_bytes as usize;
-        let next_block = AtomicU64::new(0);
-        let deadline = self.kernel_deadline.map(|d| Instant::now() + d);
-        let expired = AtomicBool::new(false);
-
-        // Staging sinks reuse arenas returned by previous launches (unless
-        // the slow-path baseline is on); one is handed to each worker
-        // thread by value.
-        let recycle = self.sanitizer.pc_memo();
-        let mut staging: Vec<AccessSink> = (0..workers)
-            .map(|_| self.sink_arena.staging_sink(mode, recycle))
-            .collect();
-        let alloc = &self.alloc;
-
-        let results: Vec<std::thread::Result<(AccessSink, KernelCounters, u64)>> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let view = &view;
-                        let next_block = &next_block;
-                        let expired = &expired;
-                        let body = &body;
-                        let mut sink = staging.pop().expect("one staging sink per worker");
-                        s.spawn(move || {
-                            let mut counters = KernelCounters::default();
-                            let mut shared = vec![0u8; shared_bytes];
-                            let mut first_block = true;
-                            let mut executed: u64 = 0;
-                            loop {
-                                // Cooperative watchdog, checked before
-                                // claiming each block; once one worker sees
-                                // the deadline pass, every worker stops at
-                                // its next claim.
-                                if expired.load(Ordering::Relaxed)
-                                    || deadline.is_some_and(|dl| Instant::now() >= dl)
-                                {
-                                    expired.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                                let flat_block = next_block.fetch_add(1, Ordering::Relaxed);
-                                if flat_block >= grid_blocks {
-                                    break;
-                                }
-                                let gx = u64::from(grid.x);
-                                let gy = u64::from(grid.y);
-                                let block_idx = Dim3::xyz(
-                                    (flat_block % gx) as u32,
-                                    ((flat_block / gx) % gy) as u32,
-                                    (flat_block / (gx * gy)) as u32,
-                                );
-                                if !first_block && !shared.is_empty() {
-                                    shared.fill(0);
-                                }
-                                first_block = false;
-                                sink.begin_block(flat_block);
-                                for tz in 0..block.z {
-                                    for ty in 0..block.y {
-                                        for tx in 0..block.x {
-                                            let thread_idx = Dim3::xyz(tx, ty, tz);
-                                            let flat_thread = flat_block * block.count()
-                                                + block.flatten(thread_idx);
-                                            let mut tctx = ThreadCtx {
-                                                mem: KernelMem::Shared(view),
-                                                alloc,
-                                                sink: &mut sink,
-                                                sanitizer: None,
-                                                info,
-                                                unified: None,
-                                                shared: &mut shared,
-                                                counters: &mut counters,
-                                                block_idx,
-                                                thread_idx,
-                                                grid_dim: grid,
-                                                block_dim: block,
-                                                flat_thread,
-                                                pc_counter: 0,
-                                            };
-                                            body(&mut tctx);
-                                        }
-                                    }
-                                }
-                                sink.end_block();
-                                executed += block.count();
-                            }
-                            (sink, counters, executed)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-        // Re-absorb the pages before anything can unwind, so a worker
-        // panic cannot lose device memory.
-        self.mem.absorb_shared(view);
-
-        let mut worker_sinks = Vec::with_capacity(results.len());
-        let mut counters = KernelCounters::default();
-        let mut executed: u64 = 0;
-        let mut panic_payload = None;
-        for result in results {
-            match result {
-                Ok((sink, c, e)) => {
-                    counters.merge(&c);
-                    executed += e;
-                    worker_sinks.push(sink);
-                }
-                Err(p) => panic_payload = Some(p),
-            }
-        }
-        if let Some(p) = panic_payload {
-            std::panic::resume_unwind(p);
-        }
-        let mut sink = self.serial_sink(mode);
-        sink.merge_staged(&self.sanitizer, info, &worker_sinks);
-        for worker in worker_sinks {
-            self.sink_arena.reclaim(worker);
-        }
-        let deadline_hit = expired.load(Ordering::Relaxed);
-        (sink, counters, executed, deadline_hit)
     }
 
     /// Simulated kernel duration from the work counters plus the

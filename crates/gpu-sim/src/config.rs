@@ -148,22 +148,14 @@ impl Default for PlatformConfig {
 /// ```
 /// use gpu_sim::{DeviceContext, SimConfig};
 ///
-/// let cfg = SimConfig::default().with_kernel_workers(4);
+/// let cfg = SimConfig::default().with_kernel_deadline_ms(500);
 /// let ctx = DeviceContext::with_config(cfg);
-/// assert_eq!(ctx.kernel_workers(), 4);
+/// assert_eq!(ctx.kernel_deadline_ms(), Some(500));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// The simulated platform (cost model, device memory size).
     pub platform: PlatformConfig,
-    /// Number of worker threads used to execute a kernel's thread blocks.
-    ///
-    /// `1` (the default) runs the classic serial interpreter loop. Values
-    /// above `1` execute blocks concurrently on a scoped thread pool while
-    /// preserving byte-identical profiler output; kernels that touch
-    /// unified memory or run under an active fault plan automatically fall
-    /// back to the serial loop. `0` is treated as `1`.
-    pub kernel_workers: usize,
     /// Wall-clock watchdog deadline, in milliseconds, for each kernel's
     /// block loop. When a kernel's execution exceeds the deadline the
     /// simulator stops at the next block boundary, delivers the partial
@@ -177,19 +169,12 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A configuration for `platform` with serial kernel execution.
+    /// A configuration for `platform` with no kernel watchdog.
     pub fn new(platform: PlatformConfig) -> Self {
         SimConfig {
             platform,
-            kernel_workers: 1,
             kernel_deadline_ms: None,
         }
-    }
-
-    /// Sets the kernel worker count (builder style).
-    pub fn with_kernel_workers(mut self, workers: usize) -> Self {
-        self.kernel_workers = workers.max(1);
-        self
     }
 
     /// Sets the per-kernel wall-clock watchdog deadline (builder style);
@@ -245,21 +230,9 @@ mod tests {
     }
 
     #[test]
-    fn sim_config_defaults_to_serial_execution() {
+    fn sim_config_defaults_to_rtx3090_without_watchdog() {
         let cfg = SimConfig::default();
-        assert_eq!(cfg.kernel_workers, 1);
+        assert_eq!(cfg.kernel_deadline_ms, None);
         assert_eq!(cfg.platform, PlatformConfig::rtx3090());
-    }
-
-    #[test]
-    fn sim_config_worker_builder_clamps_zero_to_serial() {
-        assert_eq!(
-            SimConfig::default().with_kernel_workers(0).kernel_workers,
-            1
-        );
-        assert_eq!(
-            SimConfig::default().with_kernel_workers(8).kernel_workers,
-            8
-        );
     }
 }

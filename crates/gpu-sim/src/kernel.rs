@@ -6,92 +6,9 @@
 //! instruction — the simulated analogue of SASS patching.
 
 use crate::error::SimError;
-use crate::mem::paged::SharedPagedView;
 use crate::mem::{DeviceAllocator, DevicePtr, PagedStore};
 use crate::sanitizer::{AccessKind, AccessSink, KernelInfo, Sanitizer};
 use std::fmt;
-
-/// Global-memory backing a thread executes against: the exclusive store
-/// (serial launch path) or the concurrent page-sharded view (parallel
-/// launch path).
-pub(crate) enum KernelMem<'a> {
-    /// Serial execution owns the paged store outright.
-    Exclusive(&'a mut PagedStore),
-    /// Parallel workers share one interior-mutability view.
-    Shared(&'a SharedPagedView),
-}
-
-impl KernelMem<'_> {
-    fn read_bytes(&self, addr: DevicePtr, buf: &mut [u8]) {
-        match self {
-            KernelMem::Exclusive(store) => store.read_bytes(addr, buf),
-            KernelMem::Shared(view) => view.read_bytes(addr, buf),
-        }
-    }
-
-    fn write_bytes(&mut self, addr: DevicePtr, data: &[u8]) {
-        match self {
-            KernelMem::Exclusive(store) => store.write_bytes(addr, data),
-            KernelMem::Shared(view) => view.write_bytes(addr, data),
-        }
-    }
-
-    fn read_f32(&self, addr: DevicePtr) -> f32 {
-        match self {
-            KernelMem::Exclusive(store) => store.read_f32(addr),
-            KernelMem::Shared(view) => view.read_f32(addr),
-        }
-    }
-
-    fn write_f32(&mut self, addr: DevicePtr, v: f32) {
-        match self {
-            KernelMem::Exclusive(store) => store.write_f32(addr, v),
-            KernelMem::Shared(view) => view.write_f32(addr, v),
-        }
-    }
-
-    fn read_f64(&self, addr: DevicePtr) -> f64 {
-        match self {
-            KernelMem::Exclusive(store) => store.read_f64(addr),
-            KernelMem::Shared(view) => view.read_f64(addr),
-        }
-    }
-
-    fn write_f64(&mut self, addr: DevicePtr, v: f64) {
-        match self {
-            KernelMem::Exclusive(store) => store.write_f64(addr, v),
-            KernelMem::Shared(view) => view.write_f64(addr, v),
-        }
-    }
-
-    fn read_u32(&self, addr: DevicePtr) -> u32 {
-        match self {
-            KernelMem::Exclusive(store) => store.read_u32(addr),
-            KernelMem::Shared(view) => view.read_u32(addr),
-        }
-    }
-
-    fn write_u32(&mut self, addr: DevicePtr, v: u32) {
-        match self {
-            KernelMem::Exclusive(store) => store.write_u32(addr, v),
-            KernelMem::Shared(view) => view.write_u32(addr, v),
-        }
-    }
-
-    fn read_u64(&self, addr: DevicePtr) -> u64 {
-        match self {
-            KernelMem::Exclusive(store) => store.read_u64(addr),
-            KernelMem::Shared(view) => view.read_u64(addr),
-        }
-    }
-
-    fn write_u64(&mut self, addr: DevicePtr, v: u64) {
-        match self {
-            KernelMem::Exclusive(store) => store.write_u64(addr, v),
-            KernelMem::Shared(view) => view.write_u64(addr, v),
-        }
-    }
-}
 
 /// A three-dimensional launch extent or index, like CUDA's `dim3`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,13 +89,6 @@ pub struct LaunchConfig {
     pub block: Dim3,
     /// Dynamic shared memory per block, in bytes.
     pub shared_mem_bytes: u32,
-    /// Forces the serial interpreter loop even when the context's
-    /// `kernel_workers` knob is above 1. Set by kernels that perform
-    /// cross-block read-modify-write (histogram increments, XOR
-    /// accumulators): real GPUs need atomics for those, which the
-    /// simulator does not model, so they are only deterministic when
-    /// blocks run in order.
-    pub serial_only: bool,
 }
 
 impl LaunchConfig {
@@ -188,20 +98,12 @@ impl LaunchConfig {
             grid: grid.into(),
             block: block.into(),
             shared_mem_bytes: 0,
-            serial_only: false,
         }
     }
 
     /// Sets the dynamic shared-memory size (builder style).
     pub fn with_shared_mem(mut self, bytes: u32) -> Self {
         self.shared_mem_bytes = bytes;
-        self
-    }
-
-    /// Marks the launch as serial-only (builder style); see
-    /// [`LaunchConfig::serial_only`].
-    pub fn serialized(mut self) -> Self {
-        self.serial_only = true;
         self
     }
 
@@ -255,17 +157,6 @@ impl KernelCounters {
     pub fn global_accesses(&self) -> u64 {
         self.global_reads + self.global_writes
     }
-
-    /// Accumulates another execution's counters (used to fold per-worker
-    /// counters into the launch total; addition is order-independent).
-    pub(crate) fn merge(&mut self, other: &KernelCounters) {
-        self.global_reads += other.global_reads;
-        self.global_writes += other.global_writes;
-        self.global_bytes += other.global_bytes;
-        self.shared_accesses += other.shared_accesses;
-        self.flops += other.flops;
-        self.page_migrations += other.page_migrations;
-    }
 }
 
 /// The execution context handed to a kernel closure, once per thread.
@@ -283,17 +174,12 @@ impl KernelCounters {
 /// delivered to the instrumentation — the simulator's equivalent of a
 /// memory fault under `compute-sanitizer`, without aborting the host.
 pub struct ThreadCtx<'a> {
-    pub(crate) mem: KernelMem<'a>,
+    pub(crate) mem: &'a mut PagedStore,
     pub(crate) alloc: &'a DeviceAllocator,
     pub(crate) sink: &'a mut AccessSink,
-    /// `None` on parallel workers: a staging sink never dispatches to
-    /// tools mid-kernel, and unified memory (the only other dispatch from
-    /// inside a thread) forces the serial path.
-    pub(crate) sanitizer: Option<&'a Sanitizer>,
+    pub(crate) sanitizer: &'a Sanitizer,
     pub(crate) info: &'a KernelInfo,
-    /// `None` on parallel workers: kernels touching unified memory fall
-    /// back to the serial path, so workers never migrate pages.
-    pub(crate) unified: Option<&'a mut crate::unified::UnifiedManager>,
+    pub(crate) unified: &'a mut crate::unified::UnifiedManager,
     pub(crate) shared: &'a mut [u8],
     pub(crate) counters: &'a mut KernelCounters,
     /// Index of this thread's block within the grid.
@@ -351,17 +237,13 @@ impl ThreadCtx<'_> {
         let pc = self.pc_counter;
         self.pc_counter += 1;
         // Unified memory: a device access to host-resident pages faults
-        // them over (expensive; observed by the instrumentation). Absent on
-        // parallel workers — unified regions force the serial path.
-        if let Some(unified) = self.unified.as_deref_mut() {
-            for migration in
-                unified.ensure_resident(addr, u64::from(size), crate::unified::Side::Device)
-            {
-                self.counters.page_migrations += 1;
-                if let Some(sanitizer) = self.sanitizer {
-                    sanitizer.dispatch_page_migration(&migration);
-                }
-            }
+        // them over (expensive; observed by the instrumentation).
+        for migration in
+            self.unified
+                .ensure_resident(addr, u64::from(size), crate::unified::Side::Device)
+        {
+            self.counters.page_migrations += 1;
+            self.sanitizer.dispatch_page_migration(&migration);
         }
         match kind {
             AccessKind::Read => self.counters.global_reads += 1,

@@ -1,40 +1,10 @@
 //! Sparse, lazily-materialized backing store for device memory.
 
 use super::DevicePtr;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// Size of one backing page in bytes.
 pub const PAGE_SIZE: u64 = 4096;
-
-/// One backing page.
-type Page = [u8; PAGE_SIZE as usize];
-
-/// Cheap deterministic hasher for page indices. Page indices are dense
-/// small integers derived from simulated addresses, so SipHash's flooding
-/// resistance buys nothing and its cost shows up on every kernel access.
-#[derive(Default)]
-struct PageIndexHasher(u64);
-
-impl std::hash::Hasher for PageIndexHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 32;
-    }
-}
-
-type PagePtrMap = HashMap<u64, *mut Page, BuildHasherDefault<PageIndexHasher>>;
 
 /// A sparse byte store covering the whole simulated device address space.
 ///
@@ -209,45 +179,6 @@ impl PagedStore {
         self.write_bytes(addr, &v.to_le_bytes());
     }
 
-    /// Moves every materialized page into a [`SharedPagedView`] that worker
-    /// threads can read and write concurrently during one parallel kernel
-    /// execution. The store is left empty; [`PagedStore::absorb_shared`]
-    /// must be called afterwards to take the pages back.
-    pub(crate) fn split_shared(&mut self, shards: usize) -> SharedPagedView {
-        let shard_count = shards.max(1).next_power_of_two();
-        let mut snapshot = PagePtrMap::default();
-        snapshot.reserve(self.pages.len());
-        for (index, page) in self.pages.drain() {
-            snapshot.insert(index, Box::into_raw(page));
-        }
-        let fresh = (0..shard_count)
-            .map(|_| Mutex::new(PagePtrMap::default()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        SharedPagedView {
-            snapshot,
-            fresh,
-            shard_mask: shard_count as u64 - 1,
-        }
-    }
-
-    /// Takes back all pages handed out by [`PagedStore::split_shared`],
-    /// including pages the kernel materialized while the view was live.
-    pub(crate) fn absorb_shared(&mut self, mut view: SharedPagedView) {
-        self.pages.reserve(view.snapshot.len());
-        for (index, raw) in std::mem::take(&mut view.snapshot) {
-            // SAFETY: `raw` came from `Box::into_raw` in `split_shared` and
-            // is removed from the map here, so it is reboxed exactly once.
-            self.pages.insert(index, unsafe { Box::from_raw(raw) });
-        }
-        for shard in view.fresh.iter() {
-            for (index, raw) in std::mem::take(&mut *shard.lock()) {
-                // SAFETY: as above, for pages materialized through the view.
-                self.pages.insert(index, unsafe { Box::from_raw(raw) });
-            }
-        }
-    }
-
     /// Discards all materialized pages whose addresses fall entirely inside
     /// `[start, start + len)`, releasing host memory for freed allocations.
     pub fn discard(&mut self, start: DevicePtr, len: u64) {
@@ -260,191 +191,6 @@ impl PagedStore {
         for page in first_full..last_full {
             self.pages.remove(&page);
         }
-    }
-}
-
-/// A concurrent view over a [`PagedStore`]'s pages, alive for the duration
-/// of one parallel kernel execution.
-///
-/// Pages that existed when the view was built sit in a read-only pointer
-/// map and are reached without any locking; pages materialized by the
-/// kernel go through small per-shard mutexes (sharded by page index) that
-/// guard only the map insert/lookup — the byte copies themselves run on
-/// raw page pointers after the lock is dropped, which is sound because the
-/// boxed pages never move.
-///
-/// Absent pages read as zero *without* materializing, exactly like
-/// [`PagedStore::read_bytes`], so parallel execution leaves residency
-/// statistics identical to the serial loop's.
-///
-/// # Safety contract
-///
-/// The view performs plain (non-atomic) loads and stores through raw page
-/// pointers. This is only sound under the parallel launch path's contract:
-/// kernels executed with `kernel_workers > 1` must be race-free — any two
-/// concurrently executing blocks touch disjoint byte ranges or access
-/// shared ranges read-only. The serial path (the default) imposes no such
-/// requirement.
-pub(crate) struct SharedPagedView {
-    /// Pages resident at split time; never mutated structurally, so reads
-    /// and writes need no lock.
-    snapshot: PagePtrMap,
-    /// Pages materialized during the kernel, sharded by page index.
-    fresh: Box<[Mutex<PagePtrMap>]>,
-    shard_mask: u64,
-}
-
-// SAFETY: all interior mutation of the shard maps goes through their
-// mutexes; page bytes are raced only if the kernel itself is racy, which
-// the parallel launch contract forbids (see the type-level docs).
-unsafe impl Send for SharedPagedView {}
-unsafe impl Sync for SharedPagedView {}
-
-impl std::fmt::Debug for SharedPagedView {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedPagedView")
-            .field("snapshot_pages", &self.snapshot.len())
-            .field("shards", &self.fresh.len())
-            .finish()
-    }
-}
-
-impl Drop for SharedPagedView {
-    fn drop(&mut self) {
-        // Normally `absorb_shared` empties the maps; this only frees pages
-        // when a worker panic unwinds past the view.
-        for (_, raw) in std::mem::take(&mut self.snapshot) {
-            // SAFETY: pointer from `Box::into_raw`, removed from the map.
-            drop(unsafe { Box::from_raw(raw) });
-        }
-        for shard in self.fresh.iter() {
-            for (_, raw) in std::mem::take(&mut *shard.lock()) {
-                // SAFETY: as above.
-                drop(unsafe { Box::from_raw(raw) });
-            }
-        }
-    }
-}
-
-impl SharedPagedView {
-    /// Resolves the page containing `index`, optionally materializing a
-    /// zeroed page. The returned pointer stays valid for the view's whole
-    /// lifetime (pages are heap blocks that never move).
-    fn page_ptr(&self, index: u64, materialize: bool) -> Option<*mut Page> {
-        if let Some(&p) = self.snapshot.get(&index) {
-            return Some(p);
-        }
-        let shard = &self.fresh[(index & self.shard_mask) as usize];
-        let mut map = shard.lock();
-        if let Some(&p) = map.get(&index) {
-            return Some(p);
-        }
-        if materialize {
-            let p = Box::into_raw(Box::new([0u8; PAGE_SIZE as usize]));
-            map.insert(index, p);
-            Some(p)
-        } else {
-            None
-        }
-    }
-
-    /// Reads into `buf` starting at `addr`. Unmaterialized pages read as
-    /// zero without being materialized.
-    pub(crate) fn read_bytes(&self, addr: DevicePtr, buf: &mut [u8]) {
-        let mut offset = 0usize;
-        let mut cur = addr.addr();
-        while offset < buf.len() {
-            let page = cur / PAGE_SIZE;
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let n = usize::min(PAGE_SIZE as usize - in_page, buf.len() - offset);
-            match self.page_ptr(page, false) {
-                // SAFETY: `p` points to a live page; `in_page + n` is
-                // bounded by PAGE_SIZE. Concurrent access to these bytes is
-                // excluded by the race-free-kernel contract.
-                Some(p) => unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        (*p).as_ptr().add(in_page),
-                        buf.as_mut_ptr().add(offset),
-                        n,
-                    );
-                },
-                None => buf[offset..offset + n].fill(0),
-            }
-            offset += n;
-            cur += n as u64;
-        }
-    }
-
-    /// Writes `data` starting at `addr`, materializing pages as needed.
-    pub(crate) fn write_bytes(&self, addr: DevicePtr, data: &[u8]) {
-        let mut offset = 0usize;
-        let mut cur = addr.addr();
-        while offset < data.len() {
-            let page = cur / PAGE_SIZE;
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let n = usize::min(PAGE_SIZE as usize - in_page, data.len() - offset);
-            let p = self
-                .page_ptr(page, true)
-                .expect("materializing page_ptr always returns a page");
-            // SAFETY: as in `read_bytes`; the write stays inside one page.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    data.as_ptr().add(offset),
-                    (*p).as_mut_ptr().add(in_page),
-                    n,
-                );
-            }
-            offset += n;
-            cur += n as u64;
-        }
-    }
-
-    /// Reads an `f32` at `addr`.
-    pub(crate) fn read_f32(&self, addr: DevicePtr) -> f32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        f32::from_le_bytes(b)
-    }
-
-    /// Writes an `f32` at `addr`.
-    pub(crate) fn write_f32(&self, addr: DevicePtr, v: f32) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Reads an `f64` at `addr`.
-    pub(crate) fn read_f64(&self, addr: DevicePtr) -> f64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        f64::from_le_bytes(b)
-    }
-
-    /// Writes an `f64` at `addr`.
-    pub(crate) fn write_f64(&self, addr: DevicePtr, v: f64) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Reads a little-endian `u32` at `addr`.
-    pub(crate) fn read_u32(&self, addr: DevicePtr) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Writes a little-endian `u32` at `addr`.
-    pub(crate) fn write_u32(&self, addr: DevicePtr, v: u32) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Reads a little-endian `u64` at `addr`.
-    pub(crate) fn read_u64(&self, addr: DevicePtr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Writes a little-endian `u64` at `addr`.
-    pub(crate) fn write_u64(&self, addr: DevicePtr, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
     }
 }
 
@@ -528,49 +274,6 @@ mod tests {
         let mut out = vec![0u8; 64];
         store.read_bytes(base() + 8, &mut out);
         assert_eq!(out, data);
-    }
-
-    #[test]
-    fn shared_view_round_trips_and_restores_pages() {
-        let mut store = PagedStore::new();
-        store.write_bytes(base(), &[7u8; 64]);
-        let view = store.split_shared(4);
-        assert_eq!(store.resident_pages(), 0);
-        // Snapshot page readable and writable through the view.
-        let mut out = [0u8; 64];
-        view.read_bytes(base(), &mut out);
-        assert_eq!(out, [7u8; 64]);
-        view.write_bytes(base() + 8, &[9u8; 8]);
-        // Fresh page materialized across a page boundary.
-        view.write_u64(base() + 3 * PAGE_SIZE - 4, 0x0123_4567_89AB_CDEF);
-        assert_eq!(
-            view.read_u64(base() + 3 * PAGE_SIZE - 4),
-            0x0123_4567_89AB_CDEF
-        );
-        // Absent pages read as zero without materializing.
-        let mut b = [5u8; 4];
-        view.read_bytes(base() + 100 * PAGE_SIZE, &mut b);
-        assert_eq!(b, [0u8; 4]);
-        store.absorb_shared(view);
-        assert_eq!(store.resident_pages(), 3);
-        assert_eq!(
-            store.read_u64(base() + 3 * PAGE_SIZE - 4),
-            0x0123_4567_89AB_CDEF
-        );
-        let mut out = [0u8; 16];
-        store.read_bytes(base(), &mut out);
-        assert_eq!(&out[..8], &[7u8; 8]);
-        assert_eq!(&out[8..], &[9u8; 8]);
-    }
-
-    #[test]
-    fn shared_view_is_safe_to_drop_without_absorb() {
-        let mut store = PagedStore::new();
-        store.write_bytes(base(), &[1u8; 32]);
-        let view = store.split_shared(2);
-        view.write_bytes(base() + 8 * PAGE_SIZE, &[2u8; 4]);
-        drop(view); // must free both snapshot and fresh pages
-        assert_eq!(store.resident_pages(), 0);
     }
 
     #[test]

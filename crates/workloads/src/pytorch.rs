@@ -47,10 +47,7 @@ fn conv_kernel(
 ) -> Result<()> {
     ctx.launch(
         &format!("slow_conv2d_forward_{layer}"),
-        // Threads i and i + COL_LEN (different blocks) round-trip through
-        // the same im2col slot, and all blocks collide on the bn-stats
-        // words — non-atomic cross-block read-modify-write.
-        LaunchConfig::cover(ACT_LEN, 128)?.serialized(),
+        LaunchConfig::cover(ACT_LEN, 128)?,
         StreamId::DEFAULT,
         move |t| {
             let i = t.global_x();

@@ -33,9 +33,7 @@ fn synth_symbols(n: u64, seed: u32) -> Vec<u32> {
 fn histogram_kernel(ctx: &mut DeviceContext, src: DevicePtr, hist: DevicePtr) -> Result<()> {
     ctx.launch(
         "vlc_histogram",
-        // Non-atomic cross-block histogram increments: only deterministic
-        // when blocks run in order.
-        LaunchConfig::cover(SRC_LEN, 64)?.serialized(),
+        LaunchConfig::cover(SRC_LEN, 64)?,
         StreamId::DEFAULT,
         move |t| {
             let i = t.global_x();
@@ -58,9 +56,7 @@ fn encode_kernel(
 ) -> Result<()> {
     ctx.launch(
         "vlc_encode_kernel",
-        // Threads i and i + BINS (different blocks) XOR-accumulate into the
-        // same slot without atomics.
-        LaunchConfig::cover(SRC_LEN, 64)?.serialized(),
+        LaunchConfig::cover(SRC_LEN, 64)?,
         StreamId::DEFAULT,
         move |t| {
             let i = t.global_x();

@@ -66,51 +66,47 @@ fn every_fault_kind_on_every_workload_still_yields_a_report() {
 }
 
 #[test]
-fn faults_under_tiny_budgets_and_parallel_workers_never_panic() {
-    // The full chaos cross-product: injected faults × a budget small
-    // enough to walk the whole degradation ladder × serial and parallel
-    // kernel execution. Whatever the combination, the outcome is a report
-    // (degraded where honest) or a typed error — never a panic.
+fn faults_under_tiny_budgets_never_panic() {
+    // The chaos cross-product: injected faults × a budget small enough to
+    // walk the whole degradation ladder. Whatever the combination, the
+    // outcome is a report (degraded where honest) or a typed error — never
+    // a panic.
     for kind in FaultKind::ALL {
         for workload in ["BICG", "huffman", "SimpleMultiCopy"] {
-            for workers in [1usize, 4] {
-                let spec = drgpum::workloads::by_name(workload).expect("registered");
-                let cfg_sim = SimConfig::default().with_kernel_workers(workers);
-                let mut ctx = DeviceContext::with_config(cfg_sim);
-                let budget = ResourceBudget::unlimited().with_resident_bytes(16 << 10);
-                let profiler = Profiler::attach(
-                    &mut ctx,
-                    ProfilerOptions::intra_object().with_budget(budget),
+            let spec = drgpum::workloads::by_name(workload).expect("registered");
+            let mut ctx = DeviceContext::with_config(SimConfig::default());
+            let budget = ResourceBudget::unlimited().with_resident_bytes(16 << 10);
+            let profiler = Profiler::attach(
+                &mut ctx,
+                ProfilerOptions::intra_object().with_budget(budget),
+            );
+            let cfg = RunConfig {
+                pool_observer: spec
+                    .uses_pool
+                    .then(|| profiler.collector() as drgpum::sim::pool::SharedPoolObserver),
+            };
+            let run = faults::run_under_fault(&mut ctx, &spec, kind, 0xBAD_B0D9E7, &cfg);
+            let case = format!("{kind} on {workload}");
+            if let Err(e) = &run {
+                // Typed simulator errors are an acceptable outcome.
+                assert!(
+                    !e.to_string().is_empty(),
+                    "{case}: error must describe itself"
                 );
-                let cfg = RunConfig {
-                    pool_observer: spec
-                        .uses_pool
-                        .then(|| profiler.collector() as drgpum::sim::pool::SharedPoolObserver),
-                };
-                let run = faults::run_under_fault(&mut ctx, &spec, kind, 0xBAD_B0D9E7, &cfg);
-                let case = format!("{kind} on {workload} with {workers} workers");
-                if let Err(e) = &run {
-                    // Typed simulator errors are an acceptable outcome.
-                    assert!(
-                        !e.to_string().is_empty(),
-                        "{case}: error must describe itself"
-                    );
-                }
-                let report = profiler.report(&ctx);
-                assert_eq!(
-                    report.detectors.len(),
-                    4,
-                    "{case}: every detector family accounted for"
-                );
-                // 16 KiB cannot hold BICG/huffman intra state: the ladder
-                // must have been walked and reported, not silently ignored.
-                if report.degradations.iter().any(|d| d.stage == "governor") {
-                    assert!(report.is_degraded(), "{case}: demotions mark the report");
-                }
-                let json = drgpum::profiler::export::report_json(&report);
-                serde_json::to_string(&json)
-                    .unwrap_or_else(|e| panic!("{case}: export failed: {e}"));
             }
+            let report = profiler.report(&ctx);
+            assert_eq!(
+                report.detectors.len(),
+                4,
+                "{case}: every detector family accounted for"
+            );
+            // 16 KiB cannot hold BICG/huffman intra state: the ladder
+            // must have been walked and reported, not silently ignored.
+            if report.degradations.iter().any(|d| d.stage == "governor") {
+                assert!(report.is_degraded(), "{case}: demotions mark the report");
+            }
+            let json = drgpum::profiler::export::report_json(&report);
+            serde_json::to_string(&json).unwrap_or_else(|e| panic!("{case}: export failed: {e}"));
         }
     }
 }
