@@ -404,6 +404,30 @@ impl FreqMap {
         &self.counts
     }
 
+    /// The nonzero counts as maximal runs `(first element, elements,
+    /// count)` of equal values, in element order: the saved form of the
+    /// map (see [`crate::trace_io`]).
+    pub fn runs(&self) -> Vec<(u64, u64, u32)> {
+        let mut runs = Vec::new();
+        let mut start = 0;
+        for run in self.counts.chunk_by(|a, b| a == b) {
+            if run[0] > 0 {
+                runs.push((start as u64, run.len() as u64, run[0]));
+            }
+            start += run.len();
+        }
+        runs
+    }
+
+    /// Sets the counts of the `len` elements from element `start` to
+    /// `count`; elements past the end of the map are ignored. Replaying
+    /// [`FreqMap::runs`] this way rebuilds the map.
+    pub fn fill(&mut self, start: u64, len: u64, count: u32) {
+        let n = self.counts.len() as u64;
+        let end = start.saturating_add(len).min(n) as usize;
+        self.counts[start.min(n) as usize..end].fill(count);
+    }
+
     /// Resets all counters to zero (done at each GPU API, Sec. 5.2).
     pub fn reset(&mut self) {
         self.counts.fill(0);

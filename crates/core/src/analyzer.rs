@@ -3,12 +3,12 @@
 //! source locations (the DWARF step), pinpoints memory peaks, and assembles
 //! the final [`Report`].
 
-use crate::collector::Collector;
-use crate::depgraph::DependencyGraph;
+use crate::collector::{Collector, RawAccess};
+use crate::depgraph::{DependencyGraph, VertexAccess};
 use crate::governor::CancelToken;
-use crate::object::ObjectSource;
+use crate::object::{ObjectId, ObjectSource};
 use crate::patterns::{
-    intra, object_level, redundant, ObjectAccess, ObjectView, PatternFinding, TraceView,
+    intra, object_level, redundant, ApiRef, ObjectAccess, ObjectView, PatternFinding, TraceView,
 };
 use crate::peaks;
 use crate::report::{
@@ -25,19 +25,60 @@ use std::time::{Duration, Instant};
 pub fn build_trace_view(collector: &Collector) -> TraceView {
     let apis = collector.gpu_apis();
     let vertices: Vec<_> = apis.iter().map(|a| a.vertex.clone()).collect();
-    let graph = DependencyGraph::build(&vertices);
+    assemble_trace_view(
+        &vertices,
+        apis.iter()
+            .map(|a| (a.name.as_str(), a.mnemonic, a.detail.as_str())),
+        collector.accesses(),
+        collector.registry().iter().map(|o| ObjectFacts {
+            id: o.id,
+            label: &o.label,
+            size: o.size(),
+            analyzable: o.source.is_analyzable(),
+            alloc_api: o.alloc_api,
+            alloc_is_api: o.alloc_is_api,
+            free_api: o.free_api,
+            free_is_api: o.free_is_api,
+        }),
+    )
+}
+
+/// What the trace view needs of one data object, from the live registry
+/// or from a saved trace.
+pub(crate) struct ObjectFacts<'a> {
+    pub id: ObjectId,
+    pub label: &'a str,
+    pub size: u64,
+    pub analyzable: bool,
+    pub alloc_api: usize,
+    pub alloc_is_api: bool,
+    pub free_api: Option<usize>,
+    pub free_is_api: bool,
+}
+
+/// Builds the [`TraceView`] from the API vertices, each API's
+/// `(name, mnemonic, detail)`, the raw accesses and the objects — the
+/// step the live analysis ([`build_trace_view`]) and trace reanalysis
+/// ([`crate::trace_io`]) share.
+pub(crate) fn assemble_trace_view<'a>(
+    vertices: &[VertexAccess],
+    apis: impl Iterator<Item = (&'a str, &'a str, &'a str)>,
+    accesses: &[RawAccess],
+    objects: impl Iterator<Item = ObjectFacts<'a>>,
+) -> TraceView {
+    let graph = DependencyGraph::build(vertices);
     let api_ts = graph.timestamps().to_vec();
-    let api_names: Vec<String> = apis.iter().map(|a| a.name.clone()).collect();
-    let api_kernels: Vec<Option<String>> = apis
-        .iter()
-        .map(|a| (a.mnemonic == "KERL").then(|| a.detail.clone()))
-        .collect();
-    let api_is_dealloc: Vec<bool> = apis.iter().map(|a| a.mnemonic == "FREE").collect();
+    let (mut api_names, mut api_kernels, mut api_is_dealloc) = (Vec::new(), Vec::new(), Vec::new());
+    for (name, mnemonic, detail) in apis {
+        api_names.push(name.to_owned());
+        api_kernels.push((mnemonic == "KERL").then(|| detail.to_owned()));
+        api_is_dealloc.push(mnemonic == "FREE");
+    }
 
     // Group accesses per object. An access with a dangling API index (which
     // a faulting run can produce) is dropped rather than panicking.
     let mut per_object: HashMap<_, Vec<ObjectAccess>> = HashMap::new();
-    for acc in collector.accesses() {
+    for acc in accesses {
         let (Some(&ts), Some(name)) = (api_ts.get(acc.api_idx), api_names.get(acc.api_idx)) else {
             continue;
         };
@@ -45,7 +86,7 @@ pub fn build_trace_view(collector: &Collector) -> TraceView {
             .entry(acc.object)
             .or_default()
             .push(ObjectAccess {
-                api: crate::patterns::ApiRef {
+                api: ApiRef {
                     idx: acc.api_idx,
                     ts,
                     name: name.clone(),
@@ -56,13 +97,11 @@ pub fn build_trace_view(collector: &Collector) -> TraceView {
             });
     }
 
-    let objects: Vec<ObjectView> = collector
-        .registry()
-        .iter()
+    let objects: Vec<ObjectView> = objects
         .map(|obj| {
             let mut accesses = per_object.remove(&obj.id).unwrap_or_default();
             accesses.sort_by_key(|a| (a.api.ts, a.api.idx));
-            let mk_ref = |idx: usize| crate::patterns::ApiRef {
+            let mk_ref = |idx: usize| ApiRef {
                 idx,
                 ts: api_ts.get(idx).copied().unwrap_or(0),
                 name: api_names
@@ -70,26 +109,16 @@ pub fn build_trace_view(collector: &Collector) -> TraceView {
                     .cloned()
                     .unwrap_or_else(|| format!("<api {idx}>")),
             };
-            let (alloc, alloc_anchor) = if obj.alloc_is_api {
-                (Some(mk_ref(obj.alloc_api)), obj.alloc_api)
-            } else {
-                (None, obj.alloc_api)
-            };
-            let (free, free_anchor) = match obj.free_api {
-                Some(idx) if obj.free_is_api => (Some(mk_ref(idx)), None),
-                Some(idx) => (None, Some(idx)),
-                None => (None, None),
-            };
             ObjectView {
                 id: obj.id,
-                label: obj.label.clone(),
-                size: obj.size(),
-                alloc,
-                alloc_anchor,
-                free,
-                free_anchor,
+                label: obj.label.to_owned(),
+                size: obj.size,
+                alloc: obj.alloc_is_api.then(|| mk_ref(obj.alloc_api)),
+                alloc_anchor: obj.alloc_api,
+                free: obj.free_api.filter(|_| obj.free_is_api).map(mk_ref),
+                free_anchor: obj.free_api.filter(|_| !obj.free_is_api),
                 accesses,
-                analyzable: obj.source.is_analyzable(),
+                analyzable: obj.analyzable,
             }
         })
         .collect();

@@ -9,49 +9,66 @@
 //! without re-running the program. That is how a user tunes the paper's
 //! user-tunable `X` parameters (Sec. 3) interactively over one recording.
 //!
-//! # On-disk format (version 2)
+//! # On-disk format (version 3)
 //!
-//! Traces written by crashing or fault-injected runs are routinely cut
-//! short, so the format is framed for damage containment:
+//! There is one format. A batch trace ([`SavedTrace::to_text`]) is a stream
+//! with a single `delta` and a single `checkpoint`; a streaming trace
+//! ([`crate::trace_stream`]) appends one `delta` per GPU API event and a
+//! `checkpoint` every few deltas:
 //!
 //! ```text
-//! DRGPUM-TRACE 2
+//! DRGPUM-TRACE 3
 //! section meta <byte-len> <crc32>
-//! {...json payload, exactly byte-len bytes...}
-//! section apis <byte-len> <crc32>
-//! [...]
-//! ...
+//! ["rtx3090"]
+//! section delta <byte-len> <crc32>
+//! [[api...],[[idx,api]...],[access...],[object...],[object...],[idx,bytes,...]]
+//! section checkpoint <byte-len> <crc32>
+//! [api_count,[intra...],[unified...]]
 //! end
 //! ```
 //!
-//! Every section carries its own length and CRC-32, so a reader can tell
-//! exactly which sections of a damaged file are intact. Two readers exist:
+//! Every frame carries its payload's length and CRC-32, so a reader can
+//! tell exactly which frames of a damaged file are intact. Payloads are
+//! positional JSON arrays with no whitespace, written straight into the
+//! output text and read back by a byte cursor. Deltas append rows at
+//! implicit indices (API rows in trace order) and re-emit rows whose
+//! def/use sets or free state changed. Intra-object and unified-memory
+//! maps are mutated in place during collection, so they travel in
+//! `checkpoint` snapshots, the latest of which wins. Lifetime access
+//! frequencies are saved as sorted, disjoint runs
+//! `(first element, elements, count)` of equal nonzero counts.
 //!
-//! * [`load`] is **strict**: any framing damage, checksum mismatch, version
-//!   skew, or dangling cross-reference is a typed [`TraceError`].
-//! * [`salvage`] **never fails**: it keeps every section that checks out,
-//!   drops damaged sections and dangling records, and reports what was
-//!   lost as [`DegradationRecord`]s so a partial report is honest about
-//!   being partial.
+//! Both readers replay the frames in order with one decoder:
+//!
+//! * [`load`] is **strict**: the replay must lose nothing — any framing
+//!   damage, checksum mismatch, version skew, missing finish marker,
+//!   invalid frequency run, or dangling cross-reference is a typed
+//!   [`TraceError`].
+//! * [`salvage`] **never fails**: it drops a frame whose length is intact
+//!   but whose checksum or payload is bad, continues past a dropped `meta`
+//!   or `checkpoint` frame, stops at the first damaged `delta` (deltas are
+//!   positional) or broken framing, then drops dangling records. Every
+//!   loss is reported as a [`DegradationRecord`] so a partial report is
+//!   honest about being partial.
 
 use crate::accessmap::{AccessBitmap, FreqMap, RangeSet};
-use crate::analyzer::{self, ObjectMeta};
+use crate::analyzer::{self, ObjectFacts, ObjectMeta};
 use crate::collector::{Collector, GpuApi, RawAccess};
-use crate::depgraph::{DependencyGraph, VertexAccess};
+use crate::depgraph::VertexAccess;
 use crate::error::TraceError;
 use crate::object::{DataObject, ObjectId, ObjectSource};
 use crate::options::Thresholds;
 use crate::patterns::intra::{IntraObjectData, NuafObservation};
 use crate::patterns::unified::UnifiedPageStats;
-use crate::patterns::{ApiRef, ObjectAccess, ObjectView, TraceView};
+use crate::patterns::{AccessVia, TraceView};
 use crate::peaks::UsageSample;
 use crate::report::{DegradationRecord, Report};
 use gpu_sim::{FrameTable, StreamId};
-use serde_json::{Map, ToJson, Value};
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 
 /// Serialization format version this build writes and reads strictly.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic word opening every trace file.
 const MAGIC: &str = "DRGPUM-TRACE";
@@ -61,23 +78,10 @@ struct SavedApi {
     name: String,
     detail: String,
     mnemonic: String,
-    stream: u32,
-    reads: Vec<u64>,
-    writes: Vec<u64>,
-    frees: Vec<u64>,
-    after: Vec<usize>,
+    vertex: VertexAccess,
     start_ns: u64,
     end_ns: u64,
     call_path: Vec<String>,
-}
-
-#[derive(Debug, Clone)]
-struct SavedAccess {
-    api_idx: usize,
-    object: u64,
-    read: bool,
-    write: bool,
-    via: String,
 }
 
 #[derive(Debug, Clone)]
@@ -85,7 +89,7 @@ struct SavedObject {
     id: u64,
     label: String,
     size: u64,
-    source: String,
+    source: ObjectSource,
     alloc_api: usize,
     alloc_is_api: bool,
     free_api: Option<usize>,
@@ -101,19 +105,12 @@ struct SavedIntra {
     accessed_ranges: Vec<(u64, u64)>,
     per_api: Vec<(usize, Vec<(u64, u64)>)>,
     nuaf_peak: Option<NuafObservation>,
-    lifetime_elem_size: Option<u32>,
-    /// Sparse nonzero lifetime counts `(element index, count)`.
-    lifetime_counts: Vec<(u64, u32)>,
+    /// Element size and lifetime counts as [`FreqMap::runs`].
+    lifetime: Option<(u32, Vec<Run>)>,
 }
 
-#[derive(Debug, Clone)]
-struct SavedUnifiedPage {
-    object: u64,
-    page_index: u32,
-    migrations: u64,
-    host_ranges: Vec<(u64, u64)>,
-    device_ranges: Vec<(u64, u64)>,
-}
+/// One run of equal lifetime counts: `(first element, elements, count)`.
+type Run = (u64, u64, u32);
 
 /// A complete, self-contained recording of one profiled run.
 #[derive(Debug, Clone)]
@@ -123,26 +120,27 @@ pub struct SavedTrace {
     /// Platform name of the recorded run.
     pub platform: String,
     apis: Vec<SavedApi>,
-    accesses: Vec<SavedAccess>,
+    accesses: Vec<RawAccess>,
     objects: Vec<SavedObject>,
-    usage: Vec<(usize, u64)>,
+    usage: Vec<UsageSample>,
     intra: Vec<SavedIntra>,
-    unified: Vec<SavedUnifiedPage>,
+    unified: Vec<UnifiedPageStats>,
 }
 
-fn via_str(via: crate::patterns::AccessVia) -> &'static str {
+fn via_str(via: AccessVia) -> &'static str {
     match via {
-        crate::patterns::AccessVia::Memcpy => "memcpy",
-        crate::patterns::AccessVia::Memset => "memset",
-        crate::patterns::AccessVia::Kernel => "kernel",
+        AccessVia::Memcpy => "memcpy",
+        AccessVia::Memset => "memset",
+        AccessVia::Kernel => "kernel",
     }
 }
 
-fn via_parse(s: &str) -> crate::patterns::AccessVia {
+fn via_parse(s: &str) -> Result<AccessVia, String> {
     match s {
-        "memcpy" => crate::patterns::AccessVia::Memcpy,
-        "memset" => crate::patterns::AccessVia::Memset,
-        _ => crate::patterns::AccessVia::Kernel,
+        "memcpy" => Ok(AccessVia::Memcpy),
+        "memset" => Ok(AccessVia::Memset),
+        "kernel" => Ok(AccessVia::Kernel),
+        other => Err(format!("unknown access kind `{other}`")),
     }
 }
 
@@ -154,11 +152,12 @@ fn source_str(s: ObjectSource) -> &'static str {
     }
 }
 
-fn source_parse(s: &str) -> ObjectSource {
+fn source_parse(s: &str) -> Result<ObjectSource, String> {
     match s {
-        "pool_slab" => ObjectSource::PoolSlab,
-        "pool_tensor" => ObjectSource::PoolTensor,
-        _ => ObjectSource::Cuda,
+        "cuda" => Ok(ObjectSource::Cuda),
+        "pool_slab" => Ok(ObjectSource::PoolSlab),
+        "pool_tensor" => Ok(ObjectSource::PoolTensor),
+        other => Err(format!("unknown object source `{other}`")),
     }
 }
 
@@ -170,24 +169,10 @@ fn api_row(a: &GpuApi, call_path: Vec<String>) -> SavedApi {
         name: a.name.clone(),
         detail: a.detail.clone(),
         mnemonic: a.mnemonic.to_owned(),
-        stream: a.stream.0,
-        reads: a.vertex.reads.iter().map(|o| o.0).collect(),
-        writes: a.vertex.writes.iter().map(|o| o.0).collect(),
-        frees: a.vertex.frees.iter().map(|o| o.0).collect(),
-        after: a.vertex.after.clone(),
+        vertex: a.vertex.clone(),
         start_ns: a.start_ns,
         end_ns: a.end_ns,
         call_path,
-    }
-}
-
-fn access_row(a: &RawAccess) -> SavedAccess {
-    SavedAccess {
-        api_idx: a.api_idx,
-        object: a.object.0,
-        read: a.read,
-        write: a.write,
-        via: via_str(a.via).to_owned(),
     }
 }
 
@@ -196,7 +181,7 @@ fn object_row(o: &DataObject, alloc_path: Vec<String>) -> SavedObject {
         id: o.id.0,
         label: o.label.clone(),
         size: o.size(),
-        source: source_str(o.source).to_owned(),
+        source: o.source,
         alloc_api: o.alloc_api,
         alloc_is_api: o.alloc_is_api,
         free_api: o.free_api,
@@ -206,8 +191,6 @@ fn object_row(o: &DataObject, alloc_path: Vec<String>) -> SavedObject {
 }
 
 fn intra_row(d: &IntraObjectData) -> SavedIntra {
-    // Run-length encode the bitmap as its accessed ranges (word-scan:
-    // the former per-bit loop dominated export of large objects).
     SavedIntra {
         object: d.object.0,
         size: d.bitmap.len(),
@@ -218,29 +201,7 @@ fn intra_row(d: &IntraObjectData) -> SavedIntra {
             .map(|(idx, rs)| (*idx, rs.ranges().to_vec()))
             .collect(),
         nuaf_peak: d.nuaf_peak.clone(),
-        lifetime_elem_size: d.lifetime_freq.as_ref().map(FreqMap::elem_size),
-        lifetime_counts: d
-            .lifetime_freq
-            .as_ref()
-            .map(|f| {
-                f.counts()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(i, &c)| (i as u64, c))
-                    .collect()
-            })
-            .unwrap_or_default(),
-    }
-}
-
-fn unified_row(p: &UnifiedPageStats) -> SavedUnifiedPage {
-    SavedUnifiedPage {
-        object: p.object.0,
-        page_index: p.page_index,
-        migrations: p.migrations,
-        host_ranges: p.host_ranges.ranges().to_vec(),
-        device_ranges: p.device_ranges.ranges().to_vec(),
+        lifetime: d.lifetime_freq.as_ref().map(|f| (f.elem_size(), f.runs())),
     }
 }
 
@@ -263,27 +224,15 @@ pub fn save(collector: &Collector, frames: &FrameTable, platform: &str) -> Saved
         .iter()
         .map(|a| api_row(a, resolve(&a.call_path)))
         .collect();
-    let accesses = collector.accesses().iter().map(access_row).collect();
+    let accesses = collector.accesses().to_vec();
     let objects = collector
         .registry()
         .iter()
         .map(|o| object_row(o, resolve(&o.alloc_path)))
         .collect();
-    let usage = collector
-        .usage_curve()
-        .iter()
-        .map(|s| (s.api_idx, s.bytes_in_use))
-        .collect();
-    let intra = collector
-        .intra_data()
-        .iter()
-        .map(|d| intra_row(d))
-        .collect();
-    let unified = collector
-        .unified_page_stats()
-        .iter()
-        .map(unified_row)
-        .collect();
+    let usage = collector.usage_curve().to_vec();
+    let intra = collector.intra_data().into_iter().map(intra_row).collect();
+    let unified = collector.unified_page_stats();
     SavedTrace {
         version: FORMAT_VERSION,
         platform: platform.to_owned(),
@@ -300,383 +249,699 @@ pub fn save(collector: &Collector, frames: &FrameTable, platform: &str) -> Saved
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), bitwise.
+/// CRC-32 lookup table (IEEE 802.3 polynomial, reflected), built at
+/// compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE 802.3), one table lookup per byte.
 fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+    !bytes.iter().fold(0xFFFF_FFFF, |crc: u32, &b| {
+        CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8)
+    })
+}
+
+/// Writes one frame payload into the output text. Every value starts with
+/// a comma unless it opens the payload or follows a `[`, so rows read as
+/// chains of fields.
+struct Enc<'a> {
+    out: &'a mut String,
+    start: usize,
+}
+
+impl Enc<'_> {
+    fn sep(&mut self) {
+        if self.out.len() > self.start && !self.out.ends_with('[') {
+            self.out.push(',');
         }
     }
-    !crc
+
+    fn u64(&mut self, mut v: u64) -> &mut Self {
+        self.sep();
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        for &d in &digits[i..] {
+            self.out.push(char::from(d));
+        }
+        self
+    }
+
+    fn usize(&mut self, v: usize) -> &mut Self {
+        self.u64(v as u64)
+    }
+
+    fn f64(&mut self, v: f64) -> &mut Self {
+        self.sep();
+        // Display prints the shortest text that parses back to `v`.
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    fn bool(&mut self, v: bool) -> &mut Self {
+        self.sep();
+        self.out.push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    fn null(&mut self) -> &mut Self {
+        self.sep();
+        self.out.push_str("null");
+        self
+    }
+
+    /// A JSON string: `"` and `\\` are backslash-escaped, control
+    /// characters written as `\\u00XX`.
+    fn str(&mut self, s: &str) -> &mut Self {
+        self.sep();
+        self.out.push('"');
+        if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+            for c in s.chars() {
+                match c {
+                    '"' | '\\' => self.out.extend(['\\', c]),
+                    c if c < ' ' => drop(write!(self.out, "\\u{:04x}", u32::from(c))),
+                    c => self.out.push(c),
+                }
+            }
+        } else {
+            self.out.push_str(s);
+        }
+        self.out.push('"');
+        self
+    }
+
+    fn open(&mut self) -> &mut Self {
+        self.sep();
+        self.out.push('[');
+        self
+    }
+
+    fn close(&mut self) -> &mut Self {
+        self.out.push(']');
+        self
+    }
+
+    fn u64s(&mut self, vs: impl IntoIterator<Item = u64>) -> &mut Self {
+        self.open();
+        for v in vs {
+            self.u64(v);
+        }
+        self.close()
+    }
+
+    /// Pairs as one flat list `[a0,b0,a1,b1,...]`.
+    fn pairs(&mut self, ps: &[(u64, u64)]) -> &mut Self {
+        self.u64s(ps.iter().flat_map(|&(a, b)| [a, b]))
+    }
+
+    fn strs(&mut self, ss: &[String]) -> &mut Self {
+        self.open();
+        for s in ss {
+            self.str(s);
+        }
+        self.close()
+    }
 }
 
-fn pairs_value(pairs: &[(u64, u64)]) -> Value {
-    Value::Array(
-        pairs
-            .iter()
-            .map(|&(a, b)| Value::Array(vec![a.to_json(), b.to_json()]))
-            .collect(),
-    )
-}
-
-fn api_value(a: &SavedApi) -> Value {
-    let mut m = Map::new();
-    m.insert("name".into(), a.name.to_json());
-    m.insert("detail".into(), a.detail.to_json());
-    m.insert("mnemonic".into(), a.mnemonic.to_json());
-    m.insert("stream".into(), a.stream.to_json());
-    m.insert("reads".into(), a.reads.to_json());
-    m.insert("writes".into(), a.writes.to_json());
-    m.insert("frees".into(), a.frees.to_json());
-    m.insert("after".into(), a.after.to_json());
-    m.insert("start_ns".into(), a.start_ns.to_json());
-    m.insert("end_ns".into(), a.end_ns.to_json());
-    m.insert("call_path".into(), a.call_path.to_json());
-    Value::Object(m)
-}
-
-fn access_value(a: &SavedAccess) -> Value {
-    Value::Array(vec![
-        a.api_idx.to_json(),
-        a.object.to_json(),
-        a.read.to_json(),
-        a.write.to_json(),
-        a.via.to_json(),
-    ])
-}
-
-fn object_value(o: &SavedObject) -> Value {
-    let mut m = Map::new();
-    m.insert("id".into(), o.id.to_json());
-    m.insert("label".into(), o.label.to_json());
-    m.insert("size".into(), o.size.to_json());
-    m.insert("source".into(), o.source.to_json());
-    m.insert("alloc_api".into(), o.alloc_api.to_json());
-    m.insert("alloc_is_api".into(), o.alloc_is_api.to_json());
-    m.insert("free_api".into(), o.free_api.to_json());
-    m.insert("free_is_api".into(), o.free_is_api.to_json());
-    m.insert("alloc_path".into(), o.alloc_path.to_json());
-    Value::Object(m)
-}
-
-fn intra_value(s: &SavedIntra) -> Value {
-    let mut m = Map::new();
-    m.insert("object".into(), s.object.to_json());
-    m.insert("size".into(), s.size.to_json());
-    m.insert("accessed_ranges".into(), pairs_value(&s.accessed_ranges));
-    m.insert(
-        "per_api".into(),
-        Value::Array(
-            s.per_api
-                .iter()
-                .map(|(idx, ranges)| Value::Array(vec![idx.to_json(), pairs_value(ranges)]))
-                .collect(),
-        ),
-    );
-    m.insert(
-        "nuaf_peak".into(),
-        match &s.nuaf_peak {
-            Some((idx, cov, hist)) => Value::Array(vec![
-                idx.to_json(),
-                cov.to_json(),
-                Value::Array(
-                    hist.iter()
-                        .map(|&(c, n)| Value::Array(vec![c.to_json(), n.to_json()]))
-                        .collect(),
-                ),
-            ]),
-            None => Value::Null,
-        },
-    );
-    m.insert("lifetime_elem_size".into(), s.lifetime_elem_size.to_json());
-    m.insert(
-        "lifetime_counts".into(),
-        Value::Array(
-            s.lifetime_counts
-                .iter()
-                .map(|&(i, c)| Value::Array(vec![i.to_json(), c.to_json()]))
-                .collect(),
-        ),
-    );
-    Value::Object(m)
-}
-
-fn unified_value(p: &SavedUnifiedPage) -> Value {
-    let mut m = Map::new();
-    m.insert("object".into(), p.object.to_json());
-    m.insert("page_index".into(), p.page_index.to_json());
-    m.insert("migrations".into(), p.migrations.to_json());
-    m.insert("host_ranges".into(), pairs_value(&p.host_ranges));
-    m.insert("device_ranges".into(), pairs_value(&p.device_ranges));
-    Value::Object(m)
-}
-
-fn write_section(out: &mut String, name: &str, payload: &Value) {
-    let text =
-        serde_json::to_string(payload).expect("serializing an in-memory JSON value cannot fail");
-    out.push_str(&format!(
-        "section {name} {} {}\n",
-        text.len(),
-        crc32(text.as_bytes())
-    ));
-    out.push_str(&text);
+/// Appends one frame — header line, payload, newline — to `out`. The
+/// payload is encoded in place; the header, which needs its length and
+/// checksum, is inserted in front of it afterwards.
+fn write_frame(out: &mut String, name: &str, payload: impl FnOnce(&mut Enc<'_>)) {
+    let start = out.len();
+    payload(&mut Enc { out, start });
+    let len = out.len() - start;
+    let crc = crc32(&out.as_bytes()[start..]);
+    out.insert_str(start, &format!("section {name} {len} {crc}\n"));
     out.push('\n');
 }
 
-// ---------------------------------------------------------------------------
-// Decoding helpers (shape checks over parsed JSON)
-// ---------------------------------------------------------------------------
-
-fn need<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing key `{key}`"))
+fn put_api(e: &mut Enc<'_>, a: &SavedApi) {
+    e.open()
+        .str(&a.name)
+        .str(&a.detail)
+        .str(&a.mnemonic)
+        .u64(u64::from(a.vertex.stream.0))
+        .u64s(a.vertex.reads.iter().map(|o| o.0))
+        .u64s(a.vertex.writes.iter().map(|o| o.0))
+        .u64s(a.vertex.frees.iter().map(|o| o.0))
+        .u64s(a.vertex.after.iter().map(|&d| d as u64))
+        .u64(a.start_ns)
+        .u64(a.end_ns)
+        .strs(&a.call_path)
+        .close();
 }
 
-fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
-    need(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("`{key}` is not a non-negative integer"))
-}
-
-fn get_u32(v: &Value, key: &str) -> Result<u32, String> {
-    u32::try_from(get_u64(v, key)?).map_err(|_| format!("`{key}` exceeds u32"))
-}
-
-fn get_usize(v: &Value, key: &str) -> Result<usize, String> {
-    usize::try_from(get_u64(v, key)?).map_err(|_| format!("`{key}` exceeds usize"))
-}
-
-fn get_str(v: &Value, key: &str) -> Result<String, String> {
-    need(v, key)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| format!("`{key}` is not a string"))
-}
-
-fn get_bool(v: &Value, key: &str) -> Result<bool, String> {
-    need(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("`{key}` is not a boolean"))
-}
-
-fn get_arr<'a>(v: &'a Value, key: &str) -> Result<&'a Vec<Value>, String> {
-    need(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("`{key}` is not an array"))
-}
-
-fn as_u64_item(v: &Value, what: &str) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("{what} is not a non-negative integer"))
-}
-
-fn get_u64_vec(v: &Value, key: &str) -> Result<Vec<u64>, String> {
-    get_arr(v, key)?
-        .iter()
-        .map(|x| as_u64_item(x, key))
-        .collect()
-}
-
-fn get_usize_vec(v: &Value, key: &str) -> Result<Vec<usize>, String> {
-    get_u64_vec(v, key)?
-        .into_iter()
-        .map(|x| usize::try_from(x).map_err(|_| format!("`{key}` element exceeds usize")))
-        .collect()
-}
-
-fn get_string_vec(v: &Value, key: &str) -> Result<Vec<String>, String> {
-    get_arr(v, key)?
-        .iter()
-        .map(|x| {
-            x.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| format!("`{key}` element is not a string"))
-        })
-        .collect()
-}
-
-fn parse_pair(v: &Value, what: &str) -> Result<(u64, u64), String> {
-    let arr = v
-        .as_array()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| format!("{what} is not a two-element array"))?;
-    Ok((as_u64_item(&arr[0], what)?, as_u64_item(&arr[1], what)?))
-}
-
-fn get_pairs(v: &Value, key: &str) -> Result<Vec<(u64, u64)>, String> {
-    get_arr(v, key)?
-        .iter()
-        .map(|x| parse_pair(x, key))
-        .collect()
-}
-
-fn parse_api(v: &Value) -> Result<SavedApi, String> {
-    Ok(SavedApi {
-        name: get_str(v, "name")?,
-        detail: get_str(v, "detail")?,
-        mnemonic: get_str(v, "mnemonic")?,
-        stream: get_u32(v, "stream")?,
-        reads: get_u64_vec(v, "reads")?,
-        writes: get_u64_vec(v, "writes")?,
-        frees: get_u64_vec(v, "frees")?,
-        after: get_usize_vec(v, "after")?,
-        start_ns: get_u64(v, "start_ns")?,
-        end_ns: get_u64(v, "end_ns")?,
-        call_path: get_string_vec(v, "call_path")?,
-    })
-}
-
-fn parse_access(v: &Value) -> Result<SavedAccess, String> {
-    let arr = v
-        .as_array()
-        .filter(|a| a.len() == 5)
-        .ok_or("access is not a five-element array")?;
-    Ok(SavedAccess {
-        api_idx: usize::try_from(as_u64_item(&arr[0], "api_idx")?)
-            .map_err(|_| "api_idx exceeds usize".to_owned())?,
-        object: as_u64_item(&arr[1], "object")?,
-        read: arr[2].as_bool().ok_or("read is not a boolean")?,
-        write: arr[3].as_bool().ok_or("write is not a boolean")?,
-        via: arr[4].as_str().ok_or("via is not a string")?.to_owned(),
-    })
-}
-
-fn parse_object(v: &Value) -> Result<SavedObject, String> {
-    let free_api = match need(v, "free_api")? {
-        Value::Null => None,
-        other => Some(
-            other
-                .as_u64()
-                .and_then(|x| usize::try_from(x).ok())
-                .ok_or("`free_api` is not an index or null")?,
-        ),
+fn put_object(e: &mut Enc<'_>, o: &SavedObject) {
+    e.open()
+        .u64(o.id)
+        .str(&o.label)
+        .u64(o.size)
+        .str(source_str(o.source))
+        .usize(o.alloc_api)
+        .bool(o.alloc_is_api);
+    match o.free_api {
+        Some(f) => e.usize(f),
+        None => e.null(),
     };
-    Ok(SavedObject {
-        id: get_u64(v, "id")?,
-        label: get_str(v, "label")?,
-        size: get_u64(v, "size")?,
-        source: get_str(v, "source")?,
-        alloc_api: get_usize(v, "alloc_api")?,
-        alloc_is_api: get_bool(v, "alloc_is_api")?,
-        free_api,
-        free_is_api: get_bool(v, "free_is_api")?,
-        alloc_path: get_string_vec(v, "alloc_path")?,
-    })
+    e.bool(o.free_is_api).strs(&o.alloc_path).close();
 }
 
-fn parse_intra(v: &Value) -> Result<SavedIntra, String> {
-    let per_api = get_arr(v, "per_api")?
-        .iter()
-        .map(|entry| {
-            let arr = entry
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or("per_api entry is not a two-element array")?;
-            let idx = usize::try_from(as_u64_item(&arr[0], "per_api idx")?)
-                .map_err(|_| "per_api idx exceeds usize".to_owned())?;
-            let ranges = arr[1]
-                .as_array()
-                .ok_or("per_api ranges is not an array")?
+/// One `delta` payload: new rows plus re-emitted (updated) rows.
+fn put_delta(
+    e: &mut Enc<'_>,
+    apis: &[SavedApi],
+    api_updates: &[(usize, SavedApi)],
+    accesses: &[RawAccess],
+    objects: &[SavedObject],
+    object_updates: &[SavedObject],
+    usage: &[UsageSample],
+) {
+    e.open().open();
+    for a in apis {
+        put_api(e, a);
+    }
+    e.close().open();
+    for (idx, a) in api_updates {
+        e.open().usize(*idx);
+        put_api(e, a);
+        e.close();
+    }
+    e.close().open();
+    for a in accesses {
+        e.open()
+            .usize(a.api_idx)
+            .u64(a.object.0)
+            .bool(a.read)
+            .bool(a.write)
+            .str(via_str(a.via))
+            .close();
+    }
+    e.close().open();
+    for o in objects {
+        put_object(e, o);
+    }
+    e.close().open();
+    for o in object_updates {
+        put_object(e, o);
+    }
+    e.close()
+        .u64s(
+            usage
                 .iter()
-                .map(|p| parse_pair(p, "per_api range"))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok::<_, String>((idx, ranges))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let nuaf_peak = match need(v, "nuaf_peak")? {
-        Value::Null => None,
-        other => {
-            let arr = other
-                .as_array()
-                .filter(|a| a.len() == 3)
-                .ok_or("nuaf_peak is not a three-element array")?;
-            let idx = usize::try_from(as_u64_item(&arr[0], "nuaf_peak idx")?)
-                .map_err(|_| "nuaf_peak idx exceeds usize".to_owned())?;
-            let cov = arr[1].as_f64().ok_or("nuaf_peak cov is not a number")?;
-            let hist = arr[2]
-                .as_array()
-                .ok_or("nuaf_peak histogram is not an array")?
-                .iter()
-                .map(|p| {
-                    let (c, n) = parse_pair(p, "nuaf_peak histogram entry")?;
-                    Ok::<_, String>((
-                        u32::try_from(c).map_err(|_| "histogram count exceeds u32".to_owned())?,
-                        usize::try_from(n)
-                            .map_err(|_| "histogram bucket exceeds usize".to_owned())?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Some((idx, cov, hist))
+                .flat_map(|u| [u.api_idx as u64, u.bytes_in_use]),
+        )
+        .close();
+}
+
+/// One `checkpoint` payload: the full intra-object and unified-memory
+/// state as of API `api_count`.
+fn put_checkpoint(
+    e: &mut Enc<'_>,
+    api_count: usize,
+    intra: &[SavedIntra],
+    unified: &[UnifiedPageStats],
+) {
+    e.open().usize(api_count).open();
+    for s in intra {
+        e.open()
+            .u64(s.object)
+            .u64(s.size)
+            .pairs(&s.accessed_ranges)
+            .open();
+        for (idx, ranges) in &s.per_api {
+            e.open().usize(*idx).pairs(ranges).close();
         }
+        e.close();
+        match &s.nuaf_peak {
+            Some((idx, cov, hist)) => e
+                .open()
+                .usize(*idx)
+                .f64(*cov)
+                .u64s(hist.iter().flat_map(|&(c, n)| [u64::from(c), n as u64]))
+                .close(),
+            None => e.null(),
+        };
+        match &s.lifetime {
+            Some((elem, runs)) => e
+                .open()
+                .u64(u64::from(*elem))
+                .u64s(
+                    runs.iter()
+                        .flat_map(|&(at, len, n)| [at, len, u64::from(n)]),
+                )
+                .close(),
+            None => e.null(),
+        };
+        e.close();
+    }
+    e.close().open();
+    for p in unified {
+        e.open()
+            .u64(p.object.0)
+            .u64(u64::from(p.page_index))
+            .u64(p.migrations)
+            .pairs(p.host_ranges.ranges())
+            .pairs(p.device_ranges.ranges())
+            .close();
+    }
+    e.close().close();
+}
+
+fn put_header(out: &mut String, version: u32, platform: &str) {
+    let _ = writeln!(out, "{MAGIC} {version}");
+    write_frame(out, "meta", |e| {
+        e.open().str(platform).close();
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Decoding
+// ---------------------------------------------------------------------------
+
+/// Reads one frame payload back, mirroring [`Enc`]: every value read first
+/// consumes the comma that separates it from the previous one.
+struct Cursor<'a> {
+    b: &'a [u8],
+    i: usize,
+}
+
+impl Cursor<'_> {
+    fn fail<T>(&self, what: &str) -> Result<T, String> {
+        Err(format!("expected {what} at byte {}", self.i))
+    }
+
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.b.get(self.i) == Some(&byte);
+        self.i += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        if self.eat(byte) {
+            Ok(())
+        } else {
+            self.fail(&format!("`{}`", char::from(byte)))
+        }
+    }
+
+    fn eat_word(&mut self, word: &[u8]) -> bool {
+        let hit = self
+            .b
+            .get(self.i..)
+            .is_some_and(|rest| rest.starts_with(word));
+        if hit {
+            self.i += word.len();
+        }
+        hit
+    }
+
+    fn sep(&mut self) -> Result<(), String> {
+        match self.i.checked_sub(1).map(|p| self.b[p]) {
+            None | Some(b'[' | b',') => Ok(()),
+            Some(_) => self.expect(b','),
+        }
+    }
+
+    fn u64(&mut self) -> Result<u64, String> {
+        self.sep()?;
+        let start = self.i;
+        let mut v: u64 = 0;
+        while let Some(&d) = self.b.get(self.i).filter(|d| d.is_ascii_digit()) {
+            v = v
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(d - b'0')))
+                .ok_or_else(|| format!("number at byte {start} overflows u64"))?;
+            self.i += 1;
+        }
+        if self.i == start {
+            return self.fail("a number");
+        }
+        Ok(v)
+    }
+
+    /// A number that must fit `T`.
+    fn num<T: TryFrom<u64>>(&mut self) -> Result<T, String> {
+        let at = self.i;
+        T::try_from(self.u64()?).map_err(|_| format!("number at byte {at} is out of range"))
+    }
+
+    fn object(&mut self) -> Result<ObjectId, String> {
+        self.u64().map(ObjectId)
+    }
+
+    fn f64(&mut self) -> Result<f64, String> {
+        self.sep()?;
+        let start = self.i;
+        while self
+            .b
+            .get(self.i)
+            .is_some_and(|&c| !matches!(c, b',' | b']'))
+        {
+            self.i += 1;
+        }
+        std::str::from_utf8(&self.b[start..self.i])
+            .ok()
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| format!("expected a float at byte {start}"))
+    }
+
+    fn bool(&mut self) -> Result<bool, String> {
+        self.sep()?;
+        if self.eat_word(b"true") {
+            Ok(true)
+        } else if self.eat_word(b"false") {
+            Ok(false)
+        } else {
+            self.fail("a boolean")
+        }
+    }
+
+    /// `None` for `null`, otherwise the value `item` reads.
+    fn opt<T>(
+        &mut self,
+        item: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.sep()?;
+        if self.eat_word(b"null") {
+            Ok(None)
+        } else {
+            item(self).map(Some)
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.sep()?;
+        self.expect(b'"')?;
+        let mut s = String::new();
+        loop {
+            let start = self.i;
+            while self
+                .b
+                .get(self.i)
+                .is_some_and(|&c| c >= 0x20 && c != b'"' && c != b'\\')
+            {
+                self.i += 1;
+            }
+            let plain = std::str::from_utf8(&self.b[start..self.i])
+                .map_err(|_| format!("string at byte {start} is not UTF-8"))?;
+            s.push_str(plain);
+            match self.b.get(self.i) {
+                Some(b'"') => {
+                    self.i += 1;
+                    return Ok(s);
+                }
+                Some(b'\\') => {
+                    let esc = self.b.get(self.i + 1).copied();
+                    self.i += 2;
+                    match esc {
+                        Some(b'"') => s.push('"'),
+                        Some(b'\\') => s.push('\\'),
+                        Some(b'u') => {
+                            let code = self
+                                .b
+                                .get(self.i..self.i + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32);
+                            let Some(c) = code else {
+                                return self.fail("a \\u escape");
+                            };
+                            s.push(c);
+                            self.i += 4;
+                        }
+                        _ => return self.fail("a string escape"),
+                    }
+                }
+                _ => return self.fail("a closing quote"),
+            }
+        }
+    }
+
+    fn open(&mut self) -> Result<(), String> {
+        self.sep()?;
+        self.expect(b'[')
+    }
+
+    fn close(&mut self) -> Result<(), String> {
+        self.expect(b']')
+    }
+
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.open()?;
+        let mut items = Vec::new();
+        while !self.eat(b']') {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// A flat list of numbers read back as groups of `N`.
+    fn groups<const N: usize>(&mut self) -> Result<Vec<[u64; N]>, String> {
+        let at = self.i;
+        let flat = self.list(Self::u64)?;
+        if flat.len() % N != 0 {
+            return Err(format!(
+                "list at byte {at} holds {} numbers, not a multiple of {N}",
+                flat.len()
+            ));
+        }
+        Ok(flat
+            .chunks_exact(N)
+            .map(|g| std::array::from_fn(|k| g[k]))
+            .collect())
+    }
+
+    fn pairs(&mut self) -> Result<Vec<(u64, u64)>, String> {
+        Ok(self
+            .groups::<2>()?
+            .into_iter()
+            .map(|[a, b]| (a, b))
+            .collect())
+    }
+}
+
+/// Decodes a whole payload with `item`; trailing bytes are an error.
+fn decode<T>(
+    payload: &[u8],
+    item: impl FnOnce(&mut Cursor<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut c = Cursor { b: payload, i: 0 };
+    let v = item(&mut c)?;
+    if c.i != payload.len() {
+        return c.fail("the end of the payload");
+    }
+    Ok(v)
+}
+
+fn get_api(c: &mut Cursor<'_>) -> Result<SavedApi, String> {
+    c.open()?;
+    let api = SavedApi {
+        name: c.string()?,
+        detail: c.string()?,
+        mnemonic: c.string()?,
+        vertex: VertexAccess {
+            stream: StreamId(c.num()?),
+            reads: c.list(Cursor::object)?,
+            writes: c.list(Cursor::object)?,
+            frees: c.list(Cursor::object)?,
+            after: c.list(Cursor::num)?,
+        },
+        start_ns: c.u64()?,
+        end_ns: c.u64()?,
+        call_path: c.list(Cursor::string)?,
     };
-    let lifetime_elem_size = match need(v, "lifetime_elem_size")? {
-        Value::Null => None,
-        other => Some(
-            other
-                .as_u64()
-                .and_then(|x| u32::try_from(x).ok())
-                .ok_or("`lifetime_elem_size` is not a u32 or null")?,
-        ),
+    c.close()?;
+    Ok(api)
+}
+
+fn get_access(c: &mut Cursor<'_>) -> Result<RawAccess, String> {
+    c.open()?;
+    let access = RawAccess {
+        api_idx: c.num()?,
+        object: c.object()?,
+        read: c.bool()?,
+        write: c.bool()?,
+        via: via_parse(&c.string()?)?,
     };
-    let lifetime_counts = get_arr(v, "lifetime_counts")?
-        .iter()
-        .map(|p| {
-            let (i, c) = parse_pair(p, "lifetime_counts entry")?;
-            Ok::<_, String>((
-                i,
-                u32::try_from(c).map_err(|_| "lifetime count exceeds u32".to_owned())?,
-            ))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    c.close()?;
+    Ok(access)
+}
+
+fn get_object(c: &mut Cursor<'_>) -> Result<SavedObject, String> {
+    c.open()?;
+    let object = SavedObject {
+        id: c.u64()?,
+        label: c.string()?,
+        size: c.u64()?,
+        source: source_parse(&c.string()?)?,
+        alloc_api: c.num()?,
+        alloc_is_api: c.bool()?,
+        free_api: c.opt(Cursor::num)?,
+        free_is_api: c.bool()?,
+        alloc_path: c.list(Cursor::string)?,
+    };
+    c.close()?;
+    Ok(object)
+}
+
+fn get_intra(c: &mut Cursor<'_>) -> Result<SavedIntra, String> {
+    c.open()?;
+    let object = c.u64()?;
+    let size = c.u64()?;
+    let accessed_ranges = c.pairs()?;
+    let per_api = c.list(|c| {
+        c.open()?;
+        let entry = (c.num()?, c.pairs()?);
+        c.close()?;
+        Ok(entry)
+    })?;
+    let nuaf_peak = c.opt(|c| {
+        c.open()?;
+        let idx = c.num()?;
+        let cov = c.f64()?;
+        let hist = c
+            .groups::<2>()?
+            .into_iter()
+            .map(|[count, n]| {
+                Ok((
+                    u32::try_from(count).map_err(|_| "histogram count exceeds u32")?,
+                    usize::try_from(n).map_err(|_| "histogram bucket exceeds usize")?,
+                ))
+            })
+            .collect::<Result<Vec<_>, &str>>()?;
+        c.close()?;
+        Ok((idx, cov, hist))
+    })?;
+    let lifetime = c.opt(|c| {
+        c.open()?;
+        let elem = c.num()?;
+        let runs = c
+            .groups::<3>()?
+            .into_iter()
+            .map(|[at, len, n]| Ok((at, len, u32::try_from(n).map_err(|_| "count exceeds u32")?)))
+            .collect::<Result<_, &str>>()?;
+        c.close()?;
+        Ok((elem, runs))
+    })?;
+    c.close()?;
     Ok(SavedIntra {
-        object: get_u64(v, "object")?,
-        size: get_u64(v, "size")?,
-        accessed_ranges: get_pairs(v, "accessed_ranges")?,
+        object,
+        size,
+        accessed_ranges,
         per_api,
         nuaf_peak,
-        lifetime_elem_size,
-        lifetime_counts,
+        lifetime,
     })
 }
 
-fn parse_unified(v: &Value) -> Result<SavedUnifiedPage, String> {
-    Ok(SavedUnifiedPage {
-        object: get_u64(v, "object")?,
-        page_index: get_u32(v, "page_index")?,
-        migrations: get_u64(v, "migrations")?,
-        host_ranges: get_pairs(v, "host_ranges")?,
-        device_ranges: get_pairs(v, "device_ranges")?,
-    })
+fn get_unified(c: &mut Cursor<'_>) -> Result<UnifiedPageStats, String> {
+    c.open()?;
+    let page = UnifiedPageStats {
+        object: c.object()?,
+        page_index: c.num()?,
+        migrations: c.u64()?,
+        host_ranges: c.pairs()?.into_iter().collect(),
+        device_ranges: c.pairs()?.into_iter().collect(),
+    };
+    c.close()?;
+    Ok(page)
 }
 
-fn parse_list<T>(
-    section: &str,
-    v: &Value,
-    item: impl Fn(&Value) -> Result<T, String>,
-) -> Result<Vec<T>, TraceError> {
-    let arr = v.as_array().ok_or_else(|| TraceError::Malformed {
-        section: section.to_owned(),
-        reason: "payload is not an array".to_owned(),
-    })?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, x)| {
-            item(x).map_err(|reason| TraceError::Malformed {
-                section: section.to_owned(),
-                reason: format!("record #{i}: {reason}"),
+/// A decoded `delta` payload.
+struct Delta {
+    apis: Vec<SavedApi>,
+    api_updates: Vec<(usize, SavedApi)>,
+    accesses: Vec<RawAccess>,
+    objects: Vec<SavedObject>,
+    object_updates: Vec<SavedObject>,
+    usage: Vec<UsageSample>,
+}
+
+fn get_delta(c: &mut Cursor<'_>) -> Result<Delta, String> {
+    c.open()?;
+    let delta = Delta {
+        apis: c.list(get_api)?,
+        api_updates: c.list(|c| {
+            c.open()?;
+            let update = (c.num()?, get_api(c)?);
+            c.close()?;
+            Ok(update)
+        })?,
+        accesses: c.list(get_access)?,
+        objects: c.list(get_object)?,
+        object_updates: c.list(get_object)?,
+        usage: c
+            .pairs()?
+            .into_iter()
+            .map(|(idx, bytes_in_use)| {
+                usize::try_from(idx)
+                    .map(|api_idx| UsageSample {
+                        api_idx,
+                        bytes_in_use,
+                    })
+                    .map_err(|_| "usage api_idx exceeds usize".to_owned())
             })
-        })
-        .collect()
+            .collect::<Result<_, _>>()?,
+    };
+    c.close()?;
+    Ok(delta)
+}
+
+/// A decoded `checkpoint` payload.
+struct Checkpoint {
+    api_count: usize,
+    intra: Vec<SavedIntra>,
+    unified: Vec<UnifiedPageStats>,
+}
+
+fn get_checkpoint(c: &mut Cursor<'_>) -> Result<Checkpoint, String> {
+    c.open()?;
+    let checkpoint = Checkpoint {
+        api_count: c.num()?,
+        intra: c.list(get_intra)?,
+        unified: c.list(get_unified)?,
+    };
+    c.close()?;
+    Ok(checkpoint)
+}
+
+fn get_meta(c: &mut Cursor<'_>) -> Result<String, String> {
+    c.open()?;
+    let platform = c.string()?;
+    c.close()?;
+    Ok(platform)
 }
 
 // ---------------------------------------------------------------------------
-// Framing
+// Framing and replay
 // ---------------------------------------------------------------------------
-
-/// One successfully framed section: name plus parsed JSON payload.
-type Frames = HashMap<String, Value>;
 
 /// Reads the next `\n`-terminated line as bytes, advancing `pos`.
 fn read_line<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
@@ -710,27 +975,29 @@ fn parse_header(line: Option<&[u8]>) -> Result<u32, TraceError> {
         .ok_or(TraceError::MissingHeader)
 }
 
-/// One step of the frame walk: either a parsed section, the `end` marker,
-/// or a framing error naming the section it occurred in.
-enum FrameStep {
-    Section(String, Value),
+/// One step of the frame walk.
+enum FrameStep<'a> {
+    /// A frame whose payload matched its checksum.
+    Section(&'a str, &'a [u8]),
+    /// The clean-finish marker.
     End,
+    /// The input ended without a finish marker.
+    Eof,
 }
 
-fn next_frame(bytes: &[u8], pos: &mut usize) -> Result<FrameStep, TraceError> {
+fn next_frame<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<FrameStep<'a>, TraceError> {
     let malformed = |reason: &str| TraceError::Malformed {
         section: "frame".to_owned(),
         reason: reason.to_owned(),
     };
     let Some(line) = read_line(bytes, pos) else {
-        return Err(malformed("missing `end` marker"));
+        return Ok(FrameStep::Eof);
     };
     let text = std::str::from_utf8(line).map_err(|_| malformed("frame line is not UTF-8"))?;
     let words: Vec<&str> = text.split_ascii_whitespace().collect();
     match words.as_slice() {
         ["end"] => Ok(FrameStep::End),
         ["section", name, len, crc] => {
-            let name = (*name).to_owned();
             let len: usize = len
                 .parse()
                 .map_err(|_| malformed("section length is not a number"))?;
@@ -740,7 +1007,7 @@ fn next_frame(bytes: &[u8], pos: &mut usize) -> Result<FrameStep, TraceError> {
             let available = bytes.len().saturating_sub(*pos);
             if len > available {
                 return Err(TraceError::Truncated {
-                    section: name,
+                    section: (*name).to_owned(),
                     expected: len,
                     available,
                 });
@@ -754,278 +1021,375 @@ fn next_frame(bytes: &[u8], pos: &mut usize) -> Result<FrameStep, TraceError> {
             let actual = crc32(payload);
             if actual != expected_crc {
                 return Err(TraceError::ChecksumMismatch {
-                    section: name,
+                    section: (*name).to_owned(),
                     expected: expected_crc,
                     actual,
                 });
             }
-            let text = std::str::from_utf8(payload).map_err(|_| TraceError::Malformed {
-                section: name.clone(),
-                reason: "payload is not UTF-8".to_owned(),
-            })?;
-            let value = serde_json::from_str(text).map_err(|e| TraceError::Malformed {
-                section: name.clone(),
-                reason: e.to_string(),
-            })?;
-            Ok(FrameStep::Section(name, value))
+            Ok(FrameStep::Section(name, payload))
         }
-        [] => Ok(FrameStep::End), // tolerate a trailing blank line
         _ => Err(malformed("unrecognized frame line")),
     }
 }
 
-fn decode_sections(frames: &Frames) -> Result<SavedTrace, TraceError> {
-    let section = |name: &str| -> Result<&Value, TraceError> {
-        frames.get(name).ok_or_else(|| TraceError::Malformed {
-            section: name.to_owned(),
-            reason: "section missing".to_owned(),
-        })
-    };
-    let meta = section("meta")?;
-    let platform = get_str(meta, "platform").map_err(|reason| TraceError::Malformed {
-        section: "meta".to_owned(),
-        reason,
-    })?;
-    Ok(SavedTrace {
-        version: FORMAT_VERSION,
-        platform,
-        apis: parse_list("apis", section("apis")?, parse_api)?,
-        accesses: parse_list("accesses", section("accesses")?, parse_access)?,
-        objects: parse_list("objects", section("objects")?, parse_object)?,
-        usage: parse_list("usage", section("usage")?, |v| {
-            let (idx, bytes) = parse_pair(v, "usage sample")?;
-            Ok((
-                usize::try_from(idx).map_err(|_| "usage api_idx exceeds usize".to_owned())?,
-                bytes,
-            ))
-        })?,
-        intra: parse_list("intra", section("intra")?, parse_intra)?,
-        unified: parse_list("unified", section("unified")?, parse_unified)?,
-    })
-}
-
-/// Validates every cross-reference in the trace, strictly.
-fn validate(t: &SavedTrace) -> Result<(), TraceError> {
-    let bad = |section: &str, reason: String| TraceError::BadReference {
+fn malformed(section: &str, reason: String) -> TraceError {
+    TraceError::Malformed {
         section: section.to_owned(),
         reason,
+    }
+}
+
+/// Appends one decoded delta to the replayed trace. `ids` maps each
+/// object id to its row, so an update finds its row in constant time.
+/// Checks before it mutates, so a bad delta leaves the trace untouched.
+fn apply_delta(
+    trace: &mut SavedTrace,
+    ids: &mut HashMap<u64, usize>,
+    d: Delta,
+) -> Result<(), String> {
+    let n = trace.apis.len() + d.apis.len();
+    if let Some((idx, _)) = d.api_updates.iter().find(|(idx, _)| *idx >= n) {
+        return Err(format!("api update index {idx} out of range ({n} apis)"));
+    }
+    trace.apis.extend(d.apis);
+    for (idx, row) in d.api_updates {
+        trace.apis[idx] = row;
+    }
+    trace.accesses.extend(d.accesses);
+    for o in d.objects {
+        ids.entry(o.id).or_insert(trace.objects.len());
+        trace.objects.push(o);
+    }
+    for o in d.object_updates {
+        match ids.get(&o.id) {
+            Some(&i) => trace.objects[i] = o,
+            None => {
+                ids.insert(o.id, trace.objects.len());
+                trace.objects.push(o);
+            }
+        }
+    }
+    trace.usage.extend(d.usage);
+    Ok(())
+}
+
+/// Everything a replay lost, in order: the typed error [`load`] reports
+/// and the note [`salvage`] reports for the same loss.
+type Losses = Vec<(TraceError, String)>;
+
+/// Records a damaged frame, noted as `what: <error>`.
+fn lose_frame(losses: &mut Losses, what: &str, e: TraceError) {
+    let note = format!("{what}: {e}");
+    losses.push((e, note));
+}
+
+/// Replays a trace's frames in order, then [`scrub`]s what it rebuilt —
+/// the one decoder behind [`load`] and [`salvage`]. Never fails: each loss
+/// is recorded and the replay goes on where it can (see the module docs
+/// for the rule).
+fn replay(text: &str) -> (SavedTrace, Losses) {
+    let mut losses = Losses::new();
+    let bytes = text.as_bytes();
+    let mut pos = 0usize;
+    let mut trace = empty_trace();
+    match parse_header(read_line(bytes, &mut pos)) {
+        Ok(FORMAT_VERSION) => {}
+        Ok(found) => losses.push((
+            TraceError::UnsupportedVersion {
+                found,
+                supported: FORMAT_VERSION,
+            },
+            format!(
+                "trace declares format version {found} (this build writes \
+                 {FORMAT_VERSION}); attempting best-effort read"
+            ),
+        )),
+        Err(e) => {
+            losses.push((e, "missing trace header; nothing could be recovered".into()));
+            return (trace, losses);
+        }
+    }
+    let mut ids = HashMap::new();
+    let mut platform = None;
+    let mut checkpoint: Option<Checkpoint> = None;
+    let mut deltas = 0usize;
+    let clean_end = loop {
+        let (name, payload) = match next_frame(bytes, &mut pos) {
+            Ok(FrameStep::Section(name, payload)) => (name, payload),
+            Ok(FrameStep::End) => break true,
+            Ok(FrameStep::Eof) => break false,
+            Err(e) => {
+                // A checksum mismatch means the frame's length was intact:
+                // it was skipped whole and the next frame is reachable.
+                // Only deltas are positional, so only they end the replay.
+                let skipped = matches!(&e, TraceError::ChecksumMismatch { section, .. }
+                    if section != "delta");
+                if skipped {
+                    lose_frame(&mut losses, "dropped damaged frame", e);
+                    continue;
+                }
+                lose_frame(&mut losses, "stopped at damaged streaming frame", e);
+                break false;
+            }
+        };
+        match name {
+            "meta" => match decode(payload, get_meta) {
+                Ok(p) => platform = Some(p),
+                Err(reason) => {
+                    lose_frame(
+                        &mut losses,
+                        "dropped damaged frame",
+                        malformed("meta", reason),
+                    );
+                }
+            },
+            "delta" => {
+                deltas += 1;
+                let applied =
+                    decode(payload, get_delta).and_then(|d| apply_delta(&mut trace, &mut ids, d));
+                if let Err(reason) = applied {
+                    let e = malformed("delta", reason);
+                    lose_frame(&mut losses, "stopped at damaged streaming frame", e);
+                    break false;
+                }
+            }
+            "checkpoint" => match decode(payload, get_checkpoint) {
+                Ok(cp) if cp.api_count <= trace.apis.len() => checkpoint = Some(cp),
+                Ok(cp) => {
+                    let reason = format!(
+                        "checkpoint claims {} APIs, only {} replayed",
+                        cp.api_count,
+                        trace.apis.len()
+                    );
+                    losses.push((
+                        malformed("checkpoint", reason.clone()),
+                        format!("ignored checkpoint: {reason}"),
+                    ));
+                }
+                Err(reason) => {
+                    let e = malformed("checkpoint", reason);
+                    lose_frame(&mut losses, "dropped damaged frame", e);
+                }
+            },
+            other => losses.push((
+                malformed(other, "unknown section".to_owned()),
+                format!("ignored unknown section `{other}`"),
+            )),
+        }
     };
-    let n = t.apis.len();
-    let ids: HashSet<u64> = t.objects.iter().map(|o| o.id).collect();
-    for (i, a) in t.apis.iter().enumerate() {
-        for &dep in &a.after {
-            if dep >= n {
-                return Err(bad("apis", format!("api #{i} after {dep} >= {n} apis")));
-            }
-        }
-        for obj in a.reads.iter().chain(&a.writes).chain(&a.frees) {
-            if !ids.contains(obj) {
-                return Err(bad(
-                    "apis",
-                    format!("api #{i} references unknown object {obj}"),
-                ));
-            }
-        }
+    if !clean_end {
+        losses.push((
+            malformed("frame", "missing `end` marker".to_owned()),
+            format!(
+                "no clean-finish marker reached; recovered the intact prefix \
+                 ({} APIs, {} delta frames)",
+                trace.apis.len(),
+                deltas
+            ),
+        ));
     }
-    for (i, a) in t.accesses.iter().enumerate() {
-        if a.api_idx >= n {
-            return Err(bad(
-                "accesses",
-                format!("access #{i} api_idx {} >= {n} apis", a.api_idx),
-            ));
-        }
-        if !ids.contains(&a.object) {
-            return Err(bad(
-                "accesses",
-                format!("access #{i} references unknown object {}", a.object),
-            ));
-        }
+    match platform {
+        Some(p) => trace.platform = p,
+        None => losses.push((
+            malformed("meta", "section missing".to_owned()),
+            "platform name lost with the meta section".to_owned(),
+        )),
     }
-    for (i, o) in t.objects.iter().enumerate() {
-        if o.alloc_api > n {
-            return Err(bad(
-                "objects",
-                format!("object #{i} alloc_api {} > {n} apis", o.alloc_api),
-            ));
-        }
-        if let Some(f) = o.free_api {
-            if f > n {
-                return Err(bad(
-                    "objects",
-                    format!("object #{i} free_api {f} > {n} apis"),
-                ));
+    match checkpoint {
+        Some(cp) => {
+            if cp.api_count < trace.apis.len() {
+                let reason = format!(
+                    "intra-object and unified-memory maps are as of the last \
+                     checkpoint (API {} of {})",
+                    cp.api_count,
+                    trace.apis.len()
+                );
+                losses.push((malformed("checkpoint", reason.clone()), reason));
             }
+            trace.intra = cp.intra;
+            trace.unified = cp.unified;
         }
+        None if !trace.apis.is_empty() => losses.push((
+            malformed("checkpoint", "section missing".to_owned()),
+            "no checkpoint recovered; intra-object and unified-memory maps lost".to_owned(),
+        )),
+        None => {}
     }
-    for (i, &(idx, _)) in t.usage.iter().enumerate() {
-        if idx >= n {
-            return Err(bad(
-                "usage",
-                format!("sample #{i} api_idx {idx} >= {n} apis"),
-            ));
-        }
+    losses.extend(scrub(&mut trace));
+    (trace, losses)
+}
+
+/// Checks one map's lifetime runs: sorted, disjoint, nonzero, and inside
+/// the object's `ceil(size / elem_size)` elements.
+fn check_runs(s: &SavedIntra) -> Result<(), String> {
+    let Some((elem, runs)) = &s.lifetime else {
+        return Ok(());
+    };
+    if *elem == 0 {
+        return Err("element size is zero".to_owned());
     }
-    for (i, s) in t.intra.iter().enumerate() {
-        if !ids.contains(&s.object) {
-            return Err(bad(
-                "intra",
-                format!("entry #{i} references unknown object {}", s.object),
-            ));
+    let elements = s.size.div_ceil(u64::from(*elem));
+    let (mut prev_start, mut prev_end) = (0u64, 0u64);
+    for (k, &(start, len, count)) in runs.iter().enumerate() {
+        if len == 0 || count == 0 {
+            return Err(format!("run #{k} has zero length or zero count"));
         }
-        for &(idx, _) in &s.per_api {
-            if idx >= n {
-                return Err(bad(
-                    "intra",
-                    format!("entry #{i} per_api index {idx} >= {n} apis"),
-                ));
-            }
+        if start < prev_start {
+            return Err(format!("run #{k} is not sorted after run #{}", k - 1));
         }
-        if let Some((idx, _, _)) = &s.nuaf_peak {
-            if *idx >= n {
-                return Err(bad(
-                    "intra",
-                    format!("entry #{i} nuaf_peak index {idx} >= {n} apis"),
-                ));
-            }
+        if start < prev_end {
+            return Err(format!("run #{k} overlaps run #{}", k - 1));
         }
-    }
-    for (i, p) in t.unified.iter().enumerate() {
-        if !ids.contains(&p.object) {
-            return Err(bad(
-                "unified",
-                format!("page #{i} references unknown object {}", p.object),
-            ));
-        }
+        prev_end = start
+            .checked_add(len)
+            .filter(|&end| end <= elements)
+            .ok_or_else(|| format!("run #{k} ends past element {elements}"))?;
+        prev_start = start;
     }
     Ok(())
 }
 
-/// Drops every dangling record from the trace, returning human-readable
-/// notes about what was removed. Used by [`salvage`].
-fn scrub(t: &mut SavedTrace) -> Vec<String> {
-    let mut notes = Vec::new();
-    let n = t.apis.len();
-    let ids: HashSet<u64> = t.objects.iter().map(|o| o.id).collect();
-    let mut clamped_objects = 0usize;
-    for o in &mut t.objects {
-        if o.alloc_api > n || o.free_api.map(|f| f > n).unwrap_or(false) {
-            o.alloc_api = o.alloc_api.min(n);
-            o.free_api = o.free_api.map(|f| f.min(n));
-            clamped_objects += 1;
-        }
-    }
-    if clamped_objects > 0 {
-        notes.push(format!(
-            "clamped {clamped_objects} object lifetime anchor(s) past the end of the API trace"
-        ));
-    }
-    let mut dropped_edges = 0usize;
-    for a in &mut t.apis {
-        let before = a.after.len() + a.reads.len() + a.writes.len() + a.frees.len();
-        a.after.retain(|&dep| dep < n);
-        a.reads.retain(|obj| ids.contains(obj));
-        a.writes.retain(|obj| ids.contains(obj));
-        a.frees.retain(|obj| ids.contains(obj));
-        dropped_edges += before - (a.after.len() + a.reads.len() + a.writes.len() + a.frees.len());
-    }
-    if dropped_edges > 0 {
-        notes.push(format!(
-            "dropped {dropped_edges} dangling dependency edge(s)"
-        ));
-    }
-    let before = t.accesses.len();
-    t.accesses
-        .retain(|a| a.api_idx < n && ids.contains(&a.object));
-    if t.accesses.len() < before {
-        notes.push(format!(
-            "dropped {} dangling access record(s)",
-            before - t.accesses.len()
-        ));
-    }
-    let before = t.usage.len();
-    t.usage.retain(|&(idx, _)| idx < n);
-    if t.usage.len() < before {
-        notes.push(format!(
-            "dropped {} dangling usage sample(s)",
-            before - t.usage.len()
-        ));
-    }
-    let before = t.intra.len();
-    t.intra.retain(|s| ids.contains(&s.object));
-    if t.intra.len() < before {
-        notes.push(format!(
-            "dropped {} orphaned intra-object map(s)",
-            before - t.intra.len()
-        ));
-    }
-    let mut dropped_intra_refs = 0usize;
-    for s in &mut t.intra {
-        let before = s.per_api.len();
-        s.per_api.retain(|&(idx, _)| idx < n);
-        dropped_intra_refs += before - s.per_api.len();
-        if s.nuaf_peak
-            .as_ref()
-            .map(|(idx, _, _)| *idx >= n)
-            .unwrap_or(false)
-        {
-            s.nuaf_peak = None;
-            dropped_intra_refs += 1;
-        }
-    }
-    if dropped_intra_refs > 0 {
-        notes.push(format!(
-            "dropped {dropped_intra_refs} dangling intra-object record(s)"
-        ));
-    }
-    let before = t.unified.len();
-    t.unified.retain(|p| ids.contains(&p.object));
-    if t.unified.len() < before {
-        notes.push(format!(
-            "dropped {} orphaned unified-memory page(s)",
-            before - t.unified.len()
-        ));
-    }
-    notes
+/// Counts the records of one kind a [`scrub`] drops, keeping the first
+/// one's reason for the typed error.
+#[derive(Default)]
+struct Dropped {
+    count: usize,
+    first: Option<String>,
 }
 
-const SECTION_ORDER: [&str; 7] = [
-    "meta", "apis", "accesses", "objects", "usage", "intra", "unified",
-];
+impl Dropped {
+    /// `true` to keep a record; `Some(reason)` drops it.
+    fn keep(&mut self, bad: Option<String>) -> bool {
+        let Some(reason) = bad else { return true };
+        self.count += 1;
+        self.first.get_or_insert(reason);
+        false
+    }
+}
 
-/// Strictly loads a trace from its text serialization.
+/// Drops every dangling record and every invalid set of lifetime runs
+/// from a replayed trace, one loss per kind of record: [`load`] fails on
+/// the first, [`salvage`] notes them all.
+fn scrub(t: &mut SavedTrace) -> Losses {
+    let n = t.apis.len();
+    let ids: HashSet<u64> = t.objects.iter().map(|o| o.id).collect();
+    let unknown = |obj: u64| (!ids.contains(&obj)).then(|| format!("unknown object {obj}"));
+
+    let mut edges = Dropped::default();
+    for (i, a) in t.apis.iter_mut().enumerate() {
+        let v = &mut a.vertex;
+        v.after.retain(|&dep| {
+            edges.keep((dep >= n).then(|| format!("api #{i} after {dep} >= {n} apis")))
+        });
+        for objs in [&mut v.reads, &mut v.writes, &mut v.frees] {
+            objs.retain(|obj| edges.keep(unknown(obj.0).map(|u| format!("api #{i} uses {u}"))));
+        }
+    }
+
+    let mut accesses = Dropped::default();
+    t.accesses.retain(|a| {
+        let bad = if a.api_idx >= n {
+            Some(format!("access api_idx {} >= {n} apis", a.api_idx))
+        } else {
+            unknown(a.object.0).map(|u| format!("access to {u}"))
+        };
+        accesses.keep(bad)
+    });
+
+    let mut anchors = Dropped::default();
+    for o in &mut t.objects {
+        let past_end = o.alloc_api > n || o.free_api.is_some_and(|f| f > n);
+        if !anchors.keep(past_end.then(|| format!("object {} outlives the {n} apis", o.id))) {
+            o.alloc_api = o.alloc_api.min(n);
+            o.free_api = o.free_api.map(|f| f.min(n));
+        }
+    }
+
+    let mut usage = Dropped::default();
+    t.usage.retain(|u| {
+        let idx = u.api_idx;
+        usage.keep((idx >= n).then(|| format!("usage sample api_idx {idx} >= {n} apis")))
+    });
+
+    let mut maps = Dropped::default();
+    t.intra
+        .retain(|s| maps.keep(unknown(s.object).map(|u| format!("map of {u}"))));
+
+    let mut refs = Dropped::default();
+    for s in &mut t.intra {
+        let object = s.object;
+        s.per_api.retain(|&(idx, _)| {
+            refs.keep((idx >= n).then(|| format!("object {object} per_api index {idx} >= {n}")))
+        });
+        if let Some(idx) = s.nuaf_peak.as_ref().map(|p| p.0).filter(|&idx| idx >= n) {
+            refs.keep(Some(format!(
+                "object {object} nuaf_peak index {idx} >= {n}"
+            )));
+            s.nuaf_peak = None;
+        }
+    }
+
+    let mut pages = Dropped::default();
+    t.unified
+        .retain(|p| pages.keep(unknown(p.object.0).map(|u| format!("page of {u}"))));
+
+    let mut losses = Losses::new();
+    for (dropped, section, verb, what) in [
+        (edges, "apis", "dropped", "dangling dependency edge(s)"),
+        (accesses, "accesses", "dropped", "dangling access record(s)"),
+        (
+            anchors,
+            "objects",
+            "clamped",
+            "object lifetime anchor(s) past the trace end",
+        ),
+        (usage, "usage", "dropped", "dangling usage sample(s)"),
+        (maps, "intra", "dropped", "orphaned intra-object map(s)"),
+        (refs, "intra", "dropped", "dangling intra-object record(s)"),
+        (
+            pages,
+            "unified",
+            "dropped",
+            "orphaned unified-memory page(s)",
+        ),
+    ] {
+        if let Some(reason) = dropped.first {
+            let section = section.to_owned();
+            let note = format!("{verb} {} {what}", dropped.count);
+            losses.push((TraceError::BadReference { section, reason }, note));
+        }
+    }
+    for s in &mut t.intra {
+        if let Err(reason) = check_runs(s) {
+            let what = format!("object {}: {reason}", s.object);
+            let note = format!("dropped the lifetime counts of {what}");
+            losses.push((
+                malformed("checkpoint", format!("lifetime runs of {what}")),
+                note,
+            ));
+            s.lifetime = None;
+        }
+    }
+    losses
+}
+
+/// Strictly loads a trace — batch or cleanly finished stream — from its
+/// text serialization.
 ///
 /// # Errors
 ///
 /// Returns a typed [`TraceError`] for a missing or foreign header, a
 /// version this build does not read, truncation, checksum mismatches,
-/// malformed payloads, and dangling cross-references (an access pointing
-/// at a GPU API or object that does not exist). Use [`salvage`] to read
-/// as much as possible of a damaged trace instead.
+/// malformed payloads, a missing finish marker or checkpoint, invalid
+/// lifetime frequency runs, and dangling cross-references (an access
+/// pointing at a GPU API or object that does not exist). Use [`salvage`]
+/// to read as much as possible of a damaged trace instead.
 pub fn load(text: &str) -> Result<SavedTrace, TraceError> {
-    if is_stream_trace(text) {
-        return Err(TraceError::Malformed {
-            section: "header".to_owned(),
-            reason: "this is a streaming trace (DRGPUM-STREAM); recover it with \
-                     salvage or `drgpum run --resume`"
-                .to_owned(),
-        });
+    let (trace, losses) = replay(text);
+    match losses.into_iter().next() {
+        Some((e, _)) => Err(e),
+        None => Ok(trace),
     }
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let version = parse_header(read_line(bytes, &mut pos))?;
-    if version != FORMAT_VERSION {
-        return Err(TraceError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let mut frames = Frames::new();
-    while let FrameStep::Section(name, value) = next_frame(bytes, &mut pos)? {
-        frames.insert(name, value);
-    }
-    let trace = decode_sections(&frames)?;
-    validate(&trace)?;
-    Ok(trace)
 }
 
 /// What a [`salvage`] pass lost.
@@ -1052,59 +1416,15 @@ impl SalvageReport {
 
 /// Reads as much of a (possibly damaged) trace as possible. Never fails.
 ///
-/// Sections that frame and checksum correctly are kept; damaged sections
-/// are dropped whole; records that reference data lost with a damaged
-/// section are dropped individually. Everything dropped is described in
-/// the returned [`SalvageReport`] so the eventual report can carry
-/// explicit [`DegradationRecord`]s instead of silently analyzing less.
+/// Replays the same frames [`load`] does, keeping everything up to the
+/// first damaged `delta` or broken framing and skipping damaged `meta` and
+/// `checkpoint` frames; records that reference lost data are then dropped
+/// individually. Everything dropped is described in the returned
+/// [`SalvageReport`] so the eventual report can carry explicit
+/// [`DegradationRecord`]s instead of silently analyzing less.
 pub fn salvage(text: &str) -> (SavedTrace, SalvageReport) {
-    if is_stream_trace(text) {
-        return salvage_stream(text);
-    }
-    let mut notes = Vec::new();
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    match parse_header(read_line(bytes, &mut pos)) {
-        Ok(v) if v == FORMAT_VERSION => {}
-        Ok(v) => notes.push(format!(
-            "trace declares format version {v} (this build writes {FORMAT_VERSION}); \
-             attempting best-effort read"
-        )),
-        Err(_) => {
-            notes.push("missing trace header; nothing could be recovered".to_owned());
-            return (empty_trace(), SalvageReport { notes });
-        }
-    }
-    let mut frames = Frames::new();
-    loop {
-        match next_frame(bytes, &mut pos) {
-            Ok(FrameStep::Section(name, value)) => {
-                frames.insert(name, value);
-            }
-            Ok(FrameStep::End) => break,
-            Err(e) => {
-                let boundary_lost = matches!(e, TraceError::Truncated { .. })
-                    || matches!(&e, TraceError::Malformed { section, .. } if section == "frame");
-                if boundary_lost {
-                    // Without an intact frame header + length we cannot find
-                    // the next frame boundary: stop at the longest valid
-                    // prefix.
-                    notes.push(format!("stopped at damaged framing: {e}"));
-                    break;
-                }
-                // The frame itself was intact (length known), so the payload
-                // was skipped in full; later sections are still reachable.
-                notes.push(format!("dropped section: {e}"));
-            }
-        }
-    }
-    for name in SECTION_ORDER {
-        if !frames.contains_key(name) && !notes.iter().any(|n| n.contains(&format!("`{name}`"))) {
-            notes.push(format!("section `{name}` absent; treated as empty"));
-        }
-    }
-    let mut trace = salvage_decode(&frames, &mut notes);
-    notes.extend(scrub(&mut trace));
+    let (trace, losses) = replay(text);
+    let notes = losses.into_iter().map(|(_, note)| note).collect();
     (trace, SalvageReport { notes })
 }
 
@@ -1121,51 +1441,6 @@ fn empty_trace() -> SavedTrace {
     }
 }
 
-/// Decodes whatever sections survived framing, treating each decode
-/// failure as one more loss instead of an error.
-fn salvage_decode(frames: &Frames, notes: &mut Vec<String>) -> SavedTrace {
-    fn take<T>(
-        frames: &Frames,
-        notes: &mut Vec<String>,
-        name: &str,
-        item: impl Fn(&Value) -> Result<T, String>,
-    ) -> Vec<T> {
-        let Some(v) = frames.get(name) else {
-            return Vec::new();
-        };
-        match parse_list(name, v, item) {
-            Ok(list) => list,
-            Err(e) => {
-                notes.push(format!("dropped section: {e}"));
-                Vec::new()
-            }
-        }
-    }
-    let platform = frames
-        .get("meta")
-        .and_then(|m| get_str(m, "platform").ok())
-        .unwrap_or_else(|| {
-            notes.push("platform name lost with the meta section".to_owned());
-            "<unknown>".to_owned()
-        });
-    SavedTrace {
-        version: FORMAT_VERSION,
-        platform,
-        apis: take(frames, notes, "apis", parse_api),
-        accesses: take(frames, notes, "accesses", parse_access),
-        objects: take(frames, notes, "objects", parse_object),
-        usage: take(frames, notes, "usage", |v| {
-            let (idx, bytes) = parse_pair(v, "usage sample")?;
-            Ok((
-                usize::try_from(idx).map_err(|_| "usage api_idx exceeds usize".to_owned())?,
-                bytes,
-            ))
-        }),
-        intra: take(frames, notes, "intra", parse_intra),
-        unified: take(frames, notes, "unified", parse_unified),
-    }
-}
-
 /// Salvages a damaged trace and re-analyzes what survived; the report's
 /// degradation records describe everything that was lost.
 pub fn reanalyze_salvaged(text: &str, thresholds: &Thresholds) -> Report {
@@ -1174,46 +1449,13 @@ pub fn reanalyze_salvaged(text: &str, thresholds: &Thresholds) -> Report {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming (crash-consistent) format
+// Streaming writer side
 // ---------------------------------------------------------------------------
-//
-// A streaming trace shares the section framing of the batch format but is
-// append-only and fsynced at API-event granularity:
-//
-// ```text
-// DRGPUM-STREAM 2
-// section meta <len> <crc>
-// {"platform": ...}
-// section delta <len> <crc>
-// {"apis": [...], "api_updates": [[idx, row], ...], "accesses": [...],
-//  "objects": [...], "object_updates": [row, ...], "usage": [[idx, bytes], ...]}
-// section checkpoint <len> <crc>
-// {"api_count": N, "intra": [...], "unified": [...]}
-// ...
-// end
-// ```
-//
-// Deltas are strictly positional (API rows append in trace order), so
-// recovery is prefix-shaped: everything up to the last intact, fsynced
-// frame is recovered exactly; the first damaged frame ends the replay.
-// Intra-object and unified-memory maps are mutated in place by collection,
-// so they travel in periodic `checkpoint` snapshots (latest wins) rather
-// than deltas.
 
-/// Magic word opening every streaming trace file.
-pub(crate) const STREAM_MAGIC: &str = "DRGPUM-STREAM";
-
-/// Whether `text` is a streaming trace (as opposed to the batch format).
-pub fn is_stream_trace(text: &str) -> bool {
-    text.starts_with(STREAM_MAGIC)
-}
-
-/// The header + meta section every streaming trace starts with.
+/// The header + meta frame every trace starts with.
 pub(crate) fn stream_header(platform: &str) -> String {
-    let mut out = format!("{STREAM_MAGIC} {FORMAT_VERSION}\n");
-    let mut meta = Map::new();
-    meta.insert("platform".into(), platform.to_json());
-    write_section(&mut out, "meta", &Value::Object(meta));
+    let mut out = String::new();
+    put_header(&mut out, FORMAT_VERSION, platform);
     out
 }
 
@@ -1227,7 +1469,7 @@ pub(crate) struct StreamCursor {
     usage: usize,
     /// `(free_api, free_is_api, source)` per emitted object row; a change
     /// (free observed, pool-slab reclassification) re-emits the row.
-    fingerprints: Vec<(Option<usize>, bool, String)>,
+    fingerprints: Vec<(Option<usize>, bool, ObjectSource)>,
 }
 
 /// Encodes everything the collector gathered since `cur` as one framed
@@ -1258,23 +1500,17 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
             .map(|s| s.to_string())
             .collect()
     };
-    let row = |a: &GpuApi| api_value(&api_row(a, path_vec(&a.call_path)));
-    let new_apis: Vec<Value> = apis[cur.apis.min(apis.len())..].iter().map(row).collect();
-    let api_updates: Vec<Value> = updated
-        .iter()
-        .map(|&i| Value::Array(vec![i.to_json(), row(&apis[i])]))
-        .collect();
-    let new_accesses: Vec<Value> = accesses[cur.accesses.min(accesses.len())..]
-        .iter()
-        .map(|a| access_value(&access_row(a)))
-        .collect();
+    let row = |a: &GpuApi| api_row(a, path_vec(&a.call_path));
+    let new_apis: Vec<SavedApi> = apis[cur.apis.min(apis.len())..].iter().map(row).collect();
+    let api_updates: Vec<(usize, SavedApi)> = updated.iter().map(|&i| (i, row(&apis[i]))).collect();
+    let new_accesses = &accesses[cur.accesses.min(accesses.len())..];
 
-    let fingerprint = |o: &DataObject| (o.free_api, o.free_is_api, source_str(o.source).to_owned());
+    let fingerprint = |o: &DataObject| (o.free_api, o.free_is_api, o.source);
     let mut object_updates = Vec::new();
     for (i, o) in objects.iter().enumerate().take(cur.objects) {
         let fp = fingerprint(o);
         if cur.fingerprints.get(i) != Some(&fp) {
-            object_updates.push(object_value(&object_row(o, path_vec(&o.alloc_path))));
+            object_updates.push(object_row(o, path_vec(&o.alloc_path)));
             if let Some(slot) = cur.fingerprints.get_mut(i) {
                 *slot = fp;
             }
@@ -1283,12 +1519,9 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
     let mut new_objects = Vec::new();
     for o in objects.iter().skip(cur.objects) {
         cur.fingerprints.push(fingerprint(o));
-        new_objects.push(object_value(&object_row(o, path_vec(&o.alloc_path))));
+        new_objects.push(object_row(o, path_vec(&o.alloc_path)));
     }
-    let new_usage: Vec<Value> = usage[cur.usage.min(usage.len())..]
-        .iter()
-        .map(|s| Value::Array(vec![s.api_idx.to_json(), s.bytes_in_use.to_json()]))
-        .collect();
+    let new_usage = &usage[cur.usage.min(usage.len())..];
 
     cur.apis = apis.len();
     cur.accesses = accesses.len();
@@ -1304,203 +1537,31 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
     {
         return None;
     }
-    let mut m = Map::new();
-    m.insert("apis".into(), Value::Array(new_apis));
-    m.insert("api_updates".into(), Value::Array(api_updates));
-    m.insert("accesses".into(), Value::Array(new_accesses));
-    m.insert("objects".into(), Value::Array(new_objects));
-    m.insert("object_updates".into(), Value::Array(object_updates));
-    m.insert("usage".into(), Value::Array(new_usage));
     let mut out = String::new();
-    write_section(&mut out, "delta", &Value::Object(m));
+    write_frame(&mut out, "delta", |e| {
+        put_delta(
+            e,
+            &new_apis,
+            &api_updates,
+            new_accesses,
+            &new_objects,
+            &object_updates,
+            new_usage,
+        );
+    });
     Some(out)
 }
 
 /// Encodes the collector's full intra-object and unified-memory state as
 /// one framed `checkpoint` section.
 pub(crate) fn checkpoint_section(collector: &Collector) -> String {
-    let mut m = Map::new();
-    m.insert("api_count".into(), collector.gpu_apis().len().to_json());
-    m.insert(
-        "intra".into(),
-        Value::Array(
-            collector
-                .intra_data()
-                .iter()
-                .map(|d| intra_value(&intra_row(d)))
-                .collect(),
-        ),
-    );
-    m.insert(
-        "unified".into(),
-        Value::Array(
-            collector
-                .unified_page_stats()
-                .iter()
-                .map(|p| unified_value(&unified_row(p)))
-                .collect(),
-        ),
-    );
+    let intra: Vec<SavedIntra> = collector.intra_data().into_iter().map(intra_row).collect();
+    let unified = collector.unified_page_stats();
     let mut out = String::new();
-    write_section(&mut out, "checkpoint", &Value::Object(m));
+    write_frame(&mut out, "checkpoint", |e| {
+        put_checkpoint(e, collector.gpu_apis().len(), &intra, &unified);
+    });
     out
-}
-
-/// Applies one decoded `delta` payload to the accumulating trace.
-fn apply_stream_delta(trace: &mut SavedTrace, v: &Value) -> Result<(), String> {
-    for row in get_arr(v, "apis")? {
-        trace.apis.push(parse_api(row)?);
-    }
-    for upd in get_arr(v, "api_updates")? {
-        let arr = upd
-            .as_array()
-            .filter(|a| a.len() == 2)
-            .ok_or("api update is not a [index, row] pair")?;
-        let idx = usize::try_from(as_u64_item(&arr[0], "api update index")?)
-            .map_err(|_| "api update index exceeds usize".to_owned())?;
-        let row = parse_api(&arr[1])?;
-        let slot = trace
-            .apis
-            .get_mut(idx)
-            .ok_or("api update index out of range")?;
-        *slot = row;
-    }
-    for row in get_arr(v, "accesses")? {
-        trace.accesses.push(parse_access(row)?);
-    }
-    for row in get_arr(v, "objects")? {
-        trace.objects.push(parse_object(row)?);
-    }
-    for row in get_arr(v, "object_updates")? {
-        let o = parse_object(row)?;
-        match trace.objects.iter_mut().find(|x| x.id == o.id) {
-            Some(slot) => *slot = o,
-            None => trace.objects.push(o),
-        }
-    }
-    for p in get_arr(v, "usage")? {
-        let (idx, bytes) = parse_pair(p, "usage sample")?;
-        trace.usage.push((
-            usize::try_from(idx).map_err(|_| "usage api_idx exceeds usize".to_owned())?,
-            bytes,
-        ));
-    }
-    Ok(())
-}
-
-fn parse_stream_checkpoint(
-    v: &Value,
-) -> Result<(usize, Vec<SavedIntra>, Vec<SavedUnifiedPage>), String> {
-    let api_count = usize::try_from(get_u64(v, "api_count")?)
-        .map_err(|_| "api_count exceeds usize".to_owned())?;
-    let intra = get_arr(v, "intra")?
-        .iter()
-        .map(parse_intra)
-        .collect::<Result<Vec<_>, _>>()?;
-    let unified = get_arr(v, "unified")?
-        .iter()
-        .map(parse_unified)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((api_count, intra, unified))
-}
-
-/// Recovers a streaming trace: replays every intact, fsynced frame in
-/// order, stopping at the first damaged one (crash-consistent prefix
-/// semantics). Never fails; [`salvage`] dispatches here on the
-/// `DRGPUM-STREAM` magic.
-fn salvage_stream(text: &str) -> (SavedTrace, SalvageReport) {
-    let mut notes = Vec::new();
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let header_ok = read_line(bytes, &mut pos)
-        .and_then(|line| std::str::from_utf8(line).ok())
-        .map(|text| {
-            let mut words = text.split_ascii_whitespace();
-            let magic = words.next() == Some(STREAM_MAGIC);
-            match words.next().and_then(|w| w.parse::<u32>().ok()) {
-                Some(v) if v != FORMAT_VERSION => notes.push(format!(
-                    "stream declares format version {v} (this build writes \
-                     {FORMAT_VERSION}); attempting best-effort read"
-                )),
-                _ => {}
-            }
-            magic
-        })
-        .unwrap_or(false);
-    if !header_ok {
-        notes.push("missing stream header; nothing could be recovered".to_owned());
-        return (empty_trace(), SalvageReport { notes });
-    }
-    let mut trace = empty_trace();
-    let mut clean_end = false;
-    let mut deltas = 0usize;
-    let mut checkpoint: Option<(usize, Vec<SavedIntra>, Vec<SavedUnifiedPage>)> = None;
-    loop {
-        match next_frame(bytes, &mut pos) {
-            Ok(FrameStep::End) => {
-                clean_end = true;
-                break;
-            }
-            Ok(FrameStep::Section(name, value)) => match name.as_str() {
-                "meta" => match get_str(&value, "platform") {
-                    Ok(p) => trace.platform = p,
-                    Err(_) => notes.push("platform name lost with the meta section".to_owned()),
-                },
-                "delta" => {
-                    deltas += 1;
-                    if let Err(reason) = apply_stream_delta(&mut trace, &value) {
-                        // Positional replay cannot continue past a bad
-                        // delta: later rows would land at wrong indices.
-                        notes.push(format!("stopped at undecodable delta: {reason}"));
-                        break;
-                    }
-                }
-                "checkpoint" => match parse_stream_checkpoint(&value) {
-                    Ok(cp) if cp.0 <= trace.apis.len() => checkpoint = Some(cp),
-                    Ok(cp) => notes.push(format!(
-                        "ignored checkpoint claiming {} APIs (only {} replayed)",
-                        cp.0,
-                        trace.apis.len()
-                    )),
-                    Err(reason) => notes.push(format!("dropped undecodable checkpoint: {reason}")),
-                },
-                other => notes.push(format!("ignored unknown streaming section `{other}`")),
-            },
-            Err(e) => {
-                notes.push(format!("stopped at damaged streaming frame: {e}"));
-                break;
-            }
-        }
-    }
-    if !clean_end {
-        notes.push(format!(
-            "stream has no clean-finish marker; recovered the fsynced prefix \
-             ({} APIs, {} delta frames)",
-            trace.apis.len(),
-            deltas
-        ));
-    }
-    match checkpoint {
-        Some((api_count, intra, unified)) => {
-            if api_count < trace.apis.len() {
-                notes.push(format!(
-                    "intra-object and unified-memory maps are as of the last \
-                     checkpoint (API {api_count} of {})",
-                    trace.apis.len()
-                ));
-            }
-            trace.intra = intra;
-            trace.unified = unified;
-        }
-        None if !trace.apis.is_empty() => {
-            notes.push(
-                "no checkpoint recovered; intra-object and unified-memory maps lost".to_owned(),
-            );
-        }
-        None => {}
-    }
-    notes.extend(scrub(&mut trace));
-    (trace, SalvageReport { notes })
 }
 
 impl SavedTrace {
@@ -1514,145 +1575,50 @@ impl SavedTrace {
         self.objects.len()
     }
 
-    /// Serializes to the framed, checksummed text format.
+    /// Serializes to the framed, checksummed text format: a stream with
+    /// one `delta`, one `checkpoint` and the finish marker.
     pub fn to_text(&self) -> String {
-        let mut out = format!("{MAGIC} {}\n", self.version);
-        let mut meta = Map::new();
-        meta.insert("platform".into(), self.platform.to_json());
-        write_section(&mut out, "meta", &Value::Object(meta));
-        write_section(
-            &mut out,
-            "apis",
-            &Value::Array(self.apis.iter().map(api_value).collect()),
-        );
-        write_section(
-            &mut out,
-            "accesses",
-            &Value::Array(self.accesses.iter().map(access_value).collect()),
-        );
-        write_section(
-            &mut out,
-            "objects",
-            &Value::Array(self.objects.iter().map(object_value).collect()),
-        );
-        write_section(
-            &mut out,
-            "usage",
-            &Value::Array(
-                self.usage
-                    .iter()
-                    .map(|&(idx, bytes)| Value::Array(vec![idx.to_json(), bytes.to_json()]))
-                    .collect(),
-            ),
-        );
-        write_section(
-            &mut out,
-            "intra",
-            &Value::Array(self.intra.iter().map(intra_value).collect()),
-        );
-        write_section(
-            &mut out,
-            "unified",
-            &Value::Array(self.unified.iter().map(unified_value).collect()),
-        );
+        let mut out = String::new();
+        put_header(&mut out, self.version, &self.platform);
+        write_frame(&mut out, "delta", |e| {
+            put_delta(
+                e,
+                &self.apis,
+                &[],
+                &self.accesses,
+                &self.objects,
+                &[],
+                &self.usage,
+            );
+        });
+        write_frame(&mut out, "checkpoint", |e| {
+            put_checkpoint(e, self.apis.len(), &self.intra, &self.unified);
+        });
         out.push_str("end\n");
         out
     }
 
     /// Rebuilds the trace view (with fresh topological timestamps) from
     /// the recording.
-    fn rebuild(
-        &self,
-    ) -> (
-        TraceView,
-        Vec<IntraObjectData>,
-        Vec<UsageSample>,
-        Vec<ObjectMeta>,
-    ) {
-        let vertices: Vec<VertexAccess> = self
-            .apis
-            .iter()
-            .map(|a| VertexAccess {
-                stream: StreamId(a.stream),
-                reads: a.reads.iter().map(|&o| ObjectId(o)).collect(),
-                writes: a.writes.iter().map(|&o| ObjectId(o)).collect(),
-                frees: a.frees.iter().map(|&o| ObjectId(o)).collect(),
-                after: a.after.clone(),
-            })
-            .collect();
-        let graph = DependencyGraph::build(&vertices);
-        let api_ts = graph.timestamps().to_vec();
-        let api_names: Vec<String> = self.apis.iter().map(|a| a.name.clone()).collect();
-        let api_kernels: Vec<Option<String>> = self
-            .apis
-            .iter()
-            .map(|a| (a.mnemonic == "KERL").then(|| a.detail.clone()))
-            .collect();
-        let api_is_dealloc: Vec<bool> = self.apis.iter().map(|a| a.mnemonic == "FREE").collect();
-
-        let mut per_object: HashMap<u64, Vec<ObjectAccess>> = HashMap::new();
-        for acc in &self.accesses {
-            // Loaded traces are validated, but a hand-built or salvaged one
-            // could still dangle: drop, don't panic.
-            let (Some(&ts), Some(name)) = (api_ts.get(acc.api_idx), api_names.get(acc.api_idx))
-            else {
-                continue;
-            };
-            per_object
-                .entry(acc.object)
-                .or_default()
-                .push(ObjectAccess {
-                    api: ApiRef {
-                        idx: acc.api_idx,
-                        ts,
-                        name: name.clone(),
-                    },
-                    read: acc.read,
-                    write: acc.write,
-                    via: via_parse(&acc.via),
-                });
-        }
-        let objects: Vec<ObjectView> = self
-            .objects
-            .iter()
-            .map(|o| {
-                let mut accesses = per_object.remove(&o.id).unwrap_or_default();
-                accesses.sort_by_key(|a| (a.api.ts, a.api.idx));
-                let mk_ref = |idx: usize| ApiRef {
-                    idx,
-                    ts: api_ts.get(idx).copied().unwrap_or(0),
-                    name: api_names
-                        .get(idx)
-                        .cloned()
-                        .unwrap_or_else(|| format!("<api {idx}>")),
-                };
-                let source = source_parse(&o.source);
-                ObjectView {
-                    id: ObjectId(o.id),
-                    label: o.label.clone(),
-                    size: o.size,
-                    alloc: o.alloc_is_api.then(|| mk_ref(o.alloc_api)),
-                    alloc_anchor: o.alloc_api,
-                    free: match (o.free_api, o.free_is_api) {
-                        (Some(idx), true) => Some(mk_ref(idx)),
-                        _ => None,
-                    },
-                    free_anchor: match (o.free_api, o.free_is_api) {
-                        (Some(idx), false) => Some(idx),
-                        _ => None,
-                    },
-                    accesses,
-                    analyzable: source.is_analyzable(),
-                }
-            })
-            .collect();
-        let trace = TraceView {
-            api_ts,
-            api_names,
-            api_kernels,
-            api_is_dealloc,
-            objects,
-        };
+    fn rebuild(&self) -> (TraceView, Vec<IntraObjectData>, Vec<ObjectMeta>) {
+        let vertices: Vec<VertexAccess> = self.apis.iter().map(|a| a.vertex.clone()).collect();
+        let trace = analyzer::assemble_trace_view(
+            &vertices,
+            self.apis
+                .iter()
+                .map(|a| (a.name.as_str(), a.mnemonic.as_str(), a.detail.as_str())),
+            &self.accesses,
+            self.objects.iter().map(|o| ObjectFacts {
+                id: ObjectId(o.id),
+                label: &o.label,
+                size: o.size,
+                analyzable: o.source.is_analyzable(),
+                alloc_api: o.alloc_api,
+                alloc_is_api: o.alloc_is_api,
+                free_api: o.free_api,
+                free_is_api: o.free_is_api,
+            }),
+        );
 
         let intra: Vec<IntraObjectData> = self
             .intra
@@ -1670,12 +1636,10 @@ impl SavedTrace {
                         (*idx, rs)
                     })
                     .collect();
-                let lifetime_freq = s.lifetime_elem_size.map(|elem| {
-                    let mut f = FreqMap::new(s.size, elem);
-                    for &(i, c) in &s.lifetime_counts {
-                        for _ in 0..c {
-                            f.record(i * u64::from(elem), 1);
-                        }
+                let lifetime_freq = s.lifetime.as_ref().map(|(elem, runs)| {
+                    let mut f = FreqMap::new(s.size, *elem);
+                    for &(start, len, count) in runs {
+                        f.fill(start, len, count);
                     }
                     f
                 });
@@ -1689,15 +1653,6 @@ impl SavedTrace {
             })
             .collect();
 
-        let usage: Vec<UsageSample> = self
-            .usage
-            .iter()
-            .map(|&(api_idx, bytes_in_use)| UsageSample {
-                api_idx,
-                bytes_in_use,
-            })
-            .collect();
-
         let metas: Vec<ObjectMeta> = self
             .objects
             .iter()
@@ -1705,14 +1660,14 @@ impl SavedTrace {
                 id: ObjectId(o.id),
                 label: o.label.clone(),
                 size: o.size,
-                source: source_parse(&o.source),
+                source: o.source,
                 alloc_path: o.alloc_path.clone(),
                 alloc_api: o.alloc_api,
                 free_api: o.free_api,
             })
             .collect();
 
-        (trace, intra, usage, metas)
+        (trace, intra, metas)
     }
 
     /// Re-runs the full offline analysis on the recording, with arbitrary
@@ -1728,24 +1683,13 @@ impl SavedTrace {
         thresholds: &Thresholds,
         degradations: Vec<DegradationRecord>,
     ) -> Report {
-        let (trace, intra, usage, metas) = self.rebuild();
-        let unified: Vec<UnifiedPageStats> = self
-            .unified
-            .iter()
-            .map(|p| UnifiedPageStats {
-                object: ObjectId(p.object),
-                page_index: p.page_index,
-                migrations: p.migrations,
-                host_ranges: p.host_ranges.iter().copied().collect(),
-                device_ranges: p.device_ranges.iter().copied().collect(),
-            })
-            .collect();
+        let (trace, intra, metas) = self.rebuild();
         analyzer::assemble_report(
             &trace,
             &intra,
-            &usage,
+            &self.usage,
             &metas,
-            &unified,
+            &self.unified,
             thresholds,
             &self.platform,
             degradations,
@@ -1836,13 +1780,13 @@ mod tests {
         let (saved, _) = record();
         assert_eq!(saved.version, FORMAT_VERSION);
         let text = saved.to_text();
-        assert!(text.starts_with("DRGPUM-TRACE 2\n"));
+        assert!(text.starts_with("DRGPUM-TRACE 3\n"));
     }
 
     #[test]
     fn load_rejects_unknown_version() {
         let (saved, _) = record();
-        let text = saved.to_text().replace("DRGPUM-TRACE 2", "DRGPUM-TRACE 99");
+        let text = saved.to_text().replace("DRGPUM-TRACE 3", "DRGPUM-TRACE 99");
         match load(&text) {
             Err(TraceError::UnsupportedVersion {
                 found: 99,
@@ -1892,12 +1836,12 @@ mod tests {
     fn load_rejects_dangling_references() {
         let (saved, _) = record();
         let mut broken = saved.clone();
-        broken.accesses.push(SavedAccess {
+        broken.accesses.push(RawAccess {
             api_idx: 9999,
-            object: 0,
+            object: ObjectId(0),
             read: true,
             write: false,
-            via: "kernel".to_owned(),
+            via: AccessVia::Kernel,
         });
         let text = broken.to_text();
         match load(&text) {
@@ -1945,5 +1889,11 @@ mod tests {
         // Later sections survived the damaged one.
         assert_eq!(trace.api_count(), saved.api_count());
         assert_eq!(trace.object_count(), saved.object_count());
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 }

@@ -1,24 +1,28 @@
 //! Crash-consistent streaming trace writer.
 //!
-//! The batch serializer in [`crate::trace_io`] writes a complete trace at
+//! A batch trace ([`crate::trace_io::SavedTrace::to_text`]) is written at
 //! process exit — which is exactly when a crashing run loses everything.
-//! [`StreamingTraceWriter`] instead appends length-prefixed, CRC-framed
-//! sections to disk *as the run progresses*, fsyncing after every frame:
+//! [`StreamingTraceWriter`] instead appends frames of the same trace format
+//! (version 3, see [`crate::trace_io`]) to disk *as the run progresses*,
+//! fsyncing after every frame:
 //!
-//! * one `delta` section per GPU API event (new trace rows, plus updated
+//! * the `DRGPUM-TRACE 3` header and the `meta` frame on creation;
+//! * one `delta` frame per GPU API event (new trace rows, plus updated
 //!   def/use sets when a kernel finishes);
-//! * a periodic `checkpoint` section snapshotting the mutable state
+//! * a periodic `checkpoint` frame snapshotting the mutable state
 //!   (intra-object access maps, unified-memory pages) that deltas cannot
 //!   carry incrementally;
 //! * a final checkpoint and a clean-finish `end` marker on graceful
 //!   shutdown.
 //!
-//! After a `kill -9`, [`crate::trace_io::salvage`] recovers every API
-//! event up to the last fsynced frame, and `drgpum run --resume <trace>`
-//! re-analyzes the recovered prefix. The writer is driven by the
-//! collector's [`StreamState`] at deterministic boundaries (end of each
-//! API callback, kernel end), so the on-disk frame sequence is a pure
-//! function of the profiled program.
+//! A cleanly finished stream is a complete trace: [`crate::trace_io::load`]
+//! reads it strictly, like a batch trace. After a `kill -9`,
+//! [`crate::trace_io::salvage`] recovers every API event up to the last
+//! fsynced frame, and `drgpum run --resume <trace>` re-analyzes the
+//! recovered prefix. The writer is driven by the collector's
+//! [`StreamState`] at deterministic boundaries (end of each API callback,
+//! kernel end), so the on-disk frame sequence is a pure function of the
+//! profiled program.
 
 use crate::collector::Collector;
 use crate::error::ProfilerError;
@@ -45,8 +49,8 @@ pub struct StreamingTraceWriter {
 }
 
 impl StreamingTraceWriter {
-    /// Creates (truncating) the trace file at `path` and writes the stream
-    /// header plus the `meta` section, fsynced.
+    /// Creates (truncating) the trace file at `path` and writes the trace
+    /// header plus the `meta` frame, fsynced.
     ///
     /// # Errors
     ///

@@ -146,7 +146,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
     let intra = take_flag(&mut args, "--intra");
     let estimate = take_flag(&mut args, "--estimate");
     if let Some(trace_path) = resume {
-        return cmd_resume(&trace_path, json_out, strict);
+        return replay_trace(&trace_path, &Thresholds::default(), json_out, strict, true);
     }
     let Some(name) = args.first() else {
         return Err("run: missing workload name".into());
@@ -266,25 +266,41 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
     Ok(outcome_code(report.is_degraded() || stream_failed, strict))
 }
 
-/// `drgpum run --resume <trace>`: salvages a (possibly crash-truncated)
-/// streaming or batch trace and re-runs the offline analysis on the
-/// recovered prefix — the recovery half of `--stream-trace`.
-fn cmd_resume(path: &str, json_out: Option<String>, strict: bool) -> Result<ExitCode, String> {
+/// Salvages the trace at `path` and re-runs the offline analysis on what
+/// it holds. `drgpum reanalyze` reports a trace that loads without loss as
+/// loaded and a damaged one as salvaged; `drgpum run --resume` (`resume`)
+/// recovers a crash-truncated stream, the recovery half of
+/// `--stream-trace`. Salvage and strict loading replay the same frames, so
+/// a lossless salvage is exactly a trace that loads strictly.
+fn replay_trace(
+    path: &str,
+    thresholds: &Thresholds,
+    json_out: Option<String>,
+    strict: bool,
+    resume: bool,
+) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let (saved, losses) = trace_io::salvage(&text);
-    let lossless = losses.is_lossless();
-    println!(
-        "resumed trace: {} GPU APIs, {} objects, platform {}{}",
+    let summary = format!(
+        "{} GPU APIs, {} objects, platform {}",
         saved.api_count(),
         saved.object_count(),
-        saved.platform,
-        if lossless {
-            " (clean finish)"
-        } else {
-            " (recovered prefix)"
-        }
+        saved.platform
     );
-    let report = saved.reanalyze_with(&Thresholds::default(), losses.to_degradations());
+    if resume {
+        let how = if losses.is_lossless() {
+            "clean finish"
+        } else {
+            "recovered prefix"
+        };
+        println!("resumed trace: {summary} ({how})");
+    } else if let Some(first) = losses.notes.first() {
+        eprintln!("warning: {path} is damaged ({first}); salvaging what remains");
+        println!("salvaged trace: {summary}");
+    } else {
+        println!("loaded trace: {summary}");
+    }
+    let report = saved.reanalyze_with(thresholds, losses.to_degradations());
     println!("{}", report.render_text());
     if let Some(out) = json_out {
         let v = export::report_json(&report);
@@ -316,39 +332,7 @@ fn cmd_reanalyze(mut args: Vec<String>) -> Result<ExitCode, String> {
     let Some(path) = args.first() else {
         return Err("reanalyze: missing trace file".into());
     };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    // Strict load first; fall back to salvage so a damaged recording still
-    // yields a (clearly marked) partial report instead of nothing.
-    let report = match trace_io::load(&text) {
-        Ok(saved) => {
-            println!(
-                "loaded trace: {} GPU APIs, {} objects, platform {}",
-                saved.api_count(),
-                saved.object_count(),
-                saved.platform
-            );
-            saved.reanalyze(&thresholds)
-        }
-        Err(e) => {
-            eprintln!("warning: {path} is damaged ({e}); salvaging what remains");
-            let (saved, losses) = trace_io::salvage(&text);
-            println!(
-                "salvaged trace: {} GPU APIs, {} objects, platform {}",
-                saved.api_count(),
-                saved.object_count(),
-                saved.platform
-            );
-            saved.reanalyze_with(&thresholds, losses.to_degradations())
-        }
-    };
-    println!("{}", report.render_text());
-    if let Some(out) = json_out {
-        let v = export::report_json(&report);
-        std::fs::write(&out, serde_json::to_string_pretty(&v).expect("serialize"))
-            .map_err(|e| format!("writing {out}: {e}"))?;
-        println!("report JSON written to {out}");
-    }
-    Ok(outcome_code(report.is_degraded(), strict))
+    replay_trace(path, &thresholds, json_out, strict, false)
 }
 
 fn cmd_diff(args: Vec<String>) -> Result<ExitCode, String> {

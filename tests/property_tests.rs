@@ -192,6 +192,78 @@ fn freqmap_total_counts_conserved() {
     }
 }
 
+/// Checks `runs` against the counts they encode, then rebuilds a map from
+/// them — what reanalysis does with a saved map — and compares.
+fn assert_runs_reproduce(size: u64, elem: u32, model: &[u32], what: &str) {
+    let mut fm = FreqMap::new(size, elem);
+    assert_eq!(fm.len(), model.len(), "{what}: ceil(size / elem_size)");
+    for (i, &c) in model.iter().enumerate() {
+        fm.fill(i as u64, 1, c);
+    }
+    assert_eq!(fm.counts(), model, "{what}");
+    let runs = fm.runs();
+    let mut prev: Option<(u64, u64, u32)> = None;
+    for &(start, len, count) in &runs {
+        assert!(len > 0 && count > 0, "{what}: empty run");
+        assert!(
+            start + len <= model.len() as u64,
+            "{what}: run past the end"
+        );
+        if let Some((p_start, p_len, p_count)) = prev {
+            assert!(
+                p_start + p_len <= start,
+                "{what}: runs unsorted or overlapping"
+            );
+            assert!(
+                p_start + p_len < start || p_count != count,
+                "{what}: adjacent runs with equal counts are not maximal"
+            );
+        }
+        prev = Some((start, len, count));
+    }
+    let mut back = FreqMap::new(size, elem);
+    for &(start, len, count) in &runs {
+        back.fill(start, len, count);
+    }
+    assert_eq!(back.counts(), model, "{what}: runs -> map");
+}
+
+#[test]
+fn freqmap_runs_reproduce_counts() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let elem = range(&mut rng, 1, 17) as u32;
+        // Sizes that elem_size does not divide are common here, and small
+        // sizes give one-element maps.
+        let size = range(&mut rng, 1, 400);
+        let n = size.div_ceil(u64::from(elem)) as usize;
+        let mut model = Vec::with_capacity(n);
+        while model.len() < n {
+            let count = match rng.next_below(4) {
+                0 => 0,
+                1 => u32::MAX,
+                _ => range(&mut rng, 1, 4) as u32,
+            };
+            let len = range(&mut rng, 1, 9) as usize;
+            model.extend(std::iter::repeat_n(count, len.min(n - model.len())));
+        }
+        assert_runs_reproduce(size, elem, &model, &format!("seed {seed}"));
+    }
+    // Edges pinned by hand: runs at element 0 and at the last element, a
+    // one-element map, zeros only, and u32::MAX at both ends.
+    assert_runs_reproduce(10, 4, &[7, 0, 7], "ends, partial last element");
+    assert_runs_reproduce(3, 4, &[u32::MAX], "one element");
+    assert_runs_reproduce(3, 4, &[0], "one zero element");
+    assert_runs_reproduce(16, 4, &[0, 0, 0, 0], "all zero");
+    assert_runs_reproduce(13, 1, &[u32::MAX; 13], "one run over the map");
+    assert_runs_reproduce(
+        20,
+        4,
+        &[u32::MAX, u32::MAX - 1, 1, 1, u32::MAX],
+        "u32::MAX at both ends",
+    );
+}
+
 // ----------------------------------------------------- dependency graph
 
 #[test]
