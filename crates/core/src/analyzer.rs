@@ -129,6 +129,7 @@ pub(crate) fn assemble_trace_view<'a>(
         api_kernels,
         api_is_dealloc,
         objects,
+        between: Default::default(),
     }
 }
 

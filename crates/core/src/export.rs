@@ -3,11 +3,16 @@
 //! The GUI consumes Perfetto JSON ([`crate::perfetto`]); CI pipelines and
 //! scripts consume this flat JSON form of the [`Report`]. Field names are
 //! stable; unknown fields may be added in minor releases.
+//!
+//! [`report_json`] writes the JSON text directly, with no JSON tree in
+//! between. Its bytes are what `serde_json::to_string_pretty` prints for
+//! the same data: keys in sorted order, two-space indent, and the vendored
+//! crate's number and string escape rules.
 
 use crate::guidance::OverallocGuidance;
 use crate::patterns::{NuafScope, PatternEvidence};
 use crate::report::{DetectorOutcome, DetectorStatus, Finding, Report};
-use serde_json::{json, Value};
+use std::fmt::Write;
 
 fn guidance_str(g: OverallocGuidance) -> &'static str {
     match g {
@@ -18,170 +23,343 @@ fn guidance_str(g: OverallocGuidance) -> &'static str {
     }
 }
 
-fn evidence_json(evidence: &PatternEvidence) -> Value {
+/// A JSON scalar, printed by the vendored `serde_json`'s rules.
+trait Scalar {
+    fn write(&self, out: &mut String);
+}
+
+impl Scalar for str {
+    /// `"` and `\` are backslash-escaped, as are `\n`, `\r`, `\t`, `\b`
+    /// and `\f`; other control characters are written as `\u00XX`.
+    fn write(&self, out: &mut String) {
+        out.push('"');
+        let mut plain = 0;
+        for (i, c) in self.char_indices() {
+            let escape = match c {
+                '"' => "\\\"",
+                '\\' => "\\\\",
+                '\n' => "\\n",
+                '\r' => "\\r",
+                '\t' => "\\t",
+                '\u{8}' => "\\b",
+                '\u{c}' => "\\f",
+                c if c < ' ' => "",
+                _ => continue,
+            };
+            out.push_str(&self[plain..i]);
+            if escape.is_empty() {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            } else {
+                out.push_str(escape);
+            }
+            plain = i + c.len_utf8();
+        }
+        out.push_str(&self[plain..]);
+        out.push('"');
+    }
+}
+
+impl Scalar for String {
+    fn write(&self, out: &mut String) {
+        self.as_str().write(out);
+    }
+}
+
+impl Scalar for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl Scalar for f64 {
+    /// Non-finite values are `null`; integral values keep one decimal
+    /// (`5.0`) so they read back as floats.
+    fn write(&self, out: &mut String) {
+        let f = *self;
+        if !f.is_finite() {
+            out.push_str("null");
+        } else if f.fract() == 0.0 && f.abs() < 1e16 {
+            let _ = write!(out, "{f:.1}");
+        } else {
+            let _ = write!(out, "{f}");
+        }
+    }
+}
+
+macro_rules! integer_scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+integer_scalar!(u32, u64, usize);
+
+impl<T: Scalar> Scalar for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// Writes pretty JSON straight into one `String`: two-space indent, one
+/// member or element per line, `{}` and `[]` for empties. Callers write
+/// object members in sorted key order.
+struct Pretty {
+    out: String,
+    depth: usize,
+    /// No member or element written yet at the current depth.
+    empty: bool,
+}
+
+impl Pretty {
+    fn new_line(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// Starts the next member or element on its own line.
+    fn line(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.new_line();
+        self.empty = false;
+    }
+
+    fn key(&mut self, key: &str) {
+        self.line();
+        key.write(&mut self.out);
+        self.out.push_str(": ");
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty {
+            self.new_line();
+        }
+        self.out.push(bracket);
+        self.empty = false;
+    }
+
+    /// A member holding a scalar.
+    fn field(&mut self, key: &str, value: &(impl Scalar + ?Sized)) {
+        self.key(key);
+        value.write(&mut self.out);
+    }
+
+    /// A member holding an object whose members `body` writes.
+    fn object(&mut self, key: &str, body: impl FnOnce(&mut Self)) {
+        self.key(key);
+        self.open('{');
+        body(self);
+        self.close('}');
+    }
+
+    /// A member holding an array with one object per item.
+    fn objects<T>(&mut self, key: &str, items: &[T], mut body: impl FnMut(&mut Self, &T)) {
+        self.key(key);
+        self.open('[');
+        for item in items {
+            self.line();
+            self.open('{');
+            body(self, item);
+            self.close('}');
+        }
+        self.close(']');
+    }
+}
+
+fn evidence_json(j: &mut Pretty, evidence: &PatternEvidence) {
     match evidence {
         PatternEvidence::EarlyAllocation {
             intervening,
             distance,
             first_access,
-        } => json!({
-            "intervening_apis": intervening,
-            "inefficiency_distance": distance,
-            "first_access": first_access.name,
-        }),
+        } => {
+            j.field("first_access", &first_access.name);
+            j.field("inefficiency_distance", distance);
+            j.field("intervening_apis", intervening);
+        }
         PatternEvidence::LateDeallocation {
             intervening,
             distance,
             last_access,
-        } => json!({
-            "intervening_apis": intervening,
-            "inefficiency_distance": distance,
-            "last_access": last_access.name,
-        }),
+        } => {
+            j.field("inefficiency_distance", distance);
+            j.field("intervening_apis", intervening);
+            j.field("last_access", &last_access.name);
+        }
         PatternEvidence::RedundantAllocation {
             reuse_label,
             size_diff_pct,
             ..
-        } => json!({
-            "reuse_of": reuse_label,
-            "size_diff_pct": size_diff_pct,
-        }),
-        PatternEvidence::UnusedAllocation => json!({}),
-        PatternEvidence::MemoryLeak => json!({}),
-        PatternEvidence::TemporaryIdleness { spans } => json!({
-            "idle_spans": spans.iter().map(|s| json!({
-                "from": s.from.name,
-                "to": s.to.name,
-                "intervening_apis": s.intervening,
-            })).collect::<Vec<_>>(),
-        }),
-        PatternEvidence::DeadWrite { first, second } => json!({
-            "dead_write": first.name,
-            "overwritten_by": second.name,
-        }),
+        } => {
+            j.field("reuse_of", reuse_label);
+            j.field("size_diff_pct", size_diff_pct);
+        }
+        PatternEvidence::UnusedAllocation | PatternEvidence::MemoryLeak => {}
+        PatternEvidence::TemporaryIdleness { spans } => {
+            j.objects("idle_spans", spans, |j, s| {
+                j.field("from", &s.from.name);
+                j.field("intervening_apis", &s.intervening);
+                j.field("to", &s.to.name);
+            });
+        }
+        PatternEvidence::DeadWrite { first, second } => {
+            j.field("dead_write", &first.name);
+            j.field("overwritten_by", &second.name);
+        }
         PatternEvidence::Overallocation {
             accessed_pct,
             fragmentation_pct,
             guidance,
             wasted_bytes,
-        } => json!({
-            "accessed_pct": accessed_pct,
-            "fragmentation_pct": fragmentation_pct,
-            "guidance": guidance_str(*guidance),
-            "wasted_bytes": wasted_bytes,
-        }),
+        } => {
+            j.field("accessed_pct", accessed_pct);
+            j.field("fragmentation_pct", fragmentation_pct);
+            j.field("guidance", guidance_str(*guidance));
+            j.field("wasted_bytes", wasted_bytes);
+        }
         PatternEvidence::NonUniformAccessFrequency {
             cov_pct,
             at_api,
             scope,
             ..
-        } => json!({
-            "cov_pct": cov_pct,
-            "at_api": at_api.name,
-            "scope": match scope {
+        } => {
+            j.field("at_api", &at_api.name);
+            j.field("cov_pct", cov_pct);
+            let scope = match scope {
                 NuafScope::PerApi => "per_api",
                 NuafScope::Lifetime => "lifetime",
-            },
-        }),
+            };
+            j.field("scope", scope);
+        }
         PatternEvidence::StructuredAccess {
             kernel,
             slices,
             max_slice_bytes,
-        } => json!({
-            "kernel": kernel,
-            "slices": slices,
-            "max_slice_bytes": max_slice_bytes,
-        }),
+        } => {
+            j.field("kernel", kernel);
+            j.field("max_slice_bytes", max_slice_bytes);
+            j.field("slices", slices);
+        }
         PatternEvidence::PageThrashing {
             page_index,
             migrations,
-        } => json!({
-            "page_index": page_index,
-            "migrations": migrations,
-        }),
+        } => {
+            j.field("migrations", migrations);
+            j.field("page_index", page_index);
+        }
         PatternEvidence::PageFalseSharing {
             page_index,
             migrations,
             host_bytes,
             device_bytes,
-        } => json!({
-            "page_index": page_index,
-            "migrations": migrations,
-            "host_bytes": host_bytes,
-            "device_bytes": device_bytes,
-        }),
+        } => {
+            j.field("device_bytes", device_bytes);
+            j.field("host_bytes", host_bytes);
+            j.field("migrations", migrations);
+            j.field("page_index", page_index);
+        }
     }
 }
 
-fn finding_json(f: &Finding) -> Value {
-    json!({
-        "pattern": f.kind().name(),
-        "code": f.kind().code(),
-        "object": {
-            "label": f.object.label,
-            "size_bytes": f.object.size,
-            "alloc_path": f.object.alloc_path,
-        },
-        "suggestion": f.suggestion,
-        "wasted_bytes": f.wasted_bytes,
-        "at_peak": f.at_peak,
-        "evidence": evidence_json(&f.evidence),
-    })
+fn finding_json(j: &mut Pretty, f: &Finding) {
+    j.field("at_peak", &f.at_peak);
+    j.field("code", f.kind().code());
+    j.object("evidence", |j| evidence_json(j, &f.evidence));
+    j.object("object", |j| {
+        j.key("alloc_path");
+        j.open('[');
+        for frame in &f.object.alloc_path {
+            j.line();
+            frame.write(&mut j.out);
+        }
+        j.close(']');
+        j.field("label", &f.object.label);
+        j.field("size_bytes", &f.object.size);
+    });
+    j.field("pattern", f.kind().name());
+    j.field("suggestion", &f.suggestion);
+    j.field("wasted_bytes", &f.wasted_bytes);
 }
 
-fn detector_json(d: &DetectorStatus) -> Value {
+fn detector_json(j: &mut Pretty, d: &DetectorStatus) {
     match &d.outcome {
-        DetectorOutcome::Ok { findings } => json!({
-            "name": d.name,
-            "status": "ok",
-            "findings": findings,
-        }),
-        DetectorOutcome::Failed { message } => json!({
-            "name": d.name,
-            "status": "failed",
-            "message": message,
-        }),
-        DetectorOutcome::Skipped { reason } => json!({
-            "name": d.name,
-            "status": "skipped",
-            "reason": reason,
-        }),
-        DetectorOutcome::TimedOut { deadline_ms } => json!({
-            "name": d.name,
-            "status": "timed_out",
-            "deadline_ms": deadline_ms,
-        }),
+        DetectorOutcome::Ok { findings } => {
+            j.field("findings", findings);
+            j.field("name", &d.name);
+            j.field("status", "ok");
+        }
+        DetectorOutcome::Failed { message } => {
+            j.field("message", message);
+            j.field("name", &d.name);
+            j.field("status", "failed");
+        }
+        DetectorOutcome::Skipped { reason } => {
+            j.field("name", &d.name);
+            j.field("reason", reason);
+            j.field("status", "skipped");
+        }
+        DetectorOutcome::TimedOut { deadline_ms } => {
+            j.field("deadline_ms", deadline_ms);
+            j.field("name", &d.name);
+            j.field("status", "timed_out");
+        }
     }
 }
 
-/// Serializes a report to stable JSON.
-pub fn report_json(report: &Report) -> Value {
-    json!({
-        "tool": "drgpum",
-        "platform": report.platform,
-        "degraded": report.is_degraded(),
-        "detectors": report.detectors.iter().map(detector_json).collect::<Vec<_>>(),
-        "degradations": report.degradations.iter().map(|d| json!({
-            "stage": d.stage,
-            "detail": d.detail,
-            "at_ms": d.at_ms,
-        })).collect::<Vec<_>>(),
-        "stats": {
-            "gpu_apis": report.stats.gpu_apis,
-            "objects": report.stats.objects,
-            "peak_bytes": report.stats.peak_bytes,
-            "leaked_objects": report.stats.leaked_objects,
-            "leaked_bytes": report.stats.leaked_bytes,
-        },
-        "peaks": report.peaks.iter().map(|p| json!({
-            "api": p.api_name,
-            "bytes": p.bytes,
-            "objects": p.objects.iter().map(|(l, s)| json!({
-                "label": l, "size_bytes": s,
-            })).collect::<Vec<_>>(),
-        })).collect::<Vec<_>>(),
-        "findings": report.findings.iter().map(finding_json).collect::<Vec<_>>(),
-    })
+/// Serializes a report to stable, pretty-printed JSON: two-space indent,
+/// object keys in sorted order. This is what `drgpum run --json` and
+/// `drgpum reanalyze --json` write.
+pub fn report_json(report: &Report) -> String {
+    let mut j = Pretty {
+        out: String::new(),
+        depth: 0,
+        empty: true,
+    };
+    j.open('{');
+    j.objects("degradations", &report.degradations, |j, d| {
+        j.field("at_ms", &d.at_ms);
+        j.field("detail", &d.detail);
+        j.field("stage", &d.stage);
+    });
+    j.field("degraded", &report.is_degraded());
+    j.objects("detectors", &report.detectors, detector_json);
+    j.objects("findings", &report.findings, finding_json);
+    j.objects("peaks", &report.peaks, |j, p| {
+        j.field("api", &p.api_name);
+        j.field("bytes", &p.bytes);
+        j.objects("objects", &p.objects, |j, (label, size)| {
+            j.field("label", label);
+            j.field("size_bytes", size);
+        });
+    });
+    j.field("platform", &report.platform);
+    j.object("stats", |j| {
+        let s = &report.stats;
+        j.field("gpu_apis", &s.gpu_apis);
+        j.field("leaked_bytes", &s.leaked_bytes);
+        j.field("leaked_objects", &s.leaked_objects);
+        j.field("objects", &s.objects);
+        j.field("peak_bytes", &s.peak_bytes);
+    });
+    j.field("tool", "drgpum");
+    j.close('}');
+    j.out
 }
 
 #[cfg(test)]
@@ -190,6 +368,7 @@ mod tests {
     use crate::options::ProfilerOptions;
     use crate::profiler::Profiler;
     use gpu_sim::{DeviceContext, LaunchConfig, StreamId};
+    use serde_json::Value;
 
     #[test]
     fn report_json_round_trips_and_carries_findings() {
@@ -213,9 +392,7 @@ mod tests {
         ctx.free(big).unwrap();
         // `small` leaks.
         let report = profiler.report(&ctx);
-        let v = report_json(&report);
-        let text = serde_json::to_string(&v).unwrap();
-        let parsed: Value = serde_json::from_str(&text).unwrap();
+        let parsed: Value = serde_json::from_str(&report_json(&report)).unwrap();
         assert_eq!(parsed["tool"], "drgpum");
         assert_eq!(parsed["stats"]["leaked_objects"], 1);
         let findings = parsed["findings"].as_array().unwrap();
@@ -312,7 +489,7 @@ mod tests {
             detectors: vec![],
             degradations: vec![],
         };
-        let v = report_json(&report);
+        let v = serde_json::from_str(&report_json(&report)).unwrap();
         assert_eq!(v["findings"].as_array().unwrap().len(), 10);
         let codes: Vec<&str> = v["findings"]
             .as_array()

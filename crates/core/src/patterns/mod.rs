@@ -14,6 +14,7 @@ pub mod unified;
 use crate::guidance::OverallocGuidance;
 use crate::object::ObjectId;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The ten inefficiency patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -206,9 +207,15 @@ impl ObjectView {
 }
 
 /// The whole trace, as consumed by detectors.
+///
+/// The "GPU API invocations between" counts use an index over `api_ts`
+/// and `api_is_dealloc` that is built on the first count, so those two
+/// fields must not be edited after a view has been counted.
 #[derive(Debug, Clone, Default)]
 pub struct TraceView {
     /// Topological timestamp of every GPU API, indexed by trace position.
+    /// Topological order need not follow trace order: independent streams
+    /// share timestamps and a later API may carry an earlier one.
     pub api_ts: Vec<u64>,
     /// Display names of every GPU API (`ALLOC(0, 2)` …).
     pub api_names: Vec<String>,
@@ -225,6 +232,54 @@ pub struct TraceView {
     pub api_is_dealloc: Vec<bool>,
     /// Per-object views.
     pub objects: Vec<ObjectView>,
+    /// The between-count index, built on first use.
+    pub(crate) between: OnceLock<BetweenIndex>,
+}
+
+/// What the between counts look up, so each count is two binary searches
+/// (or two array reads) instead of a scan of the whole trace.
+#[derive(Debug, Clone)]
+pub(crate) struct BetweenIndex {
+    /// Every API's timestamp, sorted.
+    all: Vec<u64>,
+    /// The timestamps of the non-deallocation APIs, sorted.
+    non_dealloc: Vec<u64>,
+    /// `non_dealloc_before[i]` is the number of non-deallocation APIs at
+    /// trace positions `< i`, for `i` in `0..=api_is_dealloc.len()`.
+    non_dealloc_before: Vec<u64>,
+}
+
+impl BetweenIndex {
+    fn build(api_ts: &[u64], api_is_dealloc: &[bool]) -> Self {
+        let mut all = api_ts.to_vec();
+        all.sort_unstable();
+        let mut non_dealloc: Vec<u64> = api_ts
+            .iter()
+            .zip(api_is_dealloc)
+            .filter(|(_, &dealloc)| !dealloc)
+            .map(|(&t, _)| t)
+            .collect();
+        non_dealloc.sort_unstable();
+        let mut non_dealloc_before = Vec::with_capacity(api_is_dealloc.len() + 1);
+        non_dealloc_before.push(0);
+        for &dealloc in api_is_dealloc {
+            let n = non_dealloc_before[non_dealloc_before.len() - 1];
+            non_dealloc_before.push(n + u64::from(!dealloc));
+        }
+        BetweenIndex {
+            all,
+            non_dealloc,
+            non_dealloc_before,
+        }
+    }
+}
+
+/// Number of entries of the sorted `ts` strictly between `a` and `b`.
+fn count_strictly_between(ts: &[u64], a: u64, b: u64) -> u64 {
+    if b <= a {
+        return 0;
+    }
+    (ts.partition_point(|&t| t < b) - ts.partition_point(|&t| t <= a)) as u64
 }
 
 impl TraceView {
@@ -237,17 +292,28 @@ impl TraceView {
             api_kernels: vec![None; n],
             api_is_dealloc: vec![false; n],
             objects: vec![],
+            between: OnceLock::new(),
         }
     }
+
+    fn between(&self) -> &BetweenIndex {
+        let index = self
+            .between
+            .get_or_init(|| BetweenIndex::build(&self.api_ts, &self.api_is_dealloc));
+        debug_assert_eq!(
+            (index.all.len(), index.non_dealloc_before.len()),
+            (self.api_ts.len(), self.api_is_dealloc.len() + 1),
+            "TraceView edited after its first between count"
+        );
+        index
+    }
+
     /// Number of GPU APIs with a timestamp strictly between `a` and `b`.
     ///
     /// This is the paper's "GPU API invocations between" test used by the
     /// early-allocation, late-deallocation, and temporary-idleness rules.
     pub fn apis_strictly_between(&self, a: u64, b: u64) -> u64 {
-        if b <= a {
-            return 0;
-        }
-        self.api_ts.iter().filter(|&&t| t > a && t < b).count() as u64
+        count_strictly_between(&self.between().all, a, b)
     }
 
     /// Number of GPU APIs at trace positions `[from_idx, to_idx)` — the
@@ -260,21 +326,17 @@ impl TraceView {
     /// APIs — the late-deallocation rule's counting (batch frees after the
     /// last use are fine; work holding memory open is not).
     pub fn non_dealloc_apis_strictly_between(&self, a: u64, b: u64) -> u64 {
-        if b <= a {
-            return 0;
-        }
-        self.api_ts
-            .iter()
-            .zip(&self.api_is_dealloc)
-            .filter(|(&t, &dealloc)| t > a && t < b && !dealloc)
-            .count() as u64
+        count_strictly_between(&self.between().non_dealloc, a, b)
     }
 
     /// Index-range variant of the non-dealloc count, for pool anchors.
     pub fn non_dealloc_apis_in_index_range(&self, from_idx: usize, to_idx: usize) -> u64 {
-        (from_idx..to_idx.min(self.api_is_dealloc.len()))
-            .filter(|&i| !self.api_is_dealloc[i])
-            .count() as u64
+        let before = &self.between().non_dealloc_before;
+        let to_idx = to_idx.min(before.len() - 1);
+        if from_idx >= to_idx {
+            return 0;
+        }
+        before[to_idx] - before[from_idx]
     }
 
     /// An [`ApiRef`] for trace position `idx`.

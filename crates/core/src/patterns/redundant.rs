@@ -17,7 +17,6 @@
 
 use super::{ObjectView, PatternEvidence, PatternFinding, TraceView};
 use crate::object::ObjectId;
-use std::collections::HashMap;
 
 /// Returns `true` if two object sizes are within `pct` percent of each
 /// other, measured against the *reused* object's size (Def. 3.3's "does not
@@ -109,7 +108,7 @@ pub fn detect_redundant_allocations_cancellable(
     events.sort_by_key(|e| (e.ts, matches!(e.kind, EventKind::Last), e.obj));
 
     // ③④ Traverse tail → head, updating statuses and pairing on `Done`.
-    let mut progress: HashMap<usize, Progress> = HashMap::new();
+    let mut progress = vec![Progress::NotVisited; candidates.len()];
     let mut reused = vec![false; candidates.len()];
     let mut findings = Vec::new();
     for pos in (0..events.len()).rev() {
@@ -117,7 +116,7 @@ pub fn detect_redundant_allocations_cancellable(
             return None;
         }
         let ev = events[pos];
-        let st = progress.entry(ev.obj).or_insert(Progress::NotVisited);
+        let st = &mut progress[ev.obj];
         match ev.kind {
             EventKind::Last => {
                 if *st == Progress::NotVisited {
@@ -133,12 +132,8 @@ pub fn detect_redundant_allocations_cancellable(
                     let me = ev.obj;
                     let my_size = candidates[me].size;
                     let partner = events[..pos].iter().rev().find_map(|left| {
-                        let partner_progress = progress
-                            .get(&left.obj)
-                            .copied()
-                            .unwrap_or(Progress::NotVisited);
                         if left.obj != me
-                            && partner_progress == Progress::NotVisited
+                            && progress[left.obj] == Progress::NotVisited
                             && !reused[left.obj]
                             && sizes_compatible(my_size, candidates[left.obj].size, size_pct)
                         {

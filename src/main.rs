@@ -235,8 +235,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
         );
     }
     if let Some(path) = json_out {
-        let v = export::report_json(&report);
-        std::fs::write(&path, serde_json::to_string_pretty(&v).expect("serialize"))
+        std::fs::write(&path, export::report_json(&report))
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("report JSON written to {path}");
     }
@@ -303,8 +302,7 @@ fn replay_trace(
     let report = saved.reanalyze_with(thresholds, losses.to_degradations());
     println!("{}", report.render_text());
     if let Some(out) = json_out {
-        let v = export::report_json(&report);
-        std::fs::write(&out, serde_json::to_string_pretty(&v).expect("serialize"))
+        std::fs::write(&out, export::report_json(&report))
             .map_err(|e| format!("writing {out}: {e}"))?;
         println!("report JSON written to {out}");
     }

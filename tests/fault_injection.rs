@@ -54,7 +54,7 @@ fn every_fault_kind_on_every_workload_still_yields_a_report() {
 
             // Exports stay well-formed whatever happened.
             let json = drgpum::profiler::export::report_json(&report);
-            serde_json::to_string(&json).unwrap_or_else(|e| panic!("{case}: export failed: {e}"));
+            serde_json::from_str(&json).unwrap_or_else(|e| panic!("{case}: export failed: {e}"));
             if run.is_ok() {
                 assert!(
                     report.stats.gpu_apis > 0,
@@ -106,7 +106,7 @@ fn faults_under_tiny_budgets_never_panic() {
                 assert!(report.is_degraded(), "{case}: demotions mark the report");
             }
             let json = drgpum::profiler::export::report_json(&report);
-            serde_json::to_string(&json).unwrap_or_else(|e| panic!("{case}: export failed: {e}"));
+            serde_json::from_str(&json).unwrap_or_else(|e| panic!("{case}: export failed: {e}"));
         }
     }
 }
@@ -146,7 +146,7 @@ fn shared_memory_overrun_is_a_device_fault_with_a_full_report() {
         "a faulted kernel must not lose any detector family"
     );
     let json = drgpum::profiler::export::report_json(&report);
-    serde_json::to_string(&json).expect("report for a faulted run still exports");
+    serde_json::from_str(&json).expect("report for a faulted run still exports");
 }
 
 #[test]

@@ -58,7 +58,7 @@ fn tiny_budget_walks_every_ladder_rung_and_names_each_demotion() {
     // The degraded report still accounts for every detector family and
     // still exports.
     assert_eq!(report.detectors.len(), 4);
-    serde_json::to_string(&export::report_json(&report)).expect("degraded report exports");
+    serde_json::from_str(&export::report_json(&report)).expect("degraded report exports");
 }
 
 #[test]
@@ -80,8 +80,8 @@ fn ample_budget_is_byte_identical_to_an_ungoverned_run() {
             "{workload}: rendered reports must be byte-identical"
         );
         assert_eq!(
-            serde_json::to_string(&export::report_json(&r1)).unwrap(),
-            serde_json::to_string(&export::report_json(&r2)).unwrap(),
+            export::report_json(&r1),
+            export::report_json(&r2),
             "{workload}: JSON exports must be byte-identical"
         );
 

@@ -316,6 +316,114 @@ fn topological_timestamps_respect_all_edges() {
     }
 }
 
+// ------------------------------------------------------- between counts
+
+/// The whole-trace scans the between counts once were: the reference
+/// model for `TraceView`'s indexed counts.
+fn scan_strictly_between(ts: &[u64], a: u64, b: u64) -> u64 {
+    if b <= a {
+        return 0;
+    }
+    ts.iter().filter(|&&t| t > a && t < b).count() as u64
+}
+
+fn scan_non_dealloc_strictly_between(ts: &[u64], dealloc: &[bool], a: u64, b: u64) -> u64 {
+    if b <= a {
+        return 0;
+    }
+    ts.iter()
+        .zip(dealloc)
+        .filter(|(&t, &d)| t > a && t < b && !d)
+        .count() as u64
+}
+
+fn scan_non_dealloc_in_index_range(dealloc: &[bool], from: usize, to: usize) -> u64 {
+    (from..to.min(dealloc.len()))
+        .filter(|&i| !dealloc[i])
+        .count() as u64
+}
+
+/// Topological timestamps of `n` random APIs on up to four streams: the
+/// streams share timestamps, and a later API can carry an earlier one.
+fn stream_timestamps(rng: &mut SplitMix64, n: usize) -> Vec<u64> {
+    let vertices: Vec<VertexAccess> = (0..n)
+        .map(|_| VertexAccess {
+            stream: StreamId(range(rng, 0, 4) as u32),
+            reads: vec![ObjectId(range(rng, 0, 8))],
+            writes: vec![ObjectId(range(rng, 0, 8))],
+            frees: vec![],
+            after: vec![],
+        })
+        .collect();
+    DependencyGraph::build(&vertices).timestamps().to_vec()
+}
+
+#[test]
+fn between_counts_match_linear_scans() {
+    let mut unordered_cases = 0;
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(0xB7_0000 ^ seed);
+        let n = range(&mut rng, 0, 80) as usize;
+        let api_ts = if seed % 2 == 0 {
+            stream_timestamps(&mut rng, n)
+        } else {
+            // Unordered draws from a narrow range: many repeats.
+            (0..n)
+                .map(|_| range(&mut rng, 0, n as u64 / 3 + 2))
+                .collect()
+        };
+        if api_ts.windows(2).any(|w| w[1] < w[0]) {
+            unordered_cases += 1;
+        }
+        let dealloc: Vec<bool> = (0..n).map(|_| rng.chance(0.3)).collect();
+        let mut tv = TraceView::synthetic(n);
+        tv.api_ts = api_ts.clone();
+        tv.api_is_dealloc = dealloc.clone();
+
+        let max_ts = api_ts.iter().copied().max().unwrap_or(0);
+        let bound = |rng: &mut SplitMix64| match range(rng, 0, 8) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => max_ts + range(rng, 1, 4),
+            _ => range(rng, 0, max_ts + 2),
+        };
+        for _ in 0..64 {
+            let a = bound(&mut rng);
+            let b = match range(&mut rng, 0, 4) {
+                0 => a,
+                1 => a.saturating_sub(range(&mut rng, 1, 4)),
+                _ => bound(&mut rng),
+            };
+            assert_eq!(
+                tv.apis_strictly_between(a, b),
+                scan_strictly_between(&api_ts, a, b),
+                "seed {seed}: apis_strictly_between({a}, {b})"
+            );
+            assert_eq!(
+                tv.non_dealloc_apis_strictly_between(a, b),
+                scan_non_dealloc_strictly_between(&api_ts, &dealloc, a, b),
+                "seed {seed}: non_dealloc_apis_strictly_between({a}, {b})"
+            );
+            let from = range(&mut rng, 0, n as u64 + 4) as usize;
+            let to = match range(&mut rng, 0, 4) {
+                0 => from,
+                1 => from.saturating_sub(range(&mut rng, 1, 4) as usize),
+                2 => usize::MAX,
+                _ => range(&mut rng, 0, n as u64 + 4) as usize,
+            };
+            assert_eq!(
+                tv.non_dealloc_apis_in_index_range(from, to),
+                scan_non_dealloc_in_index_range(&dealloc, from, to),
+                "seed {seed}: non_dealloc_apis_in_index_range({from}, {to})"
+            );
+        }
+    }
+    assert!(
+        unordered_cases >= CASES / 2,
+        "the generator must produce timestamps out of trace order"
+    );
+}
+
 // ------------------------------------------------- detector soundness
 
 #[test]

@@ -158,9 +158,7 @@ fn random_programs_uphold_profiler_invariants() {
         // Renderers never panic and exports round-trip.
         let _ = report.render_text();
         let json = drgpum::profiler::export::report_json(&report);
-        let _: serde_json::Value =
-            serde_json::from_str(&serde_json::to_string(&json).expect("serialize"))
-                .expect("round-trip");
+        let _: serde_json::Value = serde_json::from_str(&json).expect("round-trip");
         let trace = profiler.perfetto_trace(&ctx);
         assert!(trace["traceEvents"].is_array(), "seed {seed}");
 
