@@ -615,7 +615,7 @@ impl Collector {
     }
 
     /// The collection hot path: a resolve pass over the whole buffer through
-    /// the epoch-snapshot index and the persistent last-hit cache, then an
+    /// the registry's live maps and the persistent last-hit cache, then an
     /// aggregate pass that batches runs of consecutive same-object segments
     /// so dense-table lookups happen once per run, with governor remetering
     /// deferred to the end of the buffer. Deferral is unobservable: the
@@ -1012,12 +1012,7 @@ impl SanitizerHooks for Collector {
         };
         // Pool tensors are invisible to the hit-flag summary (it reports the
         // backing slab); attribute per record instead.
-        if self.opts.track_pool_tensors
-            && self
-                .registry
-                .live_objects()
-                .any(|o| o.source == ObjectSource::PoolTensor)
-        {
+        if self.opts.track_pool_tensors && self.registry.has_live_pool_tensors() {
             mode = PatchMode::Full;
         }
         if mode == PatchMode::Full {

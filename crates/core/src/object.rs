@@ -9,6 +9,7 @@
 use gpu_sim::{AddrRange, CallPath, DevicePtr};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Stable identity of a data object across its whole lifetime.
 ///
@@ -108,28 +109,16 @@ impl DataObject {
 #[derive(Debug, Default)]
 pub struct ObjectRegistry {
     objects: Vec<DataObject>,
-    /// Live interval index: base address → object id. Source of truth for
-    /// alloc/free semantics; the flat `index` below is rebuilt from it.
-    live: BTreeMap<u64, ObjectId>,
-    /// Epoch-tagged flat snapshot of `live`, sorted by base address.
-    /// Rebuilt on every alloc/free (rare); queried by binary search on the
-    /// per-access hot path (frequent). The `epoch` counter invalidates any
-    /// [`ResolveCache`] or downstream hint memo filled under an older
-    /// snapshot.
-    index: Vec<IndexEntry>,
+    /// Live `cudaMalloc` objects, pool slabs included: base address →
+    /// object id. They never overlap one another.
+    apis: BTreeMap<u64, ObjectId>,
+    /// Live pool tensors: base address → object id. They never overlap one
+    /// another, but each sits inside a slab in `apis` — possibly at the
+    /// slab's own base, which is why the two classes need separate maps.
+    tensors: BTreeMap<u64, ObjectId>,
+    /// Bumped on every allocation and free; invalidates any
+    /// [`ResolveCache`] filled under an older memory map.
     epoch: u64,
-}
-
-/// One live interval in the flat snapshot index.
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    start: u64,
-    end: u64,
-    /// Maximum `end` over this entry and all entries at lower indices.
-    /// Lets the backward containment scan stop as soon as no earlier
-    /// interval can still cover the probe address.
-    prefix_max_end: u64,
-    id: ObjectId,
 }
 
 /// Last-hit cache for [`ObjectRegistry::resolve_cached`].
@@ -137,7 +126,7 @@ struct IndexEntry {
 /// Holds the address window `[lo, hi)` inside which every address resolves
 /// to `id` (the window is clamped to exclude nested pool tensors), plus the
 /// registry epoch the entry was filled under. A stale epoch — any alloc or
-/// free since the fill — misses and refills; a hit never consults the index.
+/// free since the fill — misses and refills; a hit never consults the maps.
 #[derive(Debug, Clone, Copy)]
 pub struct ResolveCache {
     epoch: u64,
@@ -188,6 +177,9 @@ impl ObjectRegistry {
     }
 
     /// Records an allocation and returns the new object's id.
+    ///
+    /// Pool tensors go to the tensor map, everything else to the API map.
+    /// A new range must not overlap a live range of its own class.
     pub fn on_alloc(
         &mut self,
         label: impl Into<String>,
@@ -198,6 +190,17 @@ impl ObjectRegistry {
         alloc_path: CallPath,
     ) -> ObjectId {
         let id = ObjectId(self.objects.len() as u64);
+        let (start, end) = (range.start.addr(), range.end().addr());
+        let map = if source == ObjectSource::PoolTensor {
+            &mut self.tensors
+        } else {
+            &mut self.apis
+        };
+        debug_assert!(
+            !overlaps_live(map, &self.objects, start, end),
+            "{source:?} allocation [{start:#x}, {end:#x}) overlaps a live object of its class"
+        );
+        map.insert(start, id);
         self.objects.push(DataObject {
             id,
             label: label.into(),
@@ -209,78 +212,55 @@ impl ObjectRegistry {
             alloc_is_api,
             free_is_api: true,
         });
-        self.live.insert(range.start.addr(), id);
-        self.rebuild_index();
+        self.epoch = self.epoch.wrapping_add(1);
         id
     }
 
-    /// Records a deallocation of the object based at `base`.
+    /// Records a `cudaFree` of the API object based at `base`.
     ///
-    /// Returns the retired object's id, or `None` if no live object starts
-    /// at `base` (e.g. a pool-internal pointer).
+    /// Returns the retired object's id, or `None` if no live API object
+    /// starts at `base` (a pool tensor's base included: tensors retire only
+    /// through [`ObjectRegistry::on_pool_free`]).
     pub fn on_free(&mut self, base: DevicePtr, free_api: usize) -> Option<ObjectId> {
-        self.on_free_with(base, free_api, true)
+        let id = self.apis.remove(&base.addr())?;
+        Some(self.retire(id, free_api, true))
     }
 
-    /// Records a pool-level deallocation anchored *before* GPU API
-    /// `anchor`; the free itself is not a GPU API (Sec. 5.4).
+    /// Records a pool-level deallocation of the tensor based at `base`,
+    /// anchored *before* GPU API `anchor`; the free itself is not a GPU API
+    /// (Sec. 5.4). Returns `None` if no live tensor starts at `base`.
     pub fn on_pool_free(&mut self, base: DevicePtr, anchor: usize) -> Option<ObjectId> {
-        self.on_free_with(base, anchor, false)
+        let id = self.tensors.remove(&base.addr())?;
+        Some(self.retire(id, anchor, false))
     }
 
-    fn on_free_with(&mut self, base: DevicePtr, free_api: usize, is_api: bool) -> Option<ObjectId> {
-        let id = self.live.remove(&base.addr())?;
+    fn retire(&mut self, id: ObjectId, free_api: usize, is_api: bool) -> ObjectId {
         let obj = &mut self.objects[id.0 as usize];
         obj.free_api = Some(free_api);
         obj.free_is_api = is_api;
-        self.rebuild_index();
-        Some(id)
-    }
-
-    /// Rebuilds the flat snapshot from the live map and bumps the epoch,
-    /// invalidating every cache filled under the previous snapshot.
-    fn rebuild_index(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
-        self.index.clear();
-        let mut max_end = 0u64;
-        for (&start, &id) in &self.live {
-            let end = self.objects[id.0 as usize].range.end().addr();
-            max_end = max_end.max(end);
-            self.index.push(IndexEntry {
-                start,
-                end,
-                prefix_max_end: max_end,
-                id,
-            });
-        }
+        id
     }
 
-    /// The current snapshot epoch. Bumped on every allocation and free;
-    /// caches carrying an older epoch must treat their contents as stale.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// Whether any pool tensor is live.
+    pub fn has_live_pool_tensors(&self) -> bool {
+        !self.tensors.is_empty()
     }
 
     /// Interval lookup: the live object containing `addr`, innermost wins.
     ///
     /// When a pool tensor and its backing slab both cover `addr`, the tensor
-    /// (whose base is ≥ the slab's base, and which is registered later) is
-    /// preferred so that accesses attribute to tensors, not slabs.
-    ///
-    /// Queries the flat snapshot index: binary search for the last interval
-    /// starting at or below `addr`, then a short backward containment scan
-    /// that stops as soon as the prefix-max end rules out every earlier
-    /// interval.
+    /// is preferred so that accesses attribute to tensors, not slabs.
     pub fn resolve(&self, addr: DevicePtr) -> Option<ObjectId> {
-        self.resolve_window(addr.addr()).map(|(e, _, _)| e.id)
+        self.window(addr.addr()).map(|w| w.id)
     }
 
     /// Cache-assisted interval lookup returning `(object, byte offset)`.
     ///
     /// On a hit — same epoch, address inside the cached window — this is a
     /// pair of comparisons; allocation locality makes hits the common case.
-    /// On a miss the snapshot index is searched and the cache refilled with
-    /// the containing window.
+    /// On a miss the live maps are searched and the cache refilled with the
+    /// containing window.
     pub fn resolve_cached(
         &self,
         addr: DevicePtr,
@@ -318,57 +298,56 @@ impl ObjectRegistry {
         }
     }
 
-    /// Makes `cache` hold the window containing `a`, searching the index
+    /// Makes `cache` hold the window containing `a`, searching the maps
     /// only when the cached window is stale or elsewhere. Returns `false`
     /// (leaving the cache untouched) when no live object contains `a`.
     fn fill_cache(&self, a: u64, cache: &mut ResolveCache) -> bool {
         if cache.epoch == self.epoch && cache.lo <= a && a < cache.hi {
             return true;
         }
-        let Some((e, lo, hi)) = self.resolve_window(a) else {
+        let Some(w) = self.window(a) else {
             return false;
         };
-        *cache = ResolveCache {
-            epoch: self.epoch,
-            lo,
-            hi,
-            base: e.start,
-            id: e.id,
-        };
+        *cache = w;
         true
     }
 
-    /// Finds the innermost interval containing `a` plus the widest window
+    /// Finds the innermost object containing `a` plus the widest window
     /// `[lo, hi)` around `a` in which every address resolves to that same
-    /// interval (i.e. no other live boundary falls inside the window).
-    fn resolve_window(&self, a: u64) -> Option<(IndexEntry, u64, u64)> {
-        // First index whose start is strictly above `a`: bounds the window
-        // from above, and the backward scan starts just below it.
-        let j = self.index.partition_point(|e| e.start <= a);
-        let mut lo_bound = 0u64;
-        let mut i = j;
-        while i > 0 {
-            i -= 1;
-            let e = self.index[i];
-            if e.prefix_max_end <= a {
-                // No interval here or earlier reaches past `a`.
-                return None;
-            }
-            if a < e.end {
-                // `e.start <= a` by construction: innermost match. Intervals
-                // never partially overlap, so the window is clipped only by
-                // the nearest boundaries: ends of the (nested) intervals we
-                // skipped below `a`, and the next start above `a`.
-                let lo = lo_bound.max(e.start);
-                let mut hi = e.end;
-                if let Some(nxt) = self.index.get(j) {
-                    hi = hi.min(nxt.start);
+    /// object, stamped with the current epoch.
+    ///
+    /// A tensor containing `a` can only be the last tensor starting at or
+    /// below `a`, and its window is its whole range. Otherwise the API
+    /// object containing `a` owns the bytes between the tensors nearest `a`
+    /// on either side.
+    fn window(&self, a: u64) -> Option<ResolveCache> {
+        let end = |id: ObjectId| self.objects[id.0 as usize].range.end().addr();
+        let (mut lo, mut hi) = (0, u64::MAX);
+        if !self.tensors.is_empty() {
+            if let Some((&base, &id)) = self.tensors.range(..=a).next_back() {
+                let t_end = end(id);
+                if a < t_end {
+                    return Some(self.stamp(id, base, base, t_end));
                 }
-                return Some((e, lo, hi));
+                lo = t_end;
             }
-            lo_bound = lo_bound.max(e.end);
+            if let Some(next) = next_base(&self.tensors, a) {
+                hi = next;
+            }
         }
-        None
+        let (&base, &id) = self.apis.range(..=a).next_back()?;
+        let o_end = end(id);
+        (a < o_end).then(|| self.stamp(id, base, lo.max(base), hi.min(o_end)))
+    }
+
+    fn stamp(&self, id: ObjectId, base: u64, lo: u64, hi: u64) -> ResolveCache {
+        ResolveCache {
+            epoch: self.epoch,
+            lo,
+            hi,
+            base,
+            id,
+        }
     }
 
     /// Resolves the byte span `[start, start + len)` to the sequence of
@@ -385,10 +364,10 @@ impl ObjectRegistry {
     fn resolve_span_into(&self, start: DevicePtr, len: u64, out: &mut Vec<SpanSegment>) {
         let mut a = start.addr();
         if len == 0 {
-            if let Some((e, _, _)) = self.resolve_window(a) {
+            if let Some(w) = self.window(a) {
                 out.push(SpanSegment {
-                    object: e.id,
-                    offset: a - e.start,
+                    object: w.id,
+                    offset: a - w.base,
                     len: 0,
                 });
             }
@@ -396,21 +375,24 @@ impl ObjectRegistry {
         }
         let span_end = a.saturating_add(len);
         while a < span_end {
-            match self.resolve_window(a) {
-                Some((e, _, hi)) => {
-                    let seg_end = hi.min(span_end);
+            match self.window(a) {
+                Some(w) => {
+                    let seg_end = w.hi.min(span_end);
                     out.push(SpanSegment {
-                        object: e.id,
-                        offset: a - e.start,
+                        object: w.id,
+                        offset: a - w.base,
                         len: seg_end - a,
                     });
                     a = seg_end;
                 }
                 None => {
                     // Gap: skip to the next live base, if it is in the span.
-                    let j = self.index.partition_point(|e| e.start <= a);
-                    match self.index.get(j) {
-                        Some(e) if e.start < span_end => a = e.start,
+                    let next = [next_base(&self.apis, a), next_base(&self.tensors, a)]
+                        .into_iter()
+                        .flatten()
+                        .min();
+                    match next {
+                        Some(n) if n < span_end => a = n,
                         _ => break,
                     }
                 }
@@ -449,13 +431,29 @@ impl ObjectRegistry {
 
     /// Number of currently-live objects.
     pub fn live_count(&self) -> usize {
-        self.live.len()
+        self.apis.len() + self.tensors.len()
     }
+}
 
-    /// Iterates over currently-live objects in address order.
-    pub fn live_objects(&self) -> impl Iterator<Item = &DataObject> + '_ {
-        self.live.values().map(|id| &self.objects[id.0 as usize])
-    }
+/// The lowest live base strictly above `a` in `map`.
+fn next_base(map: &BTreeMap<u64, ObjectId>, a: u64) -> Option<u64> {
+    map.range((Excluded(a), Unbounded)).next().map(|(&b, _)| b)
+}
+
+/// Whether `[start, end)` overlaps, or shares its base with, a live range
+/// in `map`.
+fn overlaps_live(
+    map: &BTreeMap<u64, ObjectId>,
+    objects: &[DataObject],
+    start: u64,
+    end: u64,
+) -> bool {
+    let below = map
+        .range(..=start)
+        .next_back()
+        .is_some_and(|(&b, id)| b == start || objects[id.0 as usize].range.end().addr() > start);
+    let above = map.range(start..).next().is_some_and(|(&b, _)| b < end);
+    below || above
 }
 
 #[cfg(test)]
@@ -489,30 +487,105 @@ mod tests {
         assert!(!reg.get(a).unwrap().leaked());
     }
 
+    fn alloc_as(reg: &mut ObjectRegistry, source: ObjectSource, base: u64, len: u64) -> ObjectId {
+        let is_api = source != ObjectSource::PoolTensor;
+        reg.on_alloc("o", range(base, len), source, 0, is_api, CallPath::empty())
+    }
+
+    /// `resolve_cached` through the carried `cache`, checked against the
+    /// uncached `resolve`: a stale window would serve a different id.
+    fn probe(reg: &ObjectRegistry, cache: &mut ResolveCache, addr: u64) -> Option<(ObjectId, u64)> {
+        let got = reg.resolve_cached(DevicePtr::new(addr), cache);
+        assert_eq!(got.map(|(id, _)| id), reg.resolve(DevicePtr::new(addr)));
+        got
+    }
+
+    fn seg(object: ObjectId, offset: u64, len: u64) -> SpanSegment {
+        SpanSegment {
+            object,
+            offset,
+            len,
+        }
+    }
+
     #[test]
     fn resolve_prefers_inner_pool_tensor() {
         let mut reg = ObjectRegistry::new();
-        let slab = reg.on_alloc(
-            "slab",
-            range(0x1000, 0x1000),
-            ObjectSource::PoolSlab,
-            0,
-            true,
-            CallPath::empty(),
-        );
-        let tensor = reg.on_alloc(
-            "t",
-            range(0x1200, 0x100),
-            ObjectSource::PoolTensor,
-            1,
-            false,
-            CallPath::empty(),
-        );
+        let slab = alloc_as(&mut reg, ObjectSource::PoolSlab, 0x1000, 0x1000);
+        let tensor = alloc_as(&mut reg, ObjectSource::PoolTensor, 0x1200, 0x100);
         assert_eq!(reg.resolve(DevicePtr::new(0x1250)), Some(tensor));
         assert_eq!(reg.resolve(DevicePtr::new(0x1100)), Some(slab));
         // After the tensor is freed, the slab reclaims the range.
-        reg.on_free(DevicePtr::new(0x1200), 2);
+        assert_eq!(reg.on_pool_free(DevicePtr::new(0x1200), 2), Some(tensor));
         assert_eq!(reg.resolve(DevicePtr::new(0x1250)), Some(slab));
+    }
+
+    #[test]
+    fn tensor_at_slab_offset_zero_does_not_shadow_the_slab() {
+        let mut reg = ObjectRegistry::new();
+        let mut cache = ResolveCache::new();
+        let slab = alloc_as(&mut reg, ObjectSource::PoolSlab, 0x1000, 0x1000);
+        assert_eq!(probe(&reg, &mut cache, 0x1050), Some((slab, 0x50)));
+        let t = alloc_as(&mut reg, ObjectSource::PoolTensor, 0x1000, 0x100);
+        // The tensor resolves inside itself, the slab past it.
+        assert_eq!(probe(&reg, &mut cache, 0x1050), Some((t, 0x50)));
+        assert_eq!(probe(&reg, &mut cache, 0x1100), Some((slab, 0x100)));
+        assert_eq!(probe(&reg, &mut cache, 0x1FFF), Some((slab, 0xFFF)));
+        assert_eq!(probe(&reg, &mut cache, 0x10FF), Some((t, 0xFF)));
+        assert_eq!(reg.live_count(), 2);
+        assert_eq!(
+            reg.resolve_span(DevicePtr::new(0x10F0), 0x20),
+            vec![seg(t, 0xF0, 0x10), seg(slab, 0x100, 0x10)]
+        );
+        // The pool returns the tensor, then the slab is freed by its base.
+        assert_eq!(reg.on_pool_free(DevicePtr::new(0x1000), 1), Some(t));
+        assert_eq!(probe(&reg, &mut cache, 0x1050), Some((slab, 0x50)));
+        assert_eq!(reg.on_free(DevicePtr::new(0x1000), 2), Some(slab));
+        assert_eq!(probe(&reg, &mut cache, 0x1050), None);
+        assert_eq!(reg.live_count(), 0);
+    }
+
+    #[test]
+    fn tensor_flush_with_slab_end_splits_spans() {
+        let mut reg = ObjectRegistry::new();
+        let mut cache = ResolveCache::new();
+        let slab = alloc_as(&mut reg, ObjectSource::PoolSlab, 0x1000, 0x1000);
+        let next = alloc_as(&mut reg, ObjectSource::Cuda, 0x2000, 0x100);
+        // Fill the cache with the whole slab before the tensor exists.
+        assert_eq!(probe(&reg, &mut cache, 0x1800), Some((slab, 0x800)));
+        let t = alloc_as(&mut reg, ObjectSource::PoolTensor, 0x1F00, 0x100);
+        assert_eq!(probe(&reg, &mut cache, 0x1FFF), Some((t, 0xFF)));
+        assert_eq!(probe(&reg, &mut cache, 0x2000), Some((next, 0)));
+        assert_eq!(probe(&reg, &mut cache, 0x1EFF), Some((slab, 0xEFF)));
+        let want = vec![seg(slab, 0xEF0, 0x10), seg(t, 0, 0x100), seg(next, 0, 0x20)];
+        assert_eq!(reg.resolve_span(DevicePtr::new(0x1EF0), 0x130), want);
+        // The cached form, starting inside the slab's clipped window, splits
+        // the same way.
+        let mut out = Vec::new();
+        reg.resolve_span_cached(DevicePtr::new(0x1EF0), 0x130, &mut cache, &mut out);
+        assert_eq!(out, want);
+        // A span ending at the tensor's base is one slab segment.
+        out.clear();
+        reg.resolve_span_cached(DevicePtr::new(0x1800), 0x700, &mut cache, &mut out);
+        assert_eq!(out, vec![seg(slab, 0x800, 0x700)]);
+    }
+
+    #[test]
+    fn cuda_free_of_tensor_base_is_unknown() {
+        let mut reg = ObjectRegistry::new();
+        let mut cache = ResolveCache::new();
+        let slab = alloc_as(&mut reg, ObjectSource::PoolSlab, 0x1000, 0x1000);
+        let t = alloc_as(&mut reg, ObjectSource::PoolTensor, 0x1200, 0x100);
+        assert_eq!(probe(&reg, &mut cache, 0x1250), Some((t, 0x50)));
+        assert_eq!(reg.on_free(DevicePtr::new(0x1200), 1), None);
+        // Neither object retired; the tensor still wins inside itself.
+        assert_eq!(reg.live_count(), 2);
+        assert!(reg.get(t).unwrap().leaked());
+        assert_eq!(probe(&reg, &mut cache, 0x1250), Some((t, 0x50)));
+        assert_eq!(probe(&reg, &mut cache, 0x1100), Some((slab, 0x100)));
+        // Likewise a pool free of the slab's base retires nothing.
+        assert_eq!(reg.on_pool_free(DevicePtr::new(0x1000), 2), None);
+        assert_eq!(reg.live_count(), 2);
     }
 
     #[test]

@@ -619,44 +619,130 @@ fn peaks_are_true_local_maxima() {
 
 // ------------------------------------------------------------ memory map
 
-/// Reference model of the registry's memory map: live objects keyed by base
-/// address in a `BTreeMap`, fed the same alloc/free stream as the registry.
-/// An allocation at an already-live base replaces that entry, and a free
-/// removes whatever entry sits at its base.
+type LiveMap = std::collections::BTreeMap<u64, (ObjectId, u64)>;
+
+/// Reference model of the registry's memory map: two live maps keyed by
+/// base address, fed the same alloc/free stream as the registry. API
+/// objects (`cudaMalloc`, slabs included) and pool tensors live in separate
+/// maps, so a tensor at its slab's base replaces nothing; a `cudaFree`
+/// retires only an API object and a pool free only a tensor.
 #[derive(Default)]
-struct LiveMapModel(std::collections::BTreeMap<u64, (ObjectId, u64)>);
+struct LiveMapModel {
+    apis: LiveMap,
+    tensors: LiveMap,
+}
 
 impl LiveMapModel {
-    fn alloc(&mut self, id: ObjectId, base: u64, size: u64) {
-        self.0.insert(base, (id, base + size));
+    fn alloc(&mut self, id: ObjectId, base: u64, size: u64, tensor: bool) {
+        let map = if tensor {
+            &mut self.tensors
+        } else {
+            &mut self.apis
+        };
+        assert!(map.insert(base, (id, base + size)).is_none());
     }
 
-    fn free(&mut self, base: u64) {
-        self.0.remove(&base);
+    fn free(&mut self, base: u64) -> Option<ObjectId> {
+        self.apis.remove(&base).map(|(id, _)| id)
     }
 
-    /// Descending walk over the bases at or below `addr`: the first object
-    /// containing `addr` is the innermost one, because nested objects (pool
-    /// tensors) start at or above their enclosing slab's base.
+    fn pool_free(&mut self, base: u64) -> Option<ObjectId> {
+        self.tensors.remove(&base).map(|(id, _)| id)
+    }
+
+    fn live(&self) -> usize {
+        self.apis.len() + self.tensors.len()
+    }
+
+    /// A tensor containing `addr` wins over the API object around it. Each
+    /// map is walked downward from `addr` to the first object containing it.
     fn resolve(&self, addr: u64) -> Option<ObjectId> {
-        self.0
-            .range(..=addr)
-            .rev()
-            .find(|(_, &(_, end))| addr < end)
-            .map(|(_, &(id, _))| id)
+        let find = |map: &LiveMap| {
+            map.range(..=addr)
+                .rev()
+                .find(|(_, &(_, end))| addr < end)
+                .map(|(_, &(id, _))| id)
+        };
+        find(&self.tensors).or_else(|| find(&self.apis))
     }
 }
 
-/// The registry's resolvers — flat epoch-tagged snapshot index, last-hit
-/// [`ResolveCache`], span splitting — against [`LiveMapModel`].
+/// A live pool tensor in the property test: `parent` is its slab's base.
+#[derive(Clone, Copy)]
+struct LiveTensor {
+    parent: u64,
+    base: u64,
+    len: u64,
+    id: ObjectId,
+}
+
+/// A probe address: mostly inside a live slab, half of those in the slab
+/// bytes outside its tensor (where the slab must win), with a tail of
+/// uniform addresses (mostly misses). `edge` extra bytes past a slab's end
+/// probe the boundary-miss case.
+fn probe_addr(
+    rng: &mut SplitMix64,
+    slabs: &[(u64, u64)],
+    tensors: &[LiveTensor],
+    capacity: u64,
+    edge: u64,
+) -> u64 {
+    if slabs.is_empty() || !rng.chance(0.8) {
+        return range(rng, 0, capacity);
+    }
+    let (base, size) = slabs[range(rng, 0, slabs.len() as u64) as usize];
+    match tensors.iter().find(|t| t.parent == base) {
+        Some(t) if rng.chance(0.5) => {
+            let before = t.base - base;
+            let after = base + size - (t.base + t.len);
+            let k = range(rng, 0, before + after);
+            if k < before {
+                base + k
+            } else {
+                t.base + t.len + (k - before)
+            }
+        }
+        _ => base.wrapping_add(range(rng, 0, size + edge)),
+    }
+}
+
+/// Retires the slab at `base` in both the registry and the model: its tensor
+/// (if any) first through the pool, as a pool returns its tensors before
+/// releasing the slab, then the slab itself through `cudaFree`.
+fn free_slab(
+    reg: &mut drgpum::profiler::object::ObjectRegistry,
+    model: &mut LiveMapModel,
+    dev: &mut DeviceAllocator,
+    tensors: &mut Vec<LiveTensor>,
+    base: u64,
+    api: usize,
+) {
+    use gpu_sim::DevicePtr;
+    if let Some(i) = tensors.iter().position(|t| t.parent == base) {
+        let t = tensors.swap_remove(i);
+        assert_eq!(reg.on_pool_free(DevicePtr::new(t.base), api), Some(t.id));
+        assert_eq!(model.pool_free(t.base), Some(t.id));
+    }
+    dev.free(DevicePtr::new(base)).unwrap();
+    let freed = reg.on_free(DevicePtr::new(base), api);
+    assert!(freed.is_some(), "free of live slab {base:#x}");
+    assert_eq!(freed, model.free(base));
+}
+
+/// The registry's resolvers — two live maps, last-hit [`ResolveCache`],
+/// span splitting — against [`LiveMapModel`].
 /// Randomized alloc/free/realloc sequences run through the real
 /// [`DeviceAllocator`], so freed address ranges are genuinely reused
 /// (first-fit + coalescing), and the persistent cache carried across
 /// mutations exercises stale-window invalidation: a hit on an epoch bumped
 /// by a free or a same-base realloc would surface here as a wrong id.
+/// A third of the pool tensors sit at their slab's base and a third end at
+/// its last byte: the placements where one base-keyed map loses the slab or
+/// a window is clipped at the wrong boundary. Spans must split exactly
+/// where the innermost object changes, no more and no less.
 #[test]
 fn registry_fast_resolvers_match_btreemap_oracle() {
-    use drgpum::profiler::object::{ObjectRegistry, ObjectSource, ResolveCache};
+    use drgpum::profiler::object::{ObjectRegistry, ObjectSource, ResolveCache, SpanSegment};
     use gpu_sim::{AddrRange, CallPath, DevicePtr};
 
     const CAPACITY: u64 = 1 << 20;
@@ -666,11 +752,11 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
         let mut reg = ObjectRegistry::new();
         let mut model = LiveMapModel::default();
         let mut dev = DeviceAllocator::new(CAPACITY);
-        // (base, size) of live CUDA objects; tensors tracked per parent.
+        // (base, size) of live CUDA objects; at most one tensor per slab.
         let mut slabs: Vec<(u64, u64)> = Vec::new();
-        let mut tensors: Vec<(u64, u64, u64)> = Vec::new(); // (parent base, base, size)
-                                                            // One persistent cache across every mutation: epoch invalidation is
-                                                            // the property under test, so the cache is never reset by hand.
+        let mut tensors: Vec<LiveTensor> = Vec::new();
+        // One persistent cache across every mutation: epoch invalidation is
+        // the property under test, so the cache is never reset by hand.
         let mut cache = ResolveCache::new();
         for api in 0..120usize {
             let roll = range(&mut rng, 0, 100);
@@ -687,57 +773,69 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
                         true,
                         CallPath::empty(),
                     );
-                    model.alloc(id, info.ptr.addr(), size);
+                    model.alloc(id, info.ptr.addr(), size, false);
                     slabs.push((info.ptr.addr(), size));
                 }
             } else if roll < 55 {
                 // Carve a pool tensor inside a live slab (innermost-wins is
-                // part of the resolve contract). Tensors never overlap: at
-                // most one per slab, dropped when the slab goes.
+                // part of the resolve contract): at the slab's base, flush
+                // with its end, or anywhere between.
                 let n = range(&mut rng, 0, slabs.len() as u64) as usize;
                 let (base, size) = slabs[n];
-                let has = tensors.iter().any(|&(p, _, _)| p == base);
+                let has = tensors.iter().any(|t| t.parent == base);
                 if !has && size >= 64 {
-                    let t_len = range(&mut rng, 1, size / 2);
-                    let t_off = range(&mut rng, 0, size - t_len);
+                    let len = range(&mut rng, 1, size / 2);
+                    let off = match range(&mut rng, 0, 3) {
+                        0 => 0,
+                        1 => size - len,
+                        _ => range(&mut rng, 0, size - len),
+                    };
                     let id = reg.on_alloc(
                         "tensor",
-                        AddrRange::new(DevicePtr::new(base + t_off), t_len),
+                        AddrRange::new(DevicePtr::new(base + off), len),
                         ObjectSource::PoolTensor,
                         api,
                         false,
                         CallPath::empty(),
                     );
-                    model.alloc(id, base + t_off, t_len);
-                    tensors.push((base, base + t_off, t_len));
+                    model.alloc(id, base + off, len, true);
+                    tensors.push(LiveTensor {
+                        parent: base,
+                        base: base + off,
+                        len,
+                        id,
+                    });
+                }
+            } else if roll < 62 {
+                // `cudaFree` of a tensor's base: an unknown free unless the
+                // tensor sits at its slab's base (then the slab goes).
+                let Some(&t) = tensors.get(range(&mut rng, 0, 8) as usize) else {
+                    continue;
+                };
+                if t.base == t.parent {
+                    free_slab(&mut reg, &mut model, &mut dev, &mut tensors, t.parent, api);
+                    slabs.retain(|&(b, _)| b != t.parent);
+                } else {
+                    let live = reg.live_count();
+                    assert_eq!(reg.on_free(DevicePtr::new(t.base), api), None);
+                    assert_eq!(model.free(t.base), None);
+                    assert_eq!(reg.live_count(), live, "seed {seed}");
+                    assert!(reg.get(t.id).unwrap().leaked(), "seed {seed}");
+                    let slab = reg.resolve(DevicePtr::new(t.parent)).unwrap();
+                    assert!(reg.get(slab).unwrap().leaked(), "seed {seed}");
                 }
             } else if roll < 85 {
-                // Free a random live object; its tensor (if any) goes first,
-                // as a pool would return tensors before releasing the slab.
+                // Free a random live object.
                 let n = range(&mut rng, 0, slabs.len() as u64) as usize;
                 let (base, _) = slabs.swap_remove(n);
-                if let Some(t) = tensors.iter().position(|&(p, _, _)| p == base) {
-                    let (_, t_base, _) = tensors.swap_remove(t);
-                    reg.on_pool_free(DevicePtr::new(t_base), api);
-                    model.free(t_base);
-                }
-                dev.free(DevicePtr::new(base)).unwrap();
-                reg.on_free(DevicePtr::new(base), api);
-                model.free(base);
+                free_slab(&mut reg, &mut model, &mut dev, &mut tensors, base, api);
             } else {
                 // Realloc: free + immediately malloc the same size. With a
                 // first-fit allocator the same base usually comes back, so
                 // the old id's window now covers a different object.
                 let n = range(&mut rng, 0, slabs.len() as u64) as usize;
                 let (base, size) = slabs.swap_remove(n);
-                if let Some(t) = tensors.iter().position(|&(p, _, _)| p == base) {
-                    let (_, t_base, _) = tensors.swap_remove(t);
-                    reg.on_pool_free(DevicePtr::new(t_base), api);
-                    model.free(t_base);
-                }
-                dev.free(DevicePtr::new(base)).unwrap();
-                reg.on_free(DevicePtr::new(base), api);
-                model.free(base);
+                free_slab(&mut reg, &mut model, &mut dev, &mut tensors, base, api);
                 if let Ok(info) = dev.malloc(size) {
                     let id = reg.on_alloc(
                         "realloc",
@@ -747,21 +845,15 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
                         true,
                         CallPath::empty(),
                     );
-                    model.alloc(id, info.ptr.addr(), size);
+                    model.alloc(id, info.ptr.addr(), size, false);
                     slabs.push((info.ptr.addr(), size));
                 }
             }
+            assert_eq!(reg.live_count(), model.live(), "seed {seed}");
 
-            // Point probes: biased toward live ranges and their edges, with
-            // a tail of uniform addresses (mostly misses).
+            // Point probes.
             for _ in 0..24 {
-                let addr = if !slabs.is_empty() && rng.chance(0.8) {
-                    let (base, size) = slabs[range(&mut rng, 0, slabs.len() as u64) as usize];
-                    // +8 past the end probes the boundary-miss case.
-                    base.wrapping_add(range(&mut rng, 0, size + 8))
-                } else {
-                    range(&mut rng, 0, CAPACITY)
-                };
+                let addr = probe_addr(&mut rng, &slabs, &tensors, CAPACITY, 8);
                 let p = DevicePtr::new(addr);
                 let oracle = model.resolve(addr);
                 assert_eq!(reg.resolve(p), oracle, "seed {seed}: resolve @ {addr:#x}");
@@ -780,16 +872,10 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
                 }
             }
 
-            // Span probe: segment-by-segment against per-byte oracle calls.
-            let (start, len) = if !slabs.is_empty() && rng.chance(0.8) {
-                let (base, size) = slabs[range(&mut rng, 0, slabs.len() as u64) as usize];
-                (
-                    base.wrapping_add(range(&mut rng, 0, size)),
-                    range(&mut rng, 0, 300),
-                )
-            } else {
-                (range(&mut rng, 0, CAPACITY), range(&mut rng, 0, 300))
-            };
+            // Span probe against the oracle's runs: one segment per maximal
+            // run of bytes with the same innermost object, gaps omitted.
+            let start = probe_addr(&mut rng, &slabs, &tensors, CAPACITY, 0);
+            let len = range(&mut rng, 0, 300);
             let segs = reg.resolve_span(DevicePtr::new(start), len);
             // The cached form, fed the persistent cache, splits identically.
             let mut cached = Vec::new();
@@ -798,22 +884,22 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
                 cached, segs,
                 "seed {seed}: resolve_span_cached [{start:#x}; {len})"
             );
-            let mut covered = vec![None; len as usize];
-            for s in &segs {
-                let obj_base = reg.get(s.object).unwrap().range.start.addr();
-                for b in 0..s.len {
-                    let addr = obj_base + s.offset + b;
-                    assert!(addr >= start && addr < start + len.max(1), "seed {seed}");
-                    covered[(addr - start) as usize] = Some(s.object);
+            let mut want: Vec<SpanSegment> = Vec::new();
+            for addr in start..start + len.max(1) {
+                let Some(object) = model.resolve(addr) else {
+                    continue;
+                };
+                let offset = addr - reg.get(object).unwrap().range.start.addr();
+                match want.last_mut() {
+                    Some(s) if s.object == object && s.offset + s.len == offset => s.len += 1,
+                    _ => want.push(SpanSegment {
+                        object,
+                        offset,
+                        len: u64::from(len > 0),
+                    }),
                 }
             }
-            for (i, got) in covered.iter().enumerate() {
-                let want = model.resolve(start + i as u64);
-                assert_eq!(
-                    *got, want,
-                    "seed {seed}: span byte {i} of [{start:#x}; {len})"
-                );
-            }
+            assert_eq!(segs, want, "seed {seed}: resolve_span [{start:#x}; {len})");
         }
     }
 }
