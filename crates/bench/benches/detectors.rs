@@ -18,13 +18,14 @@ use std::hint::black_box;
 fn synthetic_trace(n_objects: usize) -> TraceView {
     let n_apis = n_objects * 4;
     let mut tv = TraceView::synthetic(n_apis);
+    let names = tv.api_names.clone();
     for i in 0..n_objects {
         let base = i * 4;
         let mk = |idx: usize| ObjectAccess {
             api: ApiRef {
                 idx,
                 ts: idx as u64,
-                name: format!("API({idx})"),
+                name: names[idx],
             },
             read: true,
             write: idx.is_multiple_of(2),
@@ -37,7 +38,7 @@ fn synthetic_trace(n_objects: usize) -> TraceView {
             alloc: Some(ApiRef {
                 idx: base,
                 ts: base as u64,
-                name: format!("API({base})"),
+                name: names[base],
             }),
             alloc_anchor: base,
             free: None,

@@ -16,7 +16,7 @@
 
 pub mod timing;
 
-use drgpum_core::{AnalysisLevel, Profiler, ProfilerOptions, Report, SamplingPolicy};
+use drgpum_core::{AnalysisLevel, GpuApiKind, Profiler, ProfilerOptions, Report, SamplingPolicy};
 use drgpum_workloads::common::{RunOutcome, Variant};
 use drgpum_workloads::registry::{RunConfig, WorkloadSpec};
 use gpu_sim::{DeviceContext, PlatformConfig};
@@ -129,7 +129,7 @@ pub fn largest_footprint_kernel(spec: &WorkloadSpec) -> Option<String> {
     let collector = collector.lock();
     let mut best: Option<(u64, String)> = None;
     for (idx, api) in collector.gpu_apis().iter().enumerate() {
-        if api.mnemonic != "KERL" {
+        if api.kind != GpuApiKind::Kerl {
             continue;
         }
         let footprint: u64 = collector

@@ -210,8 +210,8 @@ mod tests {
         ctx.sanitizer_mut().register(c.clone());
         body(&mut ctx);
         let col = c.lock();
-        let report = analyze(&col, ctx.call_stack().table(), "rtx3090");
-        let metas = object_metas(&col, ctx.call_stack().table());
+        let report = analyze(&col, "rtx3090");
+        let metas = object_metas(&col);
         estimate(&report, col.usage_curve(), &metas)
     }
 

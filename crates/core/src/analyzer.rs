@@ -3,9 +3,10 @@
 //! source locations (the DWARF step), pinpoints memory peaks, and assembles
 //! the final [`Report`].
 
-use crate::collector::{Collector, RawAccess};
-use crate::depgraph::{DependencyGraph, VertexAccess};
+use crate::collector::{Collector, GpuApi, RawAccess};
+use crate::depgraph::DependencyGraph;
 use crate::governor::CancelToken;
+use crate::names::{ApiName, GpuApiKind, PathText};
 use crate::object::{ObjectId, ObjectSource};
 use crate::patterns::{
     intra, object_level, redundant, ApiRef, ObjectAccess, ObjectView, PatternFinding, TraceView,
@@ -15,7 +16,6 @@ use crate::report::{
     suggestion_for, wasted_bytes_estimate, DegradationRecord, DetectorOutcome, DetectorStatus,
     Finding, ObjectSummary, PeakSummary, Report, ReportStats,
 };
-use gpu_sim::{CallPath, FrameTable};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -23,12 +23,8 @@ use std::time::{Duration, Instant};
 /// Builds the [`TraceView`] — the timestamp-augmented object-level memory
 /// access trace of Fig. 2 — from the collector's raw data.
 pub fn build_trace_view(collector: &Collector) -> TraceView {
-    let apis = collector.gpu_apis();
-    let vertices: Vec<_> = apis.iter().map(|a| a.vertex.clone()).collect();
     assemble_trace_view(
-        &vertices,
-        apis.iter()
-            .map(|a| (a.name.as_str(), a.mnemonic, a.detail.as_str())),
+        collector.gpu_apis(),
         collector.accesses(),
         collector.registry().iter().map(|o| ObjectFacts {
             id: o.id,
@@ -56,30 +52,27 @@ pub(crate) struct ObjectFacts<'a> {
     pub free_is_api: bool,
 }
 
-/// Builds the [`TraceView`] from the API vertices, each API's
-/// `(name, mnemonic, detail)`, the raw accesses and the objects — the
-/// step the live analysis ([`build_trace_view`]) and trace reanalysis
-/// ([`crate::trace_io`]) share.
+/// Builds the [`TraceView`] from the APIs, the raw accesses and the
+/// objects — the step the live analysis ([`build_trace_view`]) and trace
+/// reanalysis ([`crate::trace_io`]) share.
 pub(crate) fn assemble_trace_view<'a>(
-    vertices: &[VertexAccess],
-    apis: impl Iterator<Item = (&'a str, &'a str, &'a str)>,
+    apis: &[GpuApi],
     accesses: &[RawAccess],
     objects: impl Iterator<Item = ObjectFacts<'a>>,
 ) -> TraceView {
-    let graph = DependencyGraph::build(vertices);
-    let api_ts = graph.timestamps().to_vec();
-    let (mut api_names, mut api_kernels, mut api_is_dealloc) = (Vec::new(), Vec::new(), Vec::new());
-    for (name, mnemonic, detail) in apis {
-        api_names.push(name.to_owned());
-        api_kernels.push((mnemonic == "KERL").then(|| detail.to_owned()));
-        api_is_dealloc.push(mnemonic == "FREE");
-    }
+    let api_ts = DependencyGraph::build(apis.iter().map(|a| &a.vertex)).into_timestamps();
+    let api_names: Vec<ApiName> = apis.iter().map(GpuApi::name).collect();
+    let api_kernels = apis
+        .iter()
+        .map(|a| (a.kind == GpuApiKind::Kerl).then(|| a.detail.clone()))
+        .collect();
+    let api_is_dealloc = apis.iter().map(|a| a.kind == GpuApiKind::Free).collect();
 
     // Group accesses per object. An access with a dangling API index (which
     // a faulting run can produce) is dropped rather than panicking.
     let mut per_object: HashMap<_, Vec<ObjectAccess>> = HashMap::new();
     for acc in accesses {
-        let (Some(&ts), Some(name)) = (api_ts.get(acc.api_idx), api_names.get(acc.api_idx)) else {
+        let (Some(&ts), Some(&name)) = (api_ts.get(acc.api_idx), api_names.get(acc.api_idx)) else {
             continue;
         };
         per_object
@@ -89,7 +82,7 @@ pub(crate) fn assemble_trace_view<'a>(
                 api: ApiRef {
                     idx: acc.api_idx,
                     ts,
-                    name: name.clone(),
+                    name,
                 },
                 read: acc.read,
                 write: acc.write,
@@ -104,10 +97,7 @@ pub(crate) fn assemble_trace_view<'a>(
             let mk_ref = |idx: usize| ApiRef {
                 idx,
                 ts: api_ts.get(idx).copied().unwrap_or(0),
-                name: api_names
-                    .get(idx)
-                    .cloned()
-                    .unwrap_or_else(|| format!("<api {idx}>")),
+                name: api_names.get(idx).copied().unwrap_or(ApiName::missing(idx)),
             };
             ObjectView {
                 id: obj.id,
@@ -133,20 +123,6 @@ pub(crate) fn assemble_trace_view<'a>(
     }
 }
 
-/// Resolves a call path to strings, innermost frame first.
-fn resolve_path(path: &CallPath, frames: &FrameTable) -> Vec<String> {
-    path.frames()
-        .iter()
-        .rev()
-        .map(|id| {
-            frames
-                .resolve(*id)
-                .map(|loc| loc.to_string())
-                .unwrap_or_else(|| format!("<unknown frame {}>", id.0))
-        })
-        .collect()
-}
-
 /// Everything the assembly stage needs to know about one data object,
 /// with call paths already resolved to source strings. Both the live path
 /// ([`analyze`]) and the offline replay path ([`crate::trace_io`]) produce
@@ -161,8 +137,9 @@ pub struct ObjectMeta {
     pub size: u64,
     /// Provenance.
     pub source: ObjectSource,
-    /// Resolved allocation call path, innermost frame first.
-    pub alloc_path: Vec<String>,
+    /// Resolved allocation call path, innermost frame first, shared with
+    /// the session's path table.
+    pub alloc_path: PathText,
     /// Trace position after which the object existed.
     pub alloc_api: usize,
     /// Trace position of the deallocation, `None` if leaked.
@@ -425,7 +402,11 @@ pub fn assemble_report_governed(
     let peaks: Vec<PeakSummary> = peak_list
         .iter()
         .map(|(api_idx, bytes, live)| PeakSummary {
-            api_name: trace.api_names.get(*api_idx).cloned().unwrap_or_default(),
+            api_name: trace
+                .api_names
+                .get(*api_idx)
+                .copied()
+                .unwrap_or(ApiName::missing(*api_idx)),
             api_idx: *api_idx,
             bytes: *bytes,
             objects: live.iter().map(|o| (o.label.clone(), o.size)).collect(),
@@ -484,8 +465,9 @@ pub fn assemble_report_governed(
     }
 }
 
-/// Extracts the resolved [`ObjectMeta`] list from a collector.
-pub fn object_metas(collector: &Collector, frames: &FrameTable) -> Vec<ObjectMeta> {
+/// Extracts the [`ObjectMeta`] list from a collector, with call paths
+/// from its path table.
+pub fn object_metas(collector: &Collector) -> Vec<ObjectMeta> {
     collector
         .registry()
         .iter()
@@ -494,7 +476,7 @@ pub fn object_metas(collector: &Collector, frames: &FrameTable) -> Vec<ObjectMet
             label: o.label.clone(),
             size: o.size(),
             source: o.source,
-            alloc_path: resolve_path(&o.alloc_path, frames),
+            alloc_path: collector.paths().text(o.alloc_path),
             alloc_api: o.alloc_api,
             free_api: o.free_api,
         })
@@ -503,13 +485,13 @@ pub fn object_metas(collector: &Collector, frames: &FrameTable) -> Vec<ObjectMet
 
 /// Runs the complete offline analysis and assembles the report.
 ///
-/// `frames` is the frame table of the profiled context (the stand-in for
-/// DWARF debugging sections); `platform` names the machine for the report
-/// header.
-pub fn analyze(collector: &Collector, frames: &FrameTable, platform: &str) -> Report {
+/// Call paths come rendered from the collector's path table, which mirrors
+/// the profiled context's frame table (the stand-in for DWARF debugging
+/// sections); `platform` names the machine for the report header.
+pub fn analyze(collector: &Collector, platform: &str) -> Report {
     let trace = build_trace_view(collector);
     let intra_data: Vec<_> = collector.intra_data().into_iter().cloned().collect();
-    let objects = object_metas(collector, frames);
+    let objects = object_metas(collector);
     assemble_report_governed(
         &trace,
         &intra_data,
@@ -542,7 +524,7 @@ mod tests {
         ctx.sanitizer_mut().register(c.clone());
         body(&mut ctx);
         let col = c.lock();
-        analyze(&col, ctx.call_stack().table(), &ctx.config().name)
+        analyze(&col, &ctx.config().name)
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::accessmap::{FreqMap, RangeSet};
 use crate::depgraph::VertexAccess;
 use crate::error::ProfilerError;
 use crate::governor::{CollectionRung, ResourceBudget, SessionGovernor};
+use crate::names::{ApiName, GpuApiKind, PathId, PathTable};
 use crate::object::{ObjectId, ObjectRegistry, ObjectSource, ResolveCache, SpanSegment};
 use crate::options::{AnalysisLevel, ProfilerOptions};
 use crate::patterns::intra::IntraObjectData;
@@ -33,11 +34,11 @@ use gpu_sim::sanitizer::{
 };
 use gpu_sim::unified::{PageMigration, Side};
 use gpu_sim::{
-    AccessKind, AddrRange, ApiEvent, ApiKind, CallPath, DevicePtr, FrameId, SimError, SourceLoc,
+    AccessKind, AddrRange, ApiEvent, ApiKind, DevicePtr, FrameId, FrameTable, SimError, SourceLoc,
     StreamId,
 };
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Cumulative wall-clock time the collector spent in each hot-path phase.
@@ -75,22 +76,29 @@ mod kernel_flags {
 /// One GPU API in the collector's trace (pattern-relevant kinds only).
 #[derive(Debug, Clone)]
 pub struct GpuApi {
-    /// Display name, e.g. `"KERL(0, 1)"`.
-    pub name: String,
+    /// Kind: the mnemonic of the display name.
+    pub kind: GpuApiKind,
     /// Detail: kernel name, object label, or byte count.
     pub detail: String,
-    /// Mnemonic (`ALLOC`/`FREE`/`CPY`/`SET`/`KERL`).
-    pub mnemonic: &'static str,
     /// Stream of the invocation.
     pub stream: StreamId,
-    /// Host call path.
-    pub call_path: CallPath,
+    /// Ordinal of the invocation within its stream.
+    pub ordinal_in_stream: u64,
+    /// Host call path, in the session's [`PathTable`].
+    pub path: PathId,
     /// Object def/use/free sets for dependency construction.
     pub vertex: VertexAccess,
     /// Simulated start/end times (for the GUI timeline).
     pub start_ns: u64,
     /// Simulated end time.
     pub end_ns: u64,
+}
+
+impl GpuApi {
+    /// The display name `MNEMONIC(stream, ordinal)`.
+    pub fn name(&self) -> ApiName {
+        ApiName::new(self.kind, self.stream, self.ordinal_in_stream)
+    }
 }
 
 /// One object access observed at one GPU API.
@@ -157,11 +165,6 @@ impl IntraState {
 /// below: smaller buffers mean less staging memory between flushes.
 const BACKPRESSURE_BUFFER_RECORDS: usize = 4096;
 
-/// Memo table from a shared frame list to its rendered call path: the
-/// frames are hash-consed `Arc<str>`s, so identical paths share every
-/// rendered location by refcount.
-type CallPathMemo = HashMap<Arc<[FrameId]>, Arc<[Arc<str>]>>;
-
 /// The online data collector. Register it with
 /// [`gpu_sim::Sanitizer::register`] (and, for pool workloads, with
 /// [`gpu_sim::pool::CachingPool::register_observer`]); the
@@ -209,17 +212,11 @@ pub struct Collector {
     /// configured [`ResourceBudget`] and walks the degradation ladder when
     /// a budget trips.
     governor: SessionGovernor,
-    /// Mirror of the context-owned frame table (`FrameId.0` → rendered
-    /// location), fed by [`SanitizerHooks::on_frame`]; lets the streaming
-    /// writer resolve call paths without access to the [`gpu_sim::FrameTable`].
-    /// Frames are hash-consed `Arc<str>`s: each location is rendered once
-    /// and every resolved call path shares it by refcount.
-    frame_mirror: Vec<Arc<str>>,
-    /// Memoized call-path renderings keyed by the shared frame list:
-    /// identical paths (the common case — most APIs are invoked from a
-    /// handful of sites) are resolved once per session. Invalidated if a
-    /// mirrored frame is ever re-rendered differently.
-    call_path_memo: parking_lot::Mutex<CallPathMemo>,
+    /// The session's call paths: every API and object carries an id into
+    /// it. Frames are mirrored from the context-owned frame table by
+    /// [`SanitizerHooks::on_frame`], so paths render while the program
+    /// runs, once per distinct path.
+    paths: PathTable,
     /// Crash-consistent streaming-trace state, when `--stream-trace` is on.
     stream: Option<StreamState>,
     /// Last-hit cache for the record resolve pass, kept across buffers.
@@ -261,8 +258,7 @@ impl Collector {
             degradations: Vec::new(),
             force_cpu_maps: false,
             governor,
-            frame_mirror: Vec::new(),
-            call_path_memo: parking_lot::Mutex::new(HashMap::new()),
+            paths: PathTable::default(),
             stream: None,
             resolve_cache: ResolveCache::new(),
             resolved_scratch: (Vec::new(), Vec::new()),
@@ -309,33 +305,20 @@ impl Collector {
         state.finish(self)
     }
 
-    /// Resolves a call path against the frame mirror, innermost-first —
-    /// the same rendering [`crate::trace_io::save`] produces from the
-    /// context-owned frame table.
-    ///
-    /// Memoized on the shared frame list: most APIs are invoked from a
-    /// handful of sites, so identical paths render once per session and
-    /// every later resolution is one map hit returning shared `Arc`s.
-    pub(crate) fn resolve_call_path(&self, path: &CallPath) -> Arc<[Arc<str>]> {
-        if let Some(hit) = self.call_path_memo.lock().get(path.frames()) {
-            return hit.clone();
+    /// The session's call-path table.
+    pub fn paths(&self) -> &PathTable {
+        &self.paths
+    }
+
+    /// Mirrors every frame the context interned before this collector was
+    /// registered, so call paths captured inside those frames render.
+    pub(crate) fn mirror_frames(&mut self, frames: &FrameTable) {
+        for i in 0..frames.len() {
+            let id = FrameId(i as u32);
+            if let Some(loc) = frames.resolve(id) {
+                self.paths.mirror_frame(id, loc);
+            }
         }
-        let rendered: Arc<[Arc<str>]> = path
-            .frames()
-            .iter()
-            .rev()
-            .map(|id| {
-                self.frame_mirror
-                    .get(id.0 as usize)
-                    .filter(|s| !s.is_empty())
-                    .cloned()
-                    .unwrap_or_else(|| Arc::from(format!("<unknown frame {}>", id.0)))
-            })
-            .collect();
-        self.call_path_memo
-            .lock()
-            .insert(path.frames_shared(), rendered.clone());
-        rendered
     }
 
     /// The options this collector runs with.
@@ -410,7 +393,13 @@ impl Collector {
             .charge(std::mem::size_of::<UsageSample>() as u64);
     }
 
-    fn push_api(&mut self, event: &ApiEvent, detail: String, mut vertex: VertexAccess) -> usize {
+    fn push_api(
+        &mut self,
+        event: &ApiEvent,
+        kind: GpuApiKind,
+        detail: String,
+        mut vertex: VertexAccess,
+    ) -> usize {
         // Attach any event-synchronization predecessors waiting on this
         // stream (cudaStreamWaitEvent before this API).
         if let Some(preds) = self.pending_sync.remove(&event.stream.0) {
@@ -418,21 +407,19 @@ impl Collector {
         }
         self.last_api_on_stream
             .insert(event.stream.0, self.gpu_apis.len());
+        self.governor
+            .charge((std::mem::size_of::<GpuApi>() + detail.len()) as u64);
         self.gpu_apis.push(GpuApi {
-            name: event.display_name(),
+            kind,
             detail,
-            mnemonic: event.kind.mnemonic(),
             stream: event.stream,
-            call_path: event.call_path.clone(),
+            ordinal_in_stream: event.ordinal_in_stream,
+            path: self.paths.intern(&event.call_path),
             vertex,
             start_ns: event.start.as_ns(),
             end_ns: event.end.as_ns(),
         });
-        let idx = self.gpu_apis.len() - 1;
-        let a = &self.gpu_apis[idx];
-        self.governor
-            .charge(std::mem::size_of::<GpuApi>() as u64 + (a.name.len() + a.detail.len()) as u64);
-        idx
+        self.gpu_apis.len() - 1
     }
 
     fn note_access(
@@ -862,10 +849,11 @@ impl SanitizerHooks for Collector {
                     ObjectSource::Cuda,
                     api_idx,
                     true,
-                    event.call_path.clone(),
+                    self.paths.intern(&event.call_path),
                 );
                 self.push_api(
                     event,
+                    GpuApiKind::Alloc,
                     label.clone(),
                     VertexAccess {
                         stream: event.stream,
@@ -880,15 +868,23 @@ impl SanitizerHooks for Collector {
                 let api_idx = self.gpu_apis.len();
                 let freed = self.registry.on_free(*ptr, api_idx);
                 // A FREE of a pointer with no live object (spurious or
-                // double free) must not corrupt the usage curve.
+                // double free) must not corrupt the usage curve. Like an
+                // ASan report, the record names where the free was called.
                 if freed.is_none() {
-                    self.degradations.push(DegradationRecord::new(
-                        "collector",
-                        format!("FREE of unknown pointer ({label}) ignored in usage accounting"),
-                    ));
+                    let mut detail =
+                        format!("FREE of unknown pointer ({label}) ignored in usage accounting");
+                    let path = self.paths.intern(&event.call_path);
+                    let path = self.paths.text(path);
+                    for (depth, frame) in path.iter().enumerate() {
+                        let sep = if depth == 0 { "; freed at" } else { "," };
+                        let _ = write!(detail, "{sep} #{depth} {frame}");
+                    }
+                    self.degradations
+                        .push(DegradationRecord::new("collector", detail));
                 }
                 self.push_api(
                     event,
+                    GpuApiKind::Free,
                     label.clone(),
                     VertexAccess {
                         stream: event.stream,
@@ -904,6 +900,7 @@ impl SanitizerHooks for Collector {
             ApiKind::MemcpyH2D { dst, size } => {
                 let api_idx = self.push_api(
                     event,
+                    GpuApiKind::Cpy,
                     format!("{size}B H2D"),
                     VertexAccess {
                         stream: event.stream,
@@ -916,6 +913,7 @@ impl SanitizerHooks for Collector {
             ApiKind::MemcpyD2H { src, size } => {
                 let api_idx = self.push_api(
                     event,
+                    GpuApiKind::Cpy,
                     format!("{size}B D2H"),
                     VertexAccess {
                         stream: event.stream,
@@ -928,6 +926,7 @@ impl SanitizerHooks for Collector {
             ApiKind::MemcpyD2D { dst, src, size } => {
                 let api_idx = self.push_api(
                     event,
+                    GpuApiKind::Cpy,
                     format!("{size}B D2D"),
                     VertexAccess {
                         stream: event.stream,
@@ -941,6 +940,7 @@ impl SanitizerHooks for Collector {
             ApiKind::Memset { dst, size, .. } => {
                 let api_idx = self.push_api(
                     event,
+                    GpuApiKind::Set,
                     format!("{size}B set"),
                     VertexAccess {
                         stream: event.stream,
@@ -953,6 +953,7 @@ impl SanitizerHooks for Collector {
             ApiKind::KernelLaunch { name, .. } => {
                 self.push_api(
                     event,
+                    GpuApiKind::Kerl,
                     name.to_string(),
                     VertexAccess {
                         stream: event.stream,
@@ -1069,20 +1070,7 @@ impl SanitizerHooks for Collector {
     }
 
     fn on_frame(&mut self, id: FrameId, loc: &SourceLoc) {
-        let idx = id.0 as usize;
-        if self.frame_mirror.len() <= idx {
-            self.frame_mirror.resize(idx + 1, Arc::from(""));
-        }
-        let rendered = loc.to_string();
-        if self.frame_mirror[idx].as_ref() != rendered.as_str() {
-            // Frames are interned once per location, so a non-empty slot
-            // never changes in practice — but if one ever did, every
-            // memoized rendering mentioning it would be stale.
-            if !self.frame_mirror[idx].is_empty() {
-                self.call_path_memo.lock().clear();
-            }
-            self.frame_mirror[idx] = Arc::from(rendered);
-        }
+        self.paths.mirror_frame(id, loc);
     }
 
     fn collection_hint(&self) -> CollectionHint {
@@ -1154,13 +1142,14 @@ impl PoolObserver for Collector {
                     }
                 }
                 let anchor = self.gpu_apis.len();
+                let path = self.paths.intern(call_path);
                 self.registry.on_alloc(
                     label.clone(),
                     AddrRange::new(*ptr, *size),
                     ObjectSource::PoolTensor,
                     anchor,
                     false,
-                    call_path.clone(),
+                    path,
                 );
             }
             PoolEvent::Free { ptr, .. } => {

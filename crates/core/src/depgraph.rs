@@ -7,46 +7,28 @@
 //! * read-after-write (RAW), write-after-write (WAW), and write-after-read
 //!   (WAR) data dependencies on data objects, where allocation counts as a
 //!   write-like *def* and deallocation as a write-like final use
-//!   (Def. 5.1).
+//!   (Def. 5.1);
+//! * cross-stream ordering established by `cudaEventRecord` /
+//!   `cudaStreamWaitEvent` (an extension beyond Def. 5.1, which only tracks
+//!   data and program order; without it, event-synchronized APIs with no
+//!   shared data would appear falsely concurrent).
 //!
-//! Kahn's algorithm then annotates every vertex with a *topological
-//! timestamp*: all vertices removed in the same wave share a timestamp, and
-//! the timestamp increases by one per wave. For a single-stream program this
-//! degenerates to the invocation order. The difference between two dependent
-//! vertices' timestamps is the paper's *inefficiency distance*.
+//! Kahn's algorithm annotates every vertex with a *topological timestamp*:
+//! all vertices removed in the same wave share a timestamp, and the
+//! timestamp increases by one per wave. For a single-stream program this
+//! degenerates to the invocation order. The difference between two
+//! dependent vertices' timestamps is the paper's *inefficiency distance*.
+//!
+//! Every edge points forward in invocation order, so a vertex's Kahn wave
+//! is its longest-path depth: `ts[v] = 1 + max ts over its predecessors`
+//! (0 without any). [`DependencyGraph::build`] computes that in one pass in
+//! invocation order, keeping per object the timestamp of its last writer
+//! and the largest timestamp among its readers since that write, and per
+//! stream the timestamp of its last API. It never materializes the edges.
 
 use crate::object::ObjectId;
 use gpu_sim::StreamId;
 use std::collections::HashMap;
-
-/// Why an edge exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdgeKind {
-    /// Intra-stream execution order.
-    ProgramOrder,
-    /// Read-after-write data dependency.
-    Raw,
-    /// Write-after-write data dependency.
-    Waw,
-    /// Write-after-read data dependency.
-    War,
-    /// Cross-stream ordering established by `cudaEventRecord` /
-    /// `cudaStreamWaitEvent` (an extension beyond Def. 5.1, which only
-    /// tracks data and program order; without it, event-synchronized APIs
-    /// with no shared data would appear falsely concurrent).
-    EventSync,
-}
-
-/// One edge of the dependency graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Edge {
-    /// Source vertex (earlier GPU API).
-    pub from: usize,
-    /// Destination vertex (later GPU API).
-    pub to: usize,
-    /// Dependency kind.
-    pub kind: EdgeKind,
-}
 
 /// How one GPU API touches data objects, for dependency construction.
 #[derive(Debug, Clone, Default)]
@@ -62,6 +44,17 @@ pub struct VertexAccess {
     pub frees: Vec<ObjectId>,
     /// Explicit predecessor vertices (event-synchronization ordering).
     pub after: Vec<usize>,
+}
+
+/// Per-object dependency state: what a later access of the object must
+/// come after.
+#[derive(Debug, Default, Clone, Copy)]
+struct ObjState {
+    /// Timestamp of the last writer (RAW and WAW predecessor).
+    writer: Option<u64>,
+    /// Largest timestamp among the readers since that write (WAR
+    /// predecessors); `None` when no read followed the write.
+    readers: Option<u64>,
 }
 
 /// The dependency graph over one program's GPU API invocations.
@@ -84,137 +77,78 @@ pub struct VertexAccess {
 /// ```
 #[derive(Debug)]
 pub struct DependencyGraph {
-    n: usize,
-    edges: Vec<Edge>,
     timestamps: Vec<u64>,
 }
 
 impl DependencyGraph {
-    /// Builds the graph from per-vertex access sets (in invocation order)
-    /// and computes topological timestamps.
-    pub fn build(vertices: &[VertexAccess]) -> Self {
-        let n = vertices.len();
-        let mut edges = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut push = |edges: &mut Vec<Edge>, from: usize, to: usize, kind: EdgeKind| {
-            debug_assert!(from < to, "dependency edges must point forward");
-            if seen.insert((from, to, kind)) {
-                edges.push(Edge { from, to, kind });
+    /// Computes the topological timestamps of the vertices, given in
+    /// invocation order.
+    pub fn build<'a>(vertices: impl IntoIterator<Item = &'a VertexAccess>) -> Self {
+        let mut ts: Vec<u64> = Vec::new();
+        let mut objects: HashMap<ObjectId, ObjState> = HashMap::new();
+        let mut streams: Vec<(StreamId, u64)> = Vec::new();
+        for va in vertices {
+            let v = ts.len();
+            // The largest predecessor timestamp, from the state before `v`:
+            // an object `v` both reads and writes contributes its last
+            // writer (RAW) and its earlier readers (WAR), never `v` itself.
+            let mut pred: Option<u64> = streams
+                .iter()
+                .find(|(s, _)| *s == va.stream)
+                .map(|&(_, t)| t);
+            let mut depend_on = |t: Option<u64>| pred = pred.max(t);
+            for &p in &va.after {
+                depend_on((p < v).then(|| ts[p]));
             }
-        };
-
-        // Intra-stream program order, plus explicit event-sync predecessors.
-        let mut last_on_stream: HashMap<StreamId, usize> = HashMap::new();
-        for (v, va) in vertices.iter().enumerate() {
-            if let Some(&prev) = last_on_stream.get(&va.stream) {
-                push(&mut edges, prev, v, EdgeKind::ProgramOrder);
+            for o in &va.reads {
+                depend_on(objects.get(o).and_then(|st| st.writer));
             }
-            last_on_stream.insert(va.stream, v);
-            for &pred in &va.after {
-                if pred < v {
-                    push(&mut edges, pred, v, EdgeKind::EventSync);
+            for o in va.writes.iter().chain(&va.frees) {
+                if let Some(st) = objects.get(o) {
+                    depend_on(st.readers.or(st.writer));
                 }
             }
-        }
-
-        // Data dependencies, tracked per object.
-        #[derive(Default)]
-        struct ObjState {
-            last_writer: Option<usize>,
-            readers_since_write: Vec<usize>,
-        }
-        let mut state: HashMap<ObjectId, ObjState> = HashMap::new();
-        for (v, va) in vertices.iter().enumerate() {
+            let t = pred.map_or(0, |p| p + 1);
+            ts.push(t);
+            match streams.iter_mut().find(|(s, _)| *s == va.stream) {
+                Some(slot) => slot.1 = t,
+                None => streams.push((va.stream, t)),
+            }
             for &o in &va.reads {
-                let st = state.entry(o).or_default();
-                if let Some(w) = st.last_writer {
-                    if w != v {
-                        push(&mut edges, w, v, EdgeKind::Raw);
-                    }
-                }
-                st.readers_since_write.push(v);
+                let st = objects.entry(o).or_default();
+                st.readers = st.readers.max(Some(t));
             }
-            for (objs, _free) in [(&va.writes, false), (&va.frees, true)] {
-                for &o in objs {
-                    let st = state.entry(o).or_default();
-                    if st.readers_since_write.is_empty() {
-                        if let Some(w) = st.last_writer {
-                            if w != v {
-                                push(&mut edges, w, v, EdgeKind::Waw);
-                            }
-                        }
-                    } else {
-                        for &r in &st.readers_since_write {
-                            if r != v {
-                                push(&mut edges, r, v, EdgeKind::War);
-                            }
-                        }
-                    }
-                    st.last_writer = Some(v);
-                    st.readers_since_write.clear();
-                }
+            for &o in va.writes.iter().chain(&va.frees) {
+                objects.insert(
+                    o,
+                    ObjState {
+                        writer: Some(t),
+                        readers: None,
+                    },
+                );
             }
         }
-
-        let timestamps = Self::kahn_timestamps(n, &edges);
-        DependencyGraph {
-            n,
-            edges,
-            timestamps,
-        }
-    }
-
-    /// Kahn's algorithm with wave-shared timestamps: every vertex removed in
-    /// the same wave receives the same `T`; `T` increments per wave.
-    fn kahn_timestamps(n: usize, edges: &[Edge]) -> Vec<u64> {
-        let mut indeg = vec![0usize; n];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for e in edges {
-            indeg[e.to] += 1;
-            succ[e.from].push(e.to);
-        }
-        let mut ts = vec![0u64; n];
-        let mut wave: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-        let mut t = 0u64;
-        let mut assigned = 0usize;
-        while !wave.is_empty() {
-            let mut next = Vec::new();
-            for &v in &wave {
-                ts[v] = t;
-                assigned += 1;
-                for &s in &succ[v] {
-                    indeg[s] -= 1;
-                    if indeg[s] == 0 {
-                        next.push(s);
-                    }
-                }
-            }
-            next.sort_unstable();
-            wave = next;
-            t += 1;
-        }
-        assert_eq!(assigned, n, "dependency graph must be acyclic");
-        ts
+        DependencyGraph { timestamps: ts }
     }
 
     /// Number of vertices.
     pub fn len(&self) -> usize {
-        self.n
+        self.timestamps.len()
     }
 
     /// Returns `true` for an empty graph.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// All edges.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        self.timestamps.is_empty()
     }
 
     /// Topological timestamp of every vertex, indexed by invocation order.
     pub fn timestamps(&self) -> &[u64] {
         &self.timestamps
+    }
+
+    /// The timestamps, by value.
+    pub(crate) fn into_timestamps(self) -> Vec<u64> {
+        self.timestamps
     }
 
     /// Timestamp of one vertex.
@@ -262,7 +196,6 @@ mod tests {
         r.reads.push(o(1));
         let g = DependencyGraph::build(&[w, r]);
         assert_eq!(g.timestamps(), &[0, 1]);
-        assert!(g.edges().iter().any(|e| e.kind == EdgeKind::Raw));
     }
 
     #[test]
@@ -274,16 +207,9 @@ mod tests {
         v1.reads.push(o(7));
         let mut v2 = v(2);
         v2.frees.push(o(7));
+        // The free depends on the reader (WAR), not only the writer.
         let g = DependencyGraph::build(&[v0, v1, v2]);
         assert_eq!(g.timestamps(), &[0, 1, 2]);
-        let kinds: Vec<EdgeKind> = g.edges().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&EdgeKind::Raw));
-        assert!(kinds.contains(&EdgeKind::War));
-        // The free depends on the reader, not only the writer.
-        assert!(g
-            .edges()
-            .iter()
-            .any(|e| e.from == 1 && e.to == 2 && e.kind == EdgeKind::War));
     }
 
     #[test]
@@ -293,14 +219,11 @@ mod tests {
         let mut b = v(1);
         b.writes.push(o(3));
         let g = DependencyGraph::build(&[a, b]);
-        assert!(g
-            .edges()
-            .iter()
-            .any(|e| e.from == 0 && e.to == 1 && e.kind == EdgeKind::Waw));
+        assert_eq!(g.timestamps(), &[0, 1]);
     }
 
     #[test]
-    fn multiple_readers_all_get_raw_edges() {
+    fn independent_readers_share_a_wave() {
         let mut w = v(0);
         w.writes.push(o(1));
         let mut r1 = v(1);
@@ -308,12 +231,6 @@ mod tests {
         let mut r2 = v(2);
         r2.reads.push(o(1));
         let g = DependencyGraph::build(&[w, r1, r2]);
-        let raw: Vec<&Edge> = g
-            .edges()
-            .iter()
-            .filter(|e| e.kind == EdgeKind::Raw)
-            .collect();
-        assert_eq!(raw.len(), 2);
         assert_eq!(g.timestamps(), &[0, 1, 1], "independent reads share a wave");
     }
 
@@ -338,17 +255,17 @@ mod tests {
     }
 
     #[test]
-    fn dedup_edges() {
-        // Same object read and written by same pair: only one edge per kind.
+    fn repeated_ids_in_one_set() {
+        // Repeated ids add no dependency: a later reader on another stream
+        // is one wave after the writer.
         let mut a = v(0);
         a.writes.push(o(1));
         a.writes.push(o(1));
-        let mut b = v(0);
+        let mut b = v(1);
         b.reads.push(o(1));
         b.reads.push(o(1));
         let g = DependencyGraph::build(&[a, b]);
-        let raw_count = g.edges().iter().filter(|e| e.kind == EdgeKind::Raw).count();
-        assert_eq!(raw_count, 1);
+        assert_eq!(g.timestamps(), &[0, 1]);
     }
 
     #[test]
@@ -362,7 +279,6 @@ mod tests {
         b.after.push(0);
         let g = DependencyGraph::build(&[a, b]);
         assert_eq!(g.timestamps(), &[0, 1]);
-        assert!(g.edges().iter().any(|e| e.kind == EdgeKind::EventSync));
     }
 
     #[test]
@@ -375,12 +291,14 @@ mod tests {
     #[test]
     fn self_access_does_not_create_self_edge() {
         // An API that both reads and writes the same object (e.g. an
-        // in-place kernel) must not generate a self edge.
+        // in-place kernel) depends only on earlier APIs. On separate
+        // streams the second in-place update still follows the first.
         let mut a = v(0);
         a.reads.push(o(1));
         a.writes.push(o(1));
-        let g = DependencyGraph::build(&[a.clone(), a]);
-        assert!(g.edges().iter().all(|e| e.from != e.to));
+        let mut b = a.clone();
+        b.stream = StreamId(1);
+        let g = DependencyGraph::build(&[a, b]);
         assert_eq!(g.timestamps(), &[0, 1]);
     }
 }

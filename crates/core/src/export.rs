@@ -10,6 +10,7 @@
 //! crate's number and string escape rules.
 
 use crate::guidance::OverallocGuidance;
+use crate::names::ApiName;
 use crate::patterns::{NuafScope, PatternEvidence};
 use crate::report::{DetectorOutcome, DetectorStatus, Finding, Report};
 use std::fmt::Write;
@@ -62,6 +63,14 @@ impl Scalar for str {
 impl Scalar for String {
     fn write(&self, out: &mut String) {
         self.as_str().write(out);
+    }
+}
+
+impl Scalar for ApiName {
+    /// A name never needs escaping: a mnemonic and two numbers, or
+    /// `<api N>`.
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{self}\"");
     }
 }
 
@@ -284,7 +293,7 @@ fn finding_json(j: &mut Pretty, f: &Finding) {
     j.object("object", |j| {
         j.key("alloc_path");
         j.open('[');
-        for frame in &f.object.alloc_path {
+        for frame in f.object.alloc_path.iter() {
             j.line();
             frame.write(&mut j.out);
         }
@@ -410,31 +419,32 @@ mod tests {
     #[test]
     fn every_pattern_serializes() {
         // Exercise all evidence arms through a synthetic report.
+        use crate::names::GpuApiKind;
         use crate::object::{ObjectId, ObjectSource};
         use crate::patterns::{ApiRef, IdleSpan};
         use crate::report::ObjectSummary;
-        let api = |name: &str| ApiRef {
+        let api = |kind, ordinal| ApiRef {
             idx: 0,
             ts: 0,
-            name: name.to_owned(),
+            name: ApiName::new(kind, gpu_sim::StreamId(0), ordinal),
         };
         let object = ObjectSummary {
             id: ObjectId(0),
             label: "x".to_owned(),
             size: 128,
             source: ObjectSource::Cuda,
-            alloc_path: vec![],
+            alloc_path: [].into(),
         };
         let evidences = vec![
             PatternEvidence::EarlyAllocation {
                 intervening: 2,
                 distance: 3,
-                first_access: api("KERL(0, 0)"),
+                first_access: api(GpuApiKind::Kerl, 0),
             },
             PatternEvidence::LateDeallocation {
                 intervening: 1,
                 distance: 1,
-                last_access: api("CPY(0, 0)"),
+                last_access: api(GpuApiKind::Cpy, 0),
             },
             PatternEvidence::RedundantAllocation {
                 reuse_of: ObjectId(1),
@@ -445,14 +455,14 @@ mod tests {
             PatternEvidence::MemoryLeak,
             PatternEvidence::TemporaryIdleness {
                 spans: vec![IdleSpan {
-                    from: api("A"),
-                    to: api("B"),
+                    from: api(GpuApiKind::Kerl, 1),
+                    to: api(GpuApiKind::Kerl, 2),
                     intervening: 5,
                 }],
             },
             PatternEvidence::DeadWrite {
-                first: api("SET(0, 0)"),
-                second: api("CPY(0, 1)"),
+                first: api(GpuApiKind::Set, 0),
+                second: api(GpuApiKind::Cpy, 1),
             },
             PatternEvidence::Overallocation {
                 accessed_pct: 5.0,
@@ -462,7 +472,7 @@ mod tests {
             },
             PatternEvidence::NonUniformAccessFrequency {
                 cov_pct: 58.0,
-                at_api: api("KERL(0, 3)"),
+                at_api: api(GpuApiKind::Kerl, 3),
                 histogram: vec![(1, 10)],
                 scope: NuafScope::Lifetime,
             },

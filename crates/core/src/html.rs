@@ -112,7 +112,7 @@ peak memory <strong>{peak} bytes</strong>{leaks}</p>
             "<p>peak #{}: <strong>{} bytes</strong> at <code>{}</code> — live: {}</p>",
             i + 1,
             p.bytes,
-            escape(&p.api_name),
+            escape(&p.api_name.to_string()),
             objs.join(", ")
         );
     }

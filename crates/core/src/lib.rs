@@ -63,6 +63,7 @@ pub mod governor;
 pub mod guidance;
 pub mod html;
 pub mod metrics;
+pub mod names;
 pub mod object;
 pub mod options;
 pub mod patterns;
@@ -79,6 +80,7 @@ pub use collector::{Collector, PhaseTimings};
 pub use error::{ProfilerError, TraceError};
 pub use governor::{CancelToken, CollectionRung, ResourceBudget, SessionGovernor};
 pub use guidance::OverallocGuidance;
+pub use names::{ApiName, GpuApiKind, PathId, PathTable, PathText};
 pub use object::{DataObject, ObjectId, ObjectRegistry, ObjectSource};
 pub use options::{AnalysisLevel, ProfilerOptions, SamplingPolicy, Thresholds};
 pub use patterns::{PatternEvidence, PatternFinding, PatternKind};

@@ -6,7 +6,8 @@
 //! still carry findings). Lookups by address are interval searches, exactly
 //! the binary search the paper offloads to the GPU in Fig. 5.
 
-use gpu_sim::{AddrRange, CallPath, DevicePtr};
+use crate::names::PathId;
+use gpu_sim::{AddrRange, DevicePtr};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound::{Excluded, Unbounded};
@@ -61,8 +62,9 @@ pub struct DataObject {
     /// Like `alloc_api`, but for the deallocation; `None` while live — and,
     /// at the end of a run, `None` means the paper's *memory leak* pattern.
     pub free_api: Option<usize>,
-    /// Host call path at allocation.
-    pub alloc_path: CallPath,
+    /// Host call path at allocation, in the session's
+    /// [`crate::names::PathTable`].
+    pub alloc_path: PathId,
     /// Whether the allocation API itself is a GPU API in the trace (true for
     /// `cudaMalloc`, false for pool tensors).
     pub alloc_is_api: bool,
@@ -89,8 +91,9 @@ impl DataObject {
 /// # Examples
 ///
 /// ```
+/// use drgpum_core::names::PathId;
 /// use drgpum_core::object::{ObjectRegistry, ObjectSource};
-/// use gpu_sim::{AddrRange, CallPath, DevicePtr};
+/// use gpu_sim::{AddrRange, DevicePtr};
 ///
 /// let mut reg = ObjectRegistry::new();
 /// let id = reg.on_alloc(
@@ -99,7 +102,7 @@ impl DataObject {
 ///     ObjectSource::Cuda,
 ///     0,
 ///     true,
-///     CallPath::empty(),
+///     PathId(0),
 /// );
 /// assert_eq!(reg.resolve(DevicePtr::new(0x1020)), Some(id));
 /// reg.on_free(DevicePtr::new(0x1000), 5);
@@ -187,7 +190,7 @@ impl ObjectRegistry {
         source: ObjectSource,
         alloc_api: usize,
         alloc_is_api: bool,
-        alloc_path: CallPath,
+        alloc_path: PathId,
     ) -> ObjectId {
         let id = ObjectId(self.objects.len() as u64);
         let (start, end) = (range.start.addr(), range.end().addr());
@@ -471,7 +474,7 @@ mod tests {
             ObjectSource::Cuda,
             api,
             true,
-            CallPath::empty(),
+            PathId(0),
         )
     }
 
@@ -489,7 +492,7 @@ mod tests {
 
     fn alloc_as(reg: &mut ObjectRegistry, source: ObjectSource, base: u64, len: u64) -> ObjectId {
         let is_api = source != ObjectSource::PoolTensor;
-        reg.on_alloc("o", range(base, len), source, 0, is_api, CallPath::empty())
+        reg.on_alloc("o", range(base, len), source, 0, is_api, PathId(0))
     }
 
     /// `resolve_cached` through the carried `cache`, checked against the

@@ -12,7 +12,9 @@ pub mod redundant;
 pub mod unified;
 
 use crate::guidance::OverallocGuidance;
+use crate::names::{ApiName, GpuApiKind};
 use crate::object::ObjectId;
+use gpu_sim::StreamId;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -139,14 +141,14 @@ pub enum AccessVia {
 }
 
 /// A reference to one GPU API invocation in the trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApiRef {
     /// Index into the GPU-API trace (host invocation order).
     pub idx: usize,
     /// Topological timestamp (Sec. 5.3).
     pub ts: u64,
-    /// Display name, e.g. `"KERL(0, 1)"`.
-    pub name: String,
+    /// Display name; renders as e.g. `KERL(0, 1)`.
+    pub name: ApiName,
 }
 
 /// One access of a data object by a GPU API.
@@ -218,7 +220,7 @@ pub struct TraceView {
     /// share timestamps and a later API may carry an earlier one.
     pub api_ts: Vec<u64>,
     /// Display names of every GPU API (`ALLOC(0, 2)` …).
-    pub api_names: Vec<String>,
+    pub api_names: Vec<ApiName>,
     /// Kernel name for launch APIs, `None` for other GPU APIs. Used by the
     /// structured-access detector, which compares footprints across the
     /// instances of one kernel (the paper reports the pattern "at GPU
@@ -283,12 +285,14 @@ fn count_strictly_between(ts: &[u64], a: u64, b: u64) -> u64 {
 }
 
 impl TraceView {
-    /// A synthetic trace of `n` generic GPU APIs at timestamps `0..n`, for
-    /// tests.
+    /// A synthetic trace of `n` kernel launches `KERL(0, i)` at timestamps
+    /// `0..n`, for tests.
     pub fn synthetic(n: usize) -> Self {
         TraceView {
             api_ts: (0..n as u64).collect(),
-            api_names: (0..n).map(|i| format!("API({i})")).collect(),
+            api_names: (0..n as u64)
+                .map(|i| ApiName::new(GpuApiKind::Kerl, StreamId::DEFAULT, i))
+                .collect(),
             api_kernels: vec![None; n],
             api_is_dealloc: vec![false; n],
             objects: vec![],
@@ -344,7 +348,7 @@ impl TraceView {
         ApiRef {
             idx,
             ts: self.api_ts[idx],
-            name: self.api_names[idx].clone(),
+            name: self.api_names[idx],
         }
     }
 }

@@ -68,7 +68,7 @@ pub fn detect_early_allocation(trace: &TraceView, obj: &ObjectView) -> Option<Pa
         evidence: PatternEvidence::EarlyAllocation {
             intervening,
             distance,
-            first_access: first.api.clone(),
+            first_access: first.api,
         },
     })
 }
@@ -97,7 +97,7 @@ pub fn detect_late_deallocation(trace: &TraceView, obj: &ObjectView) -> Option<P
         evidence: PatternEvidence::LateDeallocation {
             intervening,
             distance,
-            last_access: last.api.clone(),
+            last_access: last.api,
         },
     })
 }
@@ -137,8 +137,8 @@ pub fn detect_temporary_idleness(
         let intervening = trace.apis_strictly_between(a.api.ts, b.api.ts);
         if intervening >= min_apis {
             spans.push(IdleSpan {
-                from: a.api.clone(),
-                to: b.api.clone(),
+                from: a.api,
+                to: b.api,
                 intervening,
             });
         }
@@ -166,8 +166,8 @@ pub fn detect_dead_writes(obj: &ObjectView) -> Vec<PatternFinding> {
             findings.push(PatternFinding {
                 object: obj.id,
                 evidence: PatternEvidence::DeadWrite {
-                    first: a.api.clone(),
-                    second: b.api.clone(),
+                    first: a.api,
+                    second: b.api,
                 },
             });
         }

@@ -192,7 +192,7 @@ mod tests {
             api: ApiRef {
                 idx,
                 ts: idx as u64,
-                name: format!("API({idx})"),
+                name: trace.api_names[idx],
             },
             read: true,
             write: true,

@@ -133,8 +133,9 @@ pub fn peaks_with_objects(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::PathId;
     use crate::object::ObjectSource;
-    use gpu_sim::{AddrRange, CallPath, DevicePtr};
+    use gpu_sim::{AddrRange, DevicePtr};
 
     fn curve(values: &[u64]) -> Vec<UsageSample> {
         values
@@ -195,7 +196,7 @@ mod tests {
             ObjectSource::Cuda,
             0,
             true,
-            CallPath::empty(),
+            PathId(0),
         );
         let b = reg.on_alloc(
             "b",
@@ -203,7 +204,7 @@ mod tests {
             ObjectSource::Cuda,
             1,
             true,
-            CallPath::empty(),
+            PathId(0),
         );
         reg.on_free(DevicePtr::new(0x1000), 3);
         let _c = reg.on_alloc(
@@ -212,7 +213,7 @@ mod tests {
             ObjectSource::Cuda,
             4,
             true,
-            CallPath::empty(),
+            PathId(0),
         );
         // Usage peaks at api 1 (a+b live).
         let samples = curve(&[100, 400, 400, 300, 350]);

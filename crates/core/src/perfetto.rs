@@ -16,14 +16,14 @@
 use crate::analyzer::build_trace_view;
 use crate::collector::Collector;
 use crate::report::Report;
-use gpu_sim::FrameTable;
 use serde_json::{json, Value};
+use std::fmt::Write as _;
 
 /// Builds the Chrome-trace JSON for a profiled run.
 ///
 /// Load the result in [Perfetto UI](https://ui.perfetto.dev) via
 /// *Open trace file* — the workflow in the paper's artifact appendix.
-pub fn trace_json(collector: &Collector, frames: &FrameTable, report: &Report) -> Value {
+pub fn trace_json(collector: &Collector, report: &Report) -> Value {
     let mut events = Vec::new();
     let tv = build_trace_view(collector);
 
@@ -48,9 +48,14 @@ pub fn trace_json(collector: &Collector, frames: &FrameTable, report: &Report) -
             }));
         }
         let dur = (api.end_ns.saturating_sub(api.start_ns)).max(1) as f64 / 1000.0;
+        // A backtrace, innermost frame first: `  #0 f @ file:line` lines.
+        let mut call_path = String::new();
+        for (depth, frame) in collector.paths().text(api.path).iter().enumerate() {
+            let _ = writeln!(call_path, "  #{depth} {frame}");
+        }
         events.push(json!({
-            "name": api.name,
-            "cat": api.mnemonic,
+            "name": api.name().to_string(),
+            "cat": api.kind.mnemonic(),
             "ph": "X",
             "ts": api.start_ns as f64 / 1000.0,
             "dur": dur,
@@ -59,7 +64,7 @@ pub fn trace_json(collector: &Collector, frames: &FrameTable, report: &Report) -
             "args": {
                 "detail": api.detail,
                 "topological_ts": tv.api_ts[idx],
-                "call_path": frames.render(&api.call_path),
+                "call_path": call_path,
             }
         }));
     }
@@ -132,7 +137,7 @@ pub fn trace_json(collector: &Collector, frames: &FrameTable, report: &Report) -
                 _ => "write",
             };
             events.push(json!({
-                "name": format!("{} {}", api.name, rw),
+                "name": format!("{} {}", api.name(), rw),
                 "cat": "access",
                 "ph": "i",
                 "s": "t",
@@ -180,8 +185,8 @@ mod tests {
         ctx.free(a).unwrap();
 
         let col = c.lock();
-        let report = analyze(&col, ctx.call_stack().table(), "rtx3090");
-        let v = trace_json(&col, ctx.call_stack().table(), &report);
+        let report = analyze(&col, "rtx3090");
+        let v = trace_json(&col, &report);
 
         let events = v["traceEvents"].as_array().unwrap();
         assert!(!events.is_empty());

@@ -54,10 +54,9 @@ impl Profiler {
         ctx.sanitizer_mut().set_coalescing(true);
         ctx.sanitizer_mut()
             .set_coalesce_alignment(options.elem_size.max(1));
-        let collector = Arc::new(Mutex::new(Collector::new(
-            options,
-            ctx.config().device_memory_bytes,
-        )));
+        let mut collector = Collector::new(options, ctx.config().device_memory_bytes);
+        collector.mirror_frames(ctx.call_stack().table());
+        let collector = Arc::new(Mutex::new(collector));
         ctx.sanitizer_mut().register(collector.clone());
         Profiler { collector }
     }
@@ -115,23 +114,23 @@ impl Profiler {
     /// process exit).
     pub fn report(&self, ctx: &DeviceContext) -> Report {
         let collector = self.collector.lock();
-        analyzer::analyze(&collector, ctx.call_stack().table(), &ctx.config().name)
+        analyzer::analyze(&collector, &ctx.config().name)
     }
 
     /// Predicts the peak-memory reduction achievable by applying the
     /// report's suggestions (the advisor; see [`crate::advisor`]).
     pub fn estimate_savings(&self, ctx: &DeviceContext) -> crate::advisor::SavingsEstimate {
         let collector = self.collector.lock();
-        let report = analyzer::analyze(&collector, ctx.call_stack().table(), &ctx.config().name);
-        let metas = analyzer::object_metas(&collector, ctx.call_stack().table());
+        let report = analyzer::analyze(&collector, &ctx.config().name);
+        let metas = analyzer::object_metas(&collector);
         crate::advisor::estimate(&report, collector.usage_curve(), &metas)
     }
 
     /// Builds the Perfetto GUI trace (Fig. 7) for the profiled run.
     pub fn perfetto_trace(&self, ctx: &DeviceContext) -> Value {
         let collector = self.collector.lock();
-        let report = analyzer::analyze(&collector, ctx.call_stack().table(), &ctx.config().name);
-        crate::perfetto::trace_json(&collector, ctx.call_stack().table(), &report)
+        let report = analyzer::analyze(&collector, &ctx.config().name);
+        crate::perfetto::trace_json(&collector, &report)
     }
 }
 

@@ -8,6 +8,7 @@
 //! text renderer produces a terminal-friendly equivalent and
 //! [`crate::perfetto`] the GUI feed.
 
+use crate::names::{ApiName, PathText};
 use crate::object::{ObjectId, ObjectSource};
 use crate::patterns::{PatternEvidence, PatternFinding, PatternKind};
 use std::collections::BTreeSet;
@@ -24,14 +25,15 @@ pub struct ObjectSummary {
     pub size: u64,
     /// Provenance.
     pub source: ObjectSource,
-    /// Resolved allocation call path, innermost frame first.
-    pub alloc_path: Vec<String>,
+    /// Resolved allocation call path, innermost frame first, shared with
+    /// the session's path table.
+    pub alloc_path: PathText,
 }
 
 impl ObjectSummary {
     /// The innermost allocation frame, if a call path was captured.
     pub fn alloc_site(&self) -> Option<&str> {
-        self.alloc_path.first().map(String::as_str)
+        self.alloc_path.first().map(|frame| &**frame)
     }
 }
 
@@ -66,7 +68,7 @@ impl Finding {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeakSummary {
     /// Display name of the GPU API at the peak.
-    pub api_name: String,
+    pub api_name: ApiName,
     /// Trace index of that API.
     pub api_idx: usize,
     /// Peak bytes.
@@ -463,7 +465,9 @@ pub fn wasted_bytes_estimate(finding: &PatternFinding, object_size: u64) -> u64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::GpuApiKind;
     use crate::patterns::ApiRef;
+    use gpu_sim::StreamId;
 
     fn summary(label: &str) -> ObjectSummary {
         ObjectSummary {
@@ -471,15 +475,15 @@ mod tests {
             label: label.to_owned(),
             size: 1024,
             source: ObjectSource::Cuda,
-            alloc_path: vec!["alloc_buffers @ app.rs:10".to_owned()],
+            alloc_path: ["alloc_buffers @ app.rs:10".into()].into(),
         }
     }
 
-    fn api(name: &str) -> ApiRef {
+    fn api(kind: GpuApiKind, ordinal: u64) -> ApiRef {
         ApiRef {
             idx: 0,
             ts: 0,
-            name: name.to_owned(),
+            name: ApiName::new(kind, StreamId(0), ordinal),
         }
     }
 
@@ -490,7 +494,7 @@ mod tests {
             evidence: PatternEvidence::EarlyAllocation {
                 intervening: 3,
                 distance: 3,
-                first_access: api("KERL(0, 1)"),
+                first_access: api(GpuApiKind::Kerl, 1),
             },
         };
         let s = suggestion_for(&f, "d_data_out1");
@@ -508,8 +512,8 @@ mod tests {
         let dw = PatternFinding {
             object: ObjectId(0),
             evidence: PatternEvidence::DeadWrite {
-                first: api("CPY(0, 0)"),
-                second: api("CPY(0, 1)"),
+                first: api(GpuApiKind::Cpy, 0),
+                second: api(GpuApiKind::Cpy, 1),
             },
         };
         assert_eq!(wasted_bytes_estimate(&dw, 500), 0);
@@ -549,7 +553,7 @@ mod tests {
                 at_peak: false,
             }],
             peaks: vec![PeakSummary {
-                api_name: "ALLOC(0, 3)".to_owned(),
+                api_name: ApiName::new(GpuApiKind::Alloc, StreamId(0), 3),
                 api_idx: 3,
                 bytes: 4096,
                 objects: vec![("backup".to_owned(), 1024)],

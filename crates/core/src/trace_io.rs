@@ -9,7 +9,7 @@
 //! without re-running the program. That is how a user tunes the paper's
 //! user-tunable `X` parameters (Sec. 3) interactively over one recording.
 //!
-//! # On-disk format (version 3)
+//! # On-disk format (version 4)
 //!
 //! There is one format. A batch trace ([`SavedTrace::to_text`]) is a stream
 //! with a single `delta` and a single `checkpoint`; a streaming trace
@@ -17,11 +17,11 @@
 //! `checkpoint` every few deltas:
 //!
 //! ```text
-//! DRGPUM-TRACE 3
+//! DRGPUM-TRACE 4
 //! section meta <byte-len> <crc32>
 //! ["rtx3090"]
 //! section delta <byte-len> <crc32>
-//! [[api...],[[idx,api]...],[access...],[object...],[object...],[idx,bytes,...]]
+//! [[path...],[api...],[[idx,api]...],[access...],[object...],[object...],[idx,bytes,...]]
 //! section checkpoint <byte-len> <crc32>
 //! [api_count,[intra...],[unified...]]
 //! end
@@ -31,24 +31,37 @@
 //! tell exactly which frames of a damaged file are intact. Payloads are
 //! positional JSON arrays with no whitespace, written straight into the
 //! output text and read back by a byte cursor. Deltas append rows at
-//! implicit indices (API rows in trace order) and re-emit rows whose
-//! def/use sets or free state changed. Intra-object and unified-memory
-//! maps are mutated in place during collection, so they travel in
-//! `checkpoint` snapshots, the latest of which wins. Lifetime access
-//! frequencies are saved as sorted, disjoint runs
-//! `(first element, elements, count)` of equal nonzero counts.
+//! implicit indices (path entries in path-id order, API rows in trace
+//! order) and re-emit rows whose def/use sets or free state changed.
+//!
+//! A path entry is one call path, its frames rendered innermost first. An
+//! API row `[kind,detail,stream,ordinal,reads,writes,frees,after,start,
+//! end,path]` and an object row `[id,label,size,source,alloc_api,
+//! alloc_is_api,free_api,free_is_api,path]` name their call path by id,
+//! and a delta carries each new path entry ahead of its rows, so every
+//! prefix of a stream that ends on a frame defines every path it uses. An
+//! API's display name is not stored: it is `kind(stream, ordinal)`. The
+//! enum fields `kind`, `source` and an access's `via` are short words
+//! (`"KERL"`, `"pool_tensor"`, `"memcpy"`).
+//!
+//! Intra-object and unified-memory maps are mutated in place during
+//! collection, so they travel in `checkpoint` snapshots, the latest of
+//! which wins. Lifetime access frequencies are saved as sorted, disjoint
+//! runs `(first element, elements, count)` of equal nonzero counts.
 //!
 //! Both readers replay the frames in order with one decoder:
 //!
 //! * [`load`] is **strict**: the replay must lose nothing — any framing
-//!   damage, checksum mismatch, version skew, missing finish marker,
-//!   invalid frequency run, or dangling cross-reference is a typed
+//!   damage, checksum mismatch, version skew (a version 3 trace
+//!   included), missing finish marker, invalid frequency run, or dangling
+//!   cross-reference — a path id no entry defines among them — is a typed
 //!   [`TraceError`].
 //! * [`salvage`] **never fails**: it drops a frame whose length is intact
 //!   but whose checksum or payload is bad, continues past a dropped `meta`
 //!   or `checkpoint` frame, stops at the first damaged `delta` (deltas are
-//!   positional) or broken framing, then drops dangling records. Every
-//!   loss is reported as a [`DegradationRecord`] so a partial report is
+//!   positional) or broken framing, then drops dangling records and points
+//!   rows with an undefined path id at an empty path. Every loss is
+//!   reported as a [`DegradationRecord`] so a partial report is
 //!   honest about being partial.
 
 use crate::accessmap::{AccessBitmap, FreqMap, RangeSet};
@@ -56,6 +69,7 @@ use crate::analyzer::{self, ObjectFacts, ObjectMeta};
 use crate::collector::{Collector, GpuApi, RawAccess};
 use crate::depgraph::VertexAccess;
 use crate::error::TraceError;
+use crate::names::{GpuApiKind, PathId, PathText};
 use crate::object::{DataObject, ObjectId, ObjectSource};
 use crate::options::Thresholds;
 use crate::patterns::intra::{IntraObjectData, NuafObservation};
@@ -66,23 +80,13 @@ use crate::report::{DegradationRecord, Report};
 use gpu_sim::{FrameTable, StreamId};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Serialization format version this build writes and reads strictly.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Magic word opening every trace file.
 const MAGIC: &str = "DRGPUM-TRACE";
-
-#[derive(Debug, Clone)]
-struct SavedApi {
-    name: String,
-    detail: String,
-    mnemonic: String,
-    vertex: VertexAccess,
-    start_ns: u64,
-    end_ns: u64,
-    call_path: Vec<String>,
-}
 
 #[derive(Debug, Clone)]
 struct SavedObject {
@@ -94,7 +98,7 @@ struct SavedObject {
     alloc_is_api: bool,
     free_api: Option<usize>,
     free_is_api: bool,
-    alloc_path: Vec<String>,
+    alloc_path: PathId,
 }
 
 #[derive(Debug, Clone)]
@@ -119,7 +123,10 @@ pub struct SavedTrace {
     pub version: u32,
     /// Platform name of the recorded run.
     pub platform: String,
-    apis: Vec<SavedApi>,
+    /// The call-path table: every API and object row names its path by
+    /// index into it.
+    paths: Vec<PathText>,
+    apis: Vec<GpuApi>,
     accesses: Vec<RawAccess>,
     objects: Vec<SavedObject>,
     usage: Vec<UsageSample>,
@@ -127,56 +134,38 @@ pub struct SavedTrace {
     unified: Vec<UnifiedPageStats>,
 }
 
-fn via_str(via: AccessVia) -> &'static str {
-    match via {
-        AccessVia::Memcpy => "memcpy",
-        AccessVia::Memset => "memset",
-        AccessVia::Kernel => "kernel",
-    }
+/// The words an enum field is written as, in code order.
+type Tags<T> = [(&'static str, T)];
+
+const KINDS: [(&str, GpuApiKind); 5] = [
+    ("ALLOC", GpuApiKind::Alloc),
+    ("FREE", GpuApiKind::Free),
+    ("CPY", GpuApiKind::Cpy),
+    ("SET", GpuApiKind::Set),
+    ("KERL", GpuApiKind::Kerl),
+];
+
+const VIAS: [(&str, AccessVia); 3] = [
+    ("memcpy", AccessVia::Memcpy),
+    ("memset", AccessVia::Memset),
+    ("kernel", AccessVia::Kernel),
+];
+
+const SOURCES: [(&str, ObjectSource); 3] = [
+    ("cuda", ObjectSource::Cuda),
+    ("pool_slab", ObjectSource::PoolSlab),
+    ("pool_tensor", ObjectSource::PoolTensor),
+];
+
+/// The word `value` is written as.
+fn tag_of<T: PartialEq>(tags: &Tags<T>, value: T) -> &'static str {
+    tags.iter()
+        .find(|(_, v)| *v == value)
+        .map(|(word, _)| *word)
+        .expect("every enum variant has a word in its table")
 }
 
-fn via_parse(s: &str) -> Result<AccessVia, String> {
-    match s {
-        "memcpy" => Ok(AccessVia::Memcpy),
-        "memset" => Ok(AccessVia::Memset),
-        "kernel" => Ok(AccessVia::Kernel),
-        other => Err(format!("unknown access kind `{other}`")),
-    }
-}
-
-fn source_str(s: ObjectSource) -> &'static str {
-    match s {
-        ObjectSource::Cuda => "cuda",
-        ObjectSource::PoolSlab => "pool_slab",
-        ObjectSource::PoolTensor => "pool_tensor",
-    }
-}
-
-fn source_parse(s: &str) -> Result<ObjectSource, String> {
-    match s {
-        "cuda" => Ok(ObjectSource::Cuda),
-        "pool_slab" => Ok(ObjectSource::PoolSlab),
-        "pool_tensor" => Ok(ObjectSource::PoolTensor),
-        other => Err(format!("unknown object source `{other}`")),
-    }
-}
-
-/// Builds one serializable API row from the collector's in-memory record
-/// and its already-resolved call path. Shared by [`save`] and the
-/// streaming-delta writer.
-fn api_row(a: &GpuApi, call_path: Vec<String>) -> SavedApi {
-    SavedApi {
-        name: a.name.clone(),
-        detail: a.detail.clone(),
-        mnemonic: a.mnemonic.to_owned(),
-        vertex: a.vertex.clone(),
-        start_ns: a.start_ns,
-        end_ns: a.end_ns,
-        call_path,
-    }
-}
-
-fn object_row(o: &DataObject, alloc_path: Vec<String>) -> SavedObject {
+fn object_row(o: &DataObject) -> SavedObject {
     SavedObject {
         id: o.id.0,
         label: o.label.clone(),
@@ -186,7 +175,7 @@ fn object_row(o: &DataObject, alloc_path: Vec<String>) -> SavedObject {
         alloc_is_api: o.alloc_is_api,
         free_api: o.free_api,
         free_is_api: o.free_is_api,
-        alloc_path,
+        alloc_path: o.alloc_path,
     }
 }
 
@@ -206,42 +195,22 @@ fn intra_row(d: &IntraObjectData) -> SavedIntra {
 }
 
 /// Serializes a collector's recording.
-pub fn save(collector: &Collector, frames: &FrameTable, platform: &str) -> SavedTrace {
-    let resolve = |path: &gpu_sim::CallPath| -> Vec<String> {
-        path.frames()
-            .iter()
-            .rev()
-            .map(|id| {
-                frames
-                    .resolve(*id)
-                    .map(|l| l.to_string())
-                    .unwrap_or_else(|| format!("<unknown frame {}>", id.0))
-            })
-            .collect()
-    };
-    let apis = collector
-        .gpu_apis()
-        .iter()
-        .map(|a| api_row(a, resolve(&a.call_path)))
-        .collect();
-    let accesses = collector.accesses().to_vec();
-    let objects = collector
-        .registry()
-        .iter()
-        .map(|o| object_row(o, resolve(&o.alloc_path)))
-        .collect();
-    let usage = collector.usage_curve().to_vec();
-    let intra = collector.intra_data().into_iter().map(intra_row).collect();
-    let unified = collector.unified_page_stats();
+///
+/// Call paths come from the collector's path table, which rendered them
+/// through its mirror of the context's frame table (`_frames`) while the
+/// program ran: each distinct path is shared by refcount, not rendered
+/// again per row.
+pub fn save(collector: &Collector, _frames: &FrameTable, platform: &str) -> SavedTrace {
     SavedTrace {
         version: FORMAT_VERSION,
         platform: platform.to_owned(),
-        apis,
-        accesses,
-        objects,
-        usage,
-        intra,
-        unified,
+        paths: collector.paths().paths().to_vec(),
+        apis: collector.gpu_apis().to_vec(),
+        accesses: collector.accesses().to_vec(),
+        objects: collector.registry().iter().map(object_row).collect(),
+        usage: collector.usage_curve().to_vec(),
+        intra: collector.intra_data().into_iter().map(intra_row).collect(),
+        unified: collector.unified_page_stats(),
     }
 }
 
@@ -249,10 +218,11 @@ pub fn save(collector: &Collector, frames: &FrameTable, platform: &str) -> Saved
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// CRC-32 lookup table (IEEE 802.3 polynomial, reflected), built at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 CRC-32 tables (IEEE 802.3 polynomial, reflected), built
+/// at compile time. `CRC_TABLES[0]` is the bytewise table; entry `i` of
+/// table `k` is the CRC of byte `i` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -265,17 +235,44 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
-/// CRC-32 (IEEE 802.3), one table lookup per byte.
-fn crc32(bytes: &[u8]) -> u32 {
-    !bytes.iter().fold(0xFFFF_FFFF, |crc: u32, &b| {
-        CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8)
-    })
+/// CRC-32 (IEEE 802.3) of a frame payload, eight bytes per step
+/// (slicing-by-8), then one table lookup per remaining byte.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
 }
 
 /// Writes one frame payload into the output text. Every value starts with
@@ -378,12 +375,17 @@ impl Enc<'_> {
         self.u64s(ps.iter().flat_map(|&(a, b)| [a, b]))
     }
 
-    fn strs(&mut self, ss: &[String]) -> &mut Self {
+    fn strs(&mut self, ss: &[Arc<str>]) -> &mut Self {
         self.open();
         for s in ss {
             self.str(s);
         }
         self.close()
+    }
+
+    /// An enum field, as its word from `tags`.
+    fn tag<T: PartialEq>(&mut self, tags: &Tags<T>, value: T) -> &mut Self {
+        self.str(tag_of(tags, value))
     }
 }
 
@@ -399,19 +401,19 @@ fn write_frame(out: &mut String, name: &str, payload: impl FnOnce(&mut Enc<'_>))
     out.push('\n');
 }
 
-fn put_api(e: &mut Enc<'_>, a: &SavedApi) {
+fn put_api(e: &mut Enc<'_>, a: &GpuApi) {
     e.open()
-        .str(&a.name)
+        .tag(&KINDS, a.kind)
         .str(&a.detail)
-        .str(&a.mnemonic)
         .u64(u64::from(a.vertex.stream.0))
+        .u64(a.ordinal_in_stream)
         .u64s(a.vertex.reads.iter().map(|o| o.0))
         .u64s(a.vertex.writes.iter().map(|o| o.0))
         .u64s(a.vertex.frees.iter().map(|o| o.0))
         .u64s(a.vertex.after.iter().map(|&d| d as u64))
         .u64(a.start_ns)
         .u64(a.end_ns)
-        .strs(&a.call_path)
+        .u64(u64::from(a.path.0))
         .close();
 }
 
@@ -420,33 +422,40 @@ fn put_object(e: &mut Enc<'_>, o: &SavedObject) {
         .u64(o.id)
         .str(&o.label)
         .u64(o.size)
-        .str(source_str(o.source))
+        .tag(&SOURCES, o.source)
         .usize(o.alloc_api)
         .bool(o.alloc_is_api);
     match o.free_api {
         Some(f) => e.usize(f),
         None => e.null(),
     };
-    e.bool(o.free_is_api).strs(&o.alloc_path).close();
+    e.bool(o.free_is_api).u64(u64::from(o.alloc_path.0)).close();
 }
 
-/// One `delta` payload: new rows plus re-emitted (updated) rows.
-fn put_delta(
+/// One `delta` payload: new call paths, then new rows plus re-emitted
+/// (updated) rows.
+#[allow(clippy::too_many_arguments)] // one argument per payload list, in payload order
+fn put_delta<'a>(
     e: &mut Enc<'_>,
-    apis: &[SavedApi],
-    api_updates: &[(usize, SavedApi)],
+    paths: &[PathText],
+    apis: &[GpuApi],
+    api_updates: impl IntoIterator<Item = (usize, &'a GpuApi)>,
     accesses: &[RawAccess],
     objects: &[SavedObject],
     object_updates: &[SavedObject],
     usage: &[UsageSample],
 ) {
     e.open().open();
+    for p in paths {
+        e.strs(p);
+    }
+    e.close().open();
     for a in apis {
         put_api(e, a);
     }
     e.close().open();
     for (idx, a) in api_updates {
-        e.open().usize(*idx);
+        e.open().usize(idx);
         put_api(e, a);
         e.close();
     }
@@ -457,7 +466,7 @@ fn put_delta(
             .u64(a.object.0)
             .bool(a.read)
             .bool(a.write)
-            .str(via_str(a.via))
+            .tag(&VIAS, a.via)
             .close();
     }
     e.close().open();
@@ -701,6 +710,23 @@ impl Cursor<'_> {
         }
     }
 
+    /// An enum field: one of the words in `tags`, matched in place
+    /// without building a `String`.
+    fn tag<T: Copy>(&mut self, tags: &Tags<T>, what: &str) -> Result<T, String> {
+        self.sep()?;
+        let at = self.i;
+        self.expect(b'"')?;
+        let rest = &self.b[self.i..];
+        let found = tags.iter().find(|(word, _)| {
+            rest.starts_with(word.as_bytes()) && rest.get(word.len()) == Some(&b'"')
+        });
+        let Some(&(word, value)) = found else {
+            return Err(format!("unknown {what} at byte {at}"));
+        };
+        self.i += word.len() + 1;
+        Ok(value)
+    }
+
     fn open(&mut self) -> Result<(), String> {
         self.sep()?;
         self.expect(b'[')
@@ -760,14 +786,22 @@ fn decode<T>(
     Ok(v)
 }
 
-fn get_api(c: &mut Cursor<'_>) -> Result<SavedApi, String> {
+fn get_path(c: &mut Cursor<'_>) -> Result<PathId, String> {
+    c.num().map(PathId)
+}
+
+fn get_api(c: &mut Cursor<'_>) -> Result<GpuApi, String> {
     c.open()?;
-    let api = SavedApi {
-        name: c.string()?,
-        detail: c.string()?,
-        mnemonic: c.string()?,
+    let kind = c.tag(&KINDS, "API kind")?;
+    let detail = c.string()?;
+    let stream = StreamId(c.num()?);
+    let api = GpuApi {
+        kind,
+        detail,
+        stream,
+        ordinal_in_stream: c.u64()?,
         vertex: VertexAccess {
-            stream: StreamId(c.num()?),
+            stream,
             reads: c.list(Cursor::object)?,
             writes: c.list(Cursor::object)?,
             frees: c.list(Cursor::object)?,
@@ -775,7 +809,7 @@ fn get_api(c: &mut Cursor<'_>) -> Result<SavedApi, String> {
         },
         start_ns: c.u64()?,
         end_ns: c.u64()?,
-        call_path: c.list(Cursor::string)?,
+        path: get_path(c)?,
     };
     c.close()?;
     Ok(api)
@@ -788,7 +822,7 @@ fn get_access(c: &mut Cursor<'_>) -> Result<RawAccess, String> {
         object: c.object()?,
         read: c.bool()?,
         write: c.bool()?,
-        via: via_parse(&c.string()?)?,
+        via: c.tag(&VIAS, "access kind")?,
     };
     c.close()?;
     Ok(access)
@@ -800,12 +834,12 @@ fn get_object(c: &mut Cursor<'_>) -> Result<SavedObject, String> {
         id: c.u64()?,
         label: c.string()?,
         size: c.u64()?,
-        source: source_parse(&c.string()?)?,
+        source: c.tag(&SOURCES, "object source")?,
         alloc_api: c.num()?,
         alloc_is_api: c.bool()?,
         free_api: c.opt(Cursor::num)?,
         free_is_api: c.bool()?,
-        alloc_path: c.list(Cursor::string)?,
+        alloc_path: get_path(c)?,
     };
     c.close()?;
     Ok(object)
@@ -876,8 +910,9 @@ fn get_unified(c: &mut Cursor<'_>) -> Result<UnifiedPageStats, String> {
 
 /// A decoded `delta` payload.
 struct Delta {
-    apis: Vec<SavedApi>,
-    api_updates: Vec<(usize, SavedApi)>,
+    paths: Vec<PathText>,
+    apis: Vec<GpuApi>,
+    api_updates: Vec<(usize, GpuApi)>,
     accesses: Vec<RawAccess>,
     objects: Vec<SavedObject>,
     object_updates: Vec<SavedObject>,
@@ -887,6 +922,10 @@ struct Delta {
 fn get_delta(c: &mut Cursor<'_>) -> Result<Delta, String> {
     c.open()?;
     let delta = Delta {
+        paths: c.list(|c| {
+            let frames: Vec<Arc<str>> = c.list(|c| c.string().map(Arc::from))?;
+            Ok(PathText::from(frames))
+        })?,
         apis: c.list(get_api)?,
         api_updates: c.list(|c| {
             c.open()?;
@@ -1051,6 +1090,7 @@ fn apply_delta(
     if let Some((idx, _)) = d.api_updates.iter().find(|(idx, _)| *idx >= n) {
         return Err(format!("api update index {idx} out of range ({n} apis)"));
     }
+    trace.paths.extend(d.paths);
     trace.apis.extend(d.apis);
     for (idx, row) in d.api_updates {
         trace.apis[idx] = row;
@@ -1333,6 +1373,31 @@ fn scrub(t: &mut SavedTrace) -> Losses {
     t.unified
         .retain(|p| pages.keep(unknown(p.object.0).map(|u| format!("page of {u}"))));
 
+    // A row naming a path no entry defines keeps an empty path instead,
+    // appended to the table only if some row needs it.
+    let defined = t.paths.len();
+    let empty = PathId(u32::try_from(defined).unwrap_or(u32::MAX));
+    let mut paths = Dropped::default();
+    for (i, a) in t.apis.iter_mut().enumerate() {
+        if a.path.0 as usize >= defined {
+            let p = a.path.0;
+            paths.keep(Some(format!("api #{i} names path {p} ({defined} defined)")));
+            a.path = empty;
+        }
+    }
+    for o in &mut t.objects {
+        if o.alloc_path.0 as usize >= defined {
+            let (id, p) = (o.id, o.alloc_path.0);
+            paths.keep(Some(format!(
+                "object {id} names path {p} ({defined} defined)"
+            )));
+            o.alloc_path = empty;
+        }
+    }
+    if paths.count > 0 {
+        t.paths.push(PathText::from([]));
+    }
+
     let mut losses = Losses::new();
     for (dropped, section, verb, what) in [
         (edges, "apis", "dropped", "dangling dependency edge(s)"),
@@ -1352,6 +1417,7 @@ fn scrub(t: &mut SavedTrace) -> Losses {
             "dropped",
             "orphaned unified-memory page(s)",
         ),
+        (paths, "paths", "dropped", "dangling call-path reference(s)"),
     ] {
         if let Some(reason) = dropped.first {
             let section = section.to_owned();
@@ -1432,6 +1498,7 @@ fn empty_trace() -> SavedTrace {
     SavedTrace {
         version: FORMAT_VERSION,
         platform: "<unknown>".to_owned(),
+        paths: Vec::new(),
         apis: Vec::new(),
         accesses: Vec::new(),
         objects: Vec::new(),
@@ -1463,6 +1530,7 @@ pub(crate) fn stream_header(platform: &str) -> String {
 /// per-object fingerprints for update detection.
 #[derive(Debug, Default)]
 pub(crate) struct StreamCursor {
+    paths: usize,
     apis: usize,
     accesses: usize,
     objects: usize,
@@ -1476,6 +1544,7 @@ pub(crate) struct StreamCursor {
 /// `delta` section, advancing the cursor. Returns `None` when nothing new
 /// happened (no section is written).
 pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Option<String> {
+    let paths = collector.paths().paths();
     let apis = collector.gpu_apis();
     let accesses = collector.accesses();
     let usage = collector.usage_curve();
@@ -1491,18 +1560,10 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
     updated.sort_unstable();
     updated.dedup();
 
-    // Call paths come back memoized as shared `Arc<str>` frames; rows only
-    // materialize `String`s at the serialization boundary.
-    let path_vec = |p: &gpu_sim::CallPath| -> Vec<String> {
-        collector
-            .resolve_call_path(p)
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
-    };
-    let row = |a: &GpuApi| api_row(a, path_vec(&a.call_path));
-    let new_apis: Vec<SavedApi> = apis[cur.apis.min(apis.len())..].iter().map(row).collect();
-    let api_updates: Vec<(usize, SavedApi)> = updated.iter().map(|&i| (i, row(&apis[i]))).collect();
+    // Every path a row below names is in the table by now: new entries
+    // go out in this delta, ahead of the rows.
+    let new_paths = &paths[cur.paths.min(paths.len())..];
+    let new_apis = &apis[cur.apis.min(apis.len())..];
     let new_accesses = &accesses[cur.accesses.min(accesses.len())..];
 
     let fingerprint = |o: &DataObject| (o.free_api, o.free_is_api, o.source);
@@ -1510,7 +1571,7 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
     for (i, o) in objects.iter().enumerate().take(cur.objects) {
         let fp = fingerprint(o);
         if cur.fingerprints.get(i) != Some(&fp) {
-            object_updates.push(object_row(o, path_vec(&o.alloc_path)));
+            object_updates.push(object_row(o));
             if let Some(slot) = cur.fingerprints.get_mut(i) {
                 *slot = fp;
             }
@@ -1519,17 +1580,19 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
     let mut new_objects = Vec::new();
     for o in objects.iter().skip(cur.objects) {
         cur.fingerprints.push(fingerprint(o));
-        new_objects.push(object_row(o, path_vec(&o.alloc_path)));
+        new_objects.push(object_row(o));
     }
     let new_usage = &usage[cur.usage.min(usage.len())..];
 
+    cur.paths = paths.len();
     cur.apis = apis.len();
     cur.accesses = accesses.len();
     cur.objects = objects.len();
     cur.usage = usage.len();
 
-    if new_apis.is_empty()
-        && api_updates.is_empty()
+    if new_paths.is_empty()
+        && new_apis.is_empty()
+        && updated.is_empty()
         && new_accesses.is_empty()
         && new_objects.is_empty()
         && object_updates.is_empty()
@@ -1541,8 +1604,9 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
     write_frame(&mut out, "delta", |e| {
         put_delta(
             e,
-            &new_apis,
-            &api_updates,
+            new_paths,
+            new_apis,
+            updated.iter().map(|&i| (i, &apis[i])),
             new_accesses,
             &new_objects,
             &object_updates,
@@ -1575,6 +1639,18 @@ impl SavedTrace {
         self.objects.len()
     }
 
+    /// The call path of the API at trace position `idx`, innermost frame
+    /// first; `None` past the end of the trace.
+    pub fn api_call_path(&self, idx: usize) -> Option<&PathText> {
+        self.paths.get(self.apis.get(idx)?.path.0 as usize)
+    }
+
+    /// The allocation call path of the `idx`-th object row, innermost
+    /// frame first; `None` past the last row.
+    pub fn object_call_path(&self, idx: usize) -> Option<&PathText> {
+        self.paths.get(self.objects.get(idx)?.alloc_path.0 as usize)
+    }
+
     /// Serializes to the framed, checksummed text format: a stream with
     /// one `delta`, one `checkpoint` and the finish marker.
     pub fn to_text(&self) -> String {
@@ -1583,8 +1659,9 @@ impl SavedTrace {
         write_frame(&mut out, "delta", |e| {
             put_delta(
                 e,
+                &self.paths,
                 &self.apis,
-                &[],
+                [],
                 &self.accesses,
                 &self.objects,
                 &[],
@@ -1601,12 +1678,8 @@ impl SavedTrace {
     /// Rebuilds the trace view (with fresh topological timestamps) from
     /// the recording.
     fn rebuild(&self) -> (TraceView, Vec<IntraObjectData>, Vec<ObjectMeta>) {
-        let vertices: Vec<VertexAccess> = self.apis.iter().map(|a| a.vertex.clone()).collect();
         let trace = analyzer::assemble_trace_view(
-            &vertices,
-            self.apis
-                .iter()
-                .map(|a| (a.name.as_str(), a.mnemonic.as_str(), a.detail.as_str())),
+            &self.apis,
             &self.accesses,
             self.objects.iter().map(|o| ObjectFacts {
                 id: ObjectId(o.id),
@@ -1661,7 +1734,11 @@ impl SavedTrace {
                 label: o.label.clone(),
                 size: o.size,
                 source: o.source,
-                alloc_path: o.alloc_path.clone(),
+                alloc_path: self
+                    .paths
+                    .get(o.alloc_path.0 as usize)
+                    .cloned()
+                    .unwrap_or_else(|| PathText::from([])),
                 alloc_api: o.alloc_api,
                 free_api: o.free_api,
             })
@@ -1780,21 +1857,25 @@ mod tests {
         let (saved, _) = record();
         assert_eq!(saved.version, FORMAT_VERSION);
         let text = saved.to_text();
-        assert!(text.starts_with("DRGPUM-TRACE 3\n"));
+        assert!(text.starts_with("DRGPUM-TRACE 4\n"));
     }
 
     #[test]
-    fn load_rejects_unknown_version() {
+    fn load_rejects_unknown_and_older_versions() {
         let (saved, _) = record();
-        let text = saved.to_text().replace("DRGPUM-TRACE 3", "DRGPUM-TRACE 99");
-        match load(&text) {
-            Err(TraceError::UnsupportedVersion {
-                found: 99,
-                supported,
-            }) => {
-                assert_eq!(supported, FORMAT_VERSION);
+        for found in [99, 3] {
+            let text = saved
+                .to_text()
+                .replace("DRGPUM-TRACE 4", &format!("DRGPUM-TRACE {found}"));
+            match load(&text) {
+                Err(TraceError::UnsupportedVersion {
+                    found: f,
+                    supported,
+                }) => {
+                    assert_eq!((f, supported), (found, FORMAT_VERSION));
+                }
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
     }
 

@@ -3,12 +3,12 @@
 //! A batch trace ([`crate::trace_io::SavedTrace::to_text`]) is written at
 //! process exit — which is exactly when a crashing run loses everything.
 //! [`StreamingTraceWriter`] instead appends frames of the same trace format
-//! (version 3, see [`crate::trace_io`]) to disk *as the run progresses*,
+//! (version 4, see [`crate::trace_io`]) to disk *as the run progresses*,
 //! fsyncing after every frame:
 //!
-//! * the `DRGPUM-TRACE 3` header and the `meta` frame on creation;
-//! * one `delta` frame per GPU API event (new trace rows, plus updated
-//!   def/use sets when a kernel finishes);
+//! * the `DRGPUM-TRACE 4` header and the `meta` frame on creation;
+//! * one `delta` frame per GPU API event (new call-path entries and trace
+//!   rows, plus updated def/use sets when a kernel finishes);
 //! * a periodic `checkpoint` frame snapshotting the mutable state
 //!   (intra-object access maps, unified-memory pages) that deltas cannot
 //!   carry incrementally;

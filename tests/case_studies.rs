@@ -2,7 +2,7 @@
 //! *that* each pattern fires, but the quantitative evidence behind it.
 
 use drgpum::prelude::*;
-use drgpum::profiler::PatternEvidence;
+use drgpum::profiler::{GpuApiKind, PatternEvidence};
 use drgpum::workloads::common::Variant;
 use drgpum::workloads::registry::{RunConfig, WorkloadSpec};
 
@@ -49,7 +49,7 @@ fn simple_multi_copy_out1_early_allocation() {
             // phase has four. The first touch is the stream-1 kernel.
             assert!(*intervening >= 3, "got {intervening}");
             assert!(
-                first_access.name.starts_with("KERL"),
+                first_access.name.kind() == Some(GpuApiKind::Kerl),
                 "{}",
                 first_access.name
             );
@@ -84,8 +84,8 @@ fn darknet_weights_dead_write_details() {
         PatternEvidence::DeadWrite { first, second } => {
             // Both writes are host→device copies (cuda_make_array then
             // cuda_push_array).
-            assert!(first.name.starts_with("CPY"), "{}", first.name);
-            assert!(second.name.starts_with("CPY"), "{}", second.name);
+            assert_eq!(first.name.kind(), Some(GpuApiKind::Cpy), "{}", first.name);
+            assert_eq!(second.name.kind(), Some(GpuApiKind::Cpy), "{}", second.name);
         }
         other => panic!("unexpected {other:?}"),
     }
@@ -266,7 +266,12 @@ fn laghos_quadrature_buffers_late_deallocation_details() {
                 intervening,
                 ..
             } => {
-                assert!(last_access.name.starts_with("KERL"), "{}", last_access.name);
+                assert_eq!(
+                    last_access.name.kind(),
+                    Some(GpuApiKind::Kerl),
+                    "{}",
+                    last_access.name
+                );
                 assert!(*intervening >= 2, "the whole solver runs in between");
             }
             other => panic!("unexpected {other:?}"),

@@ -6,6 +6,7 @@
 
 use drgpum::profiler::accessmap::{AccessBitmap, FreqMap, RangeSet};
 use drgpum::profiler::depgraph::{DependencyGraph, VertexAccess};
+use drgpum::profiler::names::{ApiName, GpuApiKind, PathId};
 use drgpum::profiler::object::ObjectId;
 use drgpum::profiler::options::Thresholds;
 use drgpum::profiler::patterns::{
@@ -14,8 +15,14 @@ use drgpum::profiler::patterns::{
 };
 use gpu_sim::mem::DeviceAllocator;
 use gpu_sim::{SplitMix64, StreamId};
+use std::collections::HashMap;
 
 const CASES: u64 = 64;
+
+/// The synthetic traces' API name at position `idx`, `KERL(0, idx)`.
+fn kerl(idx: usize) -> ApiName {
+    ApiName::new(GpuApiKind::Kerl, StreamId(0), idx as u64)
+}
 
 /// Uniform draw in `[lo, hi)` from the deterministic generator.
 fn range(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
@@ -266,53 +273,141 @@ fn freqmap_runs_reproduce_counts() {
 
 // ----------------------------------------------------- dependency graph
 
+/// The dependency edges of Def. 5.1 plus stream order and event sync,
+/// built directly: program order within a stream, event-sync predecessors,
+/// then per object, in invocation order with an API's reads before its
+/// writes and frees, RAW from the last writer, WAW from the last writer
+/// when no read came between, and WAR from every reader since the last
+/// write. An API never depends on itself.
+fn oracle_edges(vertices: &[VertexAccess]) -> Vec<(usize, usize)> {
+    let mut edges = Vec::new();
+    let mut last_on_stream: HashMap<StreamId, usize> = HashMap::new();
+    let mut writer: HashMap<ObjectId, usize> = HashMap::new();
+    let mut readers: HashMap<ObjectId, Vec<usize>> = HashMap::new();
+    for (v, va) in vertices.iter().enumerate() {
+        if let Some(prev) = last_on_stream.insert(va.stream, v) {
+            edges.push((prev, v));
+        }
+        edges.extend(va.after.iter().filter(|&&p| p < v).map(|&p| (p, v)));
+        for o in &va.reads {
+            edges.extend(writer.get(o).filter(|&&w| w != v).map(|&w| (w, v)));
+            readers.entry(*o).or_default().push(v);
+        }
+        for o in va.writes.iter().chain(&va.frees) {
+            let since = readers.remove(o).unwrap_or_default();
+            if since.is_empty() {
+                edges.extend(writer.get(o).filter(|&&w| w != v).map(|&w| (w, v)));
+            }
+            edges.extend(since.into_iter().filter(|&r| r != v).map(|r| (r, v)));
+            writer.insert(*o, v);
+        }
+    }
+    edges
+}
+
+/// Kahn's algorithm with wave-shared timestamps: every vertex removed in
+/// the same wave gets the same timestamp, one more than the wave before.
+fn kahn_waves(n: usize, edges: &[(usize, usize)]) -> Vec<u64> {
+    let mut indeg = vec![0usize; n];
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &(from, to) in edges {
+        indeg[to] += 1;
+        succ[from].push(to);
+    }
+    let mut ts = vec![0u64; n];
+    let mut wave: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+    let (mut t, mut assigned) = (0u64, 0usize);
+    while !wave.is_empty() {
+        let mut next = Vec::new();
+        for &v in &wave {
+            ts[v] = t;
+            assigned += 1;
+            for &s in &succ[v] {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    next.push(s);
+                }
+            }
+        }
+        wave = next;
+        t += 1;
+    }
+    assert_eq!(assigned, n, "the dependency graph must be acyclic");
+    ts
+}
+
+/// `count` object ids below 6, repeats allowed.
+fn objects(rng: &mut SplitMix64, count: u64) -> Vec<ObjectId> {
+    (0..count).map(|_| ObjectId(range(rng, 0, 6))).collect()
+}
+
 #[test]
 fn topological_timestamps_respect_all_edges() {
+    let (mut synced, mut in_place, mut repeated, mut freed) = (0, 0, 0, 0);
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(seed);
         let len = range(&mut rng, 1, 60) as usize;
-        let spec: Vec<(u32, u64, u64)> = (0..len)
-            .map(|_| {
-                (
-                    range(&mut rng, 0, 4) as u32,
-                    range(&mut rng, 0, 6),
-                    range(&mut rng, 0, 6),
-                )
+        let vertices: Vec<VertexAccess> = (0..len)
+            .map(|v| {
+                let n_reads = range(&mut rng, 0, 3);
+                let n_writes = range(&mut rng, 0, 3);
+                let n_frees = u64::from(rng.chance(0.15));
+                let after = if v > 0 && rng.chance(0.2) {
+                    vec![range(&mut rng, 0, v as u64) as usize]
+                } else {
+                    vec![]
+                };
+                VertexAccess {
+                    stream: StreamId(range(&mut rng, 0, 4) as u32),
+                    reads: objects(&mut rng, n_reads),
+                    writes: objects(&mut rng, n_writes),
+                    frees: objects(&mut rng, n_frees),
+                    after,
+                }
             })
             .collect();
-        let vertices: Vec<VertexAccess> = spec
-            .iter()
-            .map(|(stream, read, write)| VertexAccess {
-                stream: StreamId(*stream),
-                reads: vec![ObjectId(*read)],
-                writes: vec![ObjectId(*write)],
-                frees: vec![],
-                after: vec![],
-            })
-            .collect();
+        for va in &vertices {
+            synced += usize::from(!va.after.is_empty());
+            in_place += usize::from(va.reads.iter().any(|o| va.writes.contains(o)));
+            let repeats =
+                |set: &[ObjectId]| set.iter().enumerate().any(|(i, o)| set[..i].contains(o));
+            repeated += usize::from(repeats(&va.reads) || repeats(&va.writes));
+            freed += usize::from(!va.frees.is_empty());
+        }
         let g = DependencyGraph::build(&vertices);
-        for e in g.edges() {
+        for (from, to) in oracle_edges(&vertices) {
             assert!(
-                g.timestamp(e.from) < g.timestamp(e.to),
-                "seed {seed}: edge {}->{} violates topological order",
-                e.from,
-                e.to
+                g.timestamp(from) < g.timestamp(to),
+                "seed {seed}: edge {from}->{to} violates topological order"
             );
         }
+        assert_eq!(
+            g.timestamps(),
+            &kahn_waves(len, &oracle_edges(&vertices))[..],
+            "seed {seed}: timestamps differ from the Kahn waves"
+        );
         // Single-stream degenerates to invocation order.
-        let single: Vec<VertexAccess> = spec
+        let single: Vec<VertexAccess> = vertices
             .iter()
-            .map(|(_, read, write)| VertexAccess {
+            .map(|va| VertexAccess {
                 stream: StreamId(0),
-                reads: vec![ObjectId(*read)],
-                writes: vec![ObjectId(*write)],
-                frees: vec![],
-                after: vec![],
+                ..va.clone()
             })
             .collect();
         let g1 = DependencyGraph::build(&single);
         let expect: Vec<u64> = (0..single.len() as u64).collect();
         assert_eq!(g1.timestamps(), &expect[..], "seed {seed}");
+    }
+    for (what, count) in [
+        ("event-synced APIs", synced),
+        ("in-place APIs", in_place),
+        ("repeated ids", repeated),
+        ("frees", freed),
+    ] {
+        assert!(
+            count >= 20,
+            "the generator must produce {what} (got {count})"
+        );
     }
 }
 
@@ -443,7 +538,7 @@ fn object_level_findings_are_sound() {
                 api: ApiRef {
                     idx,
                     ts: idx as u64,
-                    name: format!("API({idx})"),
+                    name: kerl(idx),
                 },
                 read: true,
                 write: false,
@@ -461,13 +556,13 @@ fn object_level_findings_are_sound() {
                 alloc: Some(ApiRef {
                     idx: alloc,
                     ts: alloc as u64,
-                    name: format!("API({alloc})"),
+                    name: kerl(alloc),
                 }),
                 alloc_anchor: alloc,
                 free: freed.then(|| ApiRef {
                     idx: free,
                     ts: free as u64,
-                    name: format!("API({free})"),
+                    name: kerl(free),
                 }),
                 free_anchor: None,
                 accesses,
@@ -521,7 +616,7 @@ fn redundant_allocation_pairs_are_valid() {
                 api: ApiRef {
                     idx,
                     ts: idx as u64,
-                    name: format!("API({idx})"),
+                    name: kerl(idx),
                 },
                 read: true,
                 write: true,
@@ -743,7 +838,7 @@ fn free_slab(
 #[test]
 fn registry_fast_resolvers_match_btreemap_oracle() {
     use drgpum::profiler::object::{ObjectRegistry, ObjectSource, ResolveCache, SpanSegment};
-    use gpu_sim::{AddrRange, CallPath, DevicePtr};
+    use gpu_sim::{AddrRange, DevicePtr};
 
     const CAPACITY: u64 = 1 << 20;
 
@@ -771,7 +866,7 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
                         ObjectSource::Cuda,
                         api,
                         true,
-                        CallPath::empty(),
+                        PathId(0),
                     );
                     model.alloc(id, info.ptr.addr(), size, false);
                     slabs.push((info.ptr.addr(), size));
@@ -796,7 +891,7 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
                         ObjectSource::PoolTensor,
                         api,
                         false,
-                        CallPath::empty(),
+                        PathId(0),
                     );
                     model.alloc(id, base + off, len, true);
                     tensors.push(LiveTensor {
@@ -843,7 +938,7 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
                         ObjectSource::Cuda,
                         api,
                         true,
-                        CallPath::empty(),
+                        PathId(0),
                     );
                     model.alloc(id, info.ptr.addr(), size, false);
                     slabs.push((info.ptr.addr(), size));
