@@ -139,7 +139,7 @@ pub fn largest_footprint_kernel(spec: &WorkloadSpec) -> Option<String> {
             .filter_map(|a| collector.registry().get(a.object).map(|o| o.size()))
             .sum();
         if best.as_ref().map(|(b, _)| footprint > *b).unwrap_or(true) {
-            best = Some((footprint, api.detail.clone()));
+            best = Some((footprint, api.detail.to_string()));
         }
     }
     best.map(|(_, name)| name)

@@ -64,7 +64,12 @@ pub(crate) fn assemble_trace_view<'a>(
     let api_names: Vec<ApiName> = apis.iter().map(GpuApi::name).collect();
     let api_kernels = apis
         .iter()
-        .map(|a| (a.kind == GpuApiKind::Kerl).then(|| a.detail.clone()))
+        .map(|a| {
+            // A launch's detail is its kernel name: shared text, or text
+            // read back from a trace.
+            let name = a.detail.text().filter(|_| a.kind == GpuApiKind::Kerl);
+            name.map(str::to_owned)
+        })
         .collect();
     let api_is_dealloc = apis.iter().map(|a| a.kind == GpuApiKind::Free).collect();
 
@@ -473,7 +478,7 @@ pub fn object_metas(collector: &Collector) -> Vec<ObjectMeta> {
         .iter()
         .map(|o| ObjectMeta {
             id: o.id,
-            label: o.label.clone(),
+            label: String::from(&*o.label),
             size: o.size(),
             source: o.source,
             alloc_path: collector.paths().text(o.alloc_path),

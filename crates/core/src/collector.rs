@@ -18,7 +18,7 @@ use crate::accessmap::{FreqMap, RangeSet};
 use crate::depgraph::VertexAccess;
 use crate::error::ProfilerError;
 use crate::governor::{CollectionRung, ResourceBudget, SessionGovernor};
-use crate::names::{ApiName, GpuApiKind, PathId, PathTable};
+use crate::names::{ApiDetail, ApiName, ByteOp, GpuApiKind, PathId, PathTable};
 use crate::object::{ObjectId, ObjectRegistry, ObjectSource, ResolveCache, SpanSegment};
 use crate::options::{AnalysisLevel, ProfilerOptions};
 use crate::patterns::intra::IntraObjectData;
@@ -39,6 +39,7 @@ use gpu_sim::{
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Cumulative wall-clock time the collector spent in each hot-path phase.
@@ -78,8 +79,8 @@ mod kernel_flags {
 pub struct GpuApi {
     /// Kind: the mnemonic of the display name.
     pub kind: GpuApiKind,
-    /// Detail: kernel name, object label, or byte count.
-    pub detail: String,
+    /// Detail: byte count, kernel name, or object label.
+    pub detail: ApiDetail,
     /// Stream of the invocation.
     pub stream: StreamId,
     /// Ordinal of the invocation within its stream.
@@ -191,12 +192,14 @@ pub struct Collector {
     /// Objects touched by the current kernel, in first-touch order.
     kernel_touched: Vec<ObjectId>,
     mode_decisions: Vec<ModeDecision>,
-    /// Last GPU-API trace index seen per stream (for event edges).
-    last_api_on_stream: HashMap<u32, usize>,
+    /// Last GPU-API trace index per stream, indexed by stream id (for
+    /// event edges). Stream ids are dense, handed out in creation order.
+    last_api_on_stream: Vec<Option<usize>>,
     /// Event id → the GPU API it was recorded after.
     event_record_points: HashMap<u32, usize>,
-    /// Stream → pending event-sync predecessors for its next GPU API.
-    pending_sync: HashMap<u32, Vec<usize>>,
+    /// Pending event-sync predecessors for each stream's next GPU API,
+    /// indexed by stream id.
+    pending_sync: Vec<Vec<usize>>,
     /// Per-page unified-memory migration statistics (the Sec. 8 extension).
     unified_pages: HashMap<(ObjectId, u32), UnifiedPageStats>,
     /// Device memory capacity, for the Sec. 5.5 placement decision.
@@ -250,9 +253,9 @@ impl Collector {
             kernel_flag_table: Vec::new(),
             kernel_touched: Vec::new(),
             mode_decisions: Vec::new(),
-            last_api_on_stream: HashMap::new(),
+            last_api_on_stream: Vec::new(),
             event_record_points: HashMap::new(),
-            pending_sync: HashMap::new(),
+            pending_sync: Vec::new(),
             unified_pages: HashMap::new(),
             device_capacity,
             degradations: Vec::new(),
@@ -393,22 +396,24 @@ impl Collector {
             .charge(std::mem::size_of::<UsageSample>() as u64);
     }
 
+    /// Appends one GPU API to the trace and returns its index. `vertex`
+    /// holds the API's own object sets; the stream and the event-sync
+    /// predecessors are filled in here.
     fn push_api(
         &mut self,
         event: &ApiEvent,
         kind: GpuApiKind,
-        detail: String,
+        detail: ApiDetail,
         mut vertex: VertexAccess,
     ) -> usize {
+        let idx = self.gpu_apis.len();
+        vertex.stream = event.stream;
         // Attach any event-synchronization predecessors waiting on this
         // stream (cudaStreamWaitEvent before this API).
-        if let Some(preds) = self.pending_sync.remove(&event.stream.0) {
-            vertex.after = preds;
-        }
-        self.last_api_on_stream
-            .insert(event.stream.0, self.gpu_apis.len());
+        vertex.after = std::mem::take(stream_slot(&mut self.pending_sync, event.stream));
+        *stream_slot(&mut self.last_api_on_stream, event.stream) = Some(idx);
         self.governor
-            .charge((std::mem::size_of::<GpuApi>() + detail.len()) as u64);
+            .charge((std::mem::size_of::<GpuApi>() + detail.rendered_len()) as u64);
         self.gpu_apis.push(GpuApi {
             kind,
             detail,
@@ -419,7 +424,7 @@ impl Collector {
             start_ns: event.start.as_ns(),
             end_ns: event.end.as_ns(),
         });
-        self.gpu_apis.len() - 1
+        idx
     }
 
     fn note_access(
@@ -586,19 +591,21 @@ impl Collector {
         write: bool,
         via: AccessVia,
     ) {
-        let segments = self.registry.resolve_span(start, len);
+        // The resolve scratch is free between record buffers.
+        let (mut segments, seg_flags) = std::mem::take(&mut self.resolved_scratch);
+        segments.clear();
+        self.registry.resolve_span(start, len, &mut segments);
         // Around a nested pool tensor the enclosing slab contributes one
         // segment per side: attribute the object-level access once.
-        let mut noted: Vec<ObjectId> = Vec::with_capacity(segments.len());
-        for s in &segments {
-            if !noted.contains(&s.object) {
-                noted.push(s.object);
+        for (i, s) in segments.iter().enumerate() {
+            if !segments[..i].iter().any(|p| p.object == s.object) {
                 self.note_access(api_idx, s.object, read, write, via);
             }
         }
         for s in &segments {
             self.intra_range_access(api_idx, s.object, s.offset, s.len);
         }
+        self.resolved_scratch = (segments, seg_flags);
     }
 
     /// The collection hot path: a resolve pass over the whole buffer through
@@ -838,25 +845,37 @@ impl Collector {
     }
 }
 
+/// The slot of `stream` in a per-stream table indexed by stream id, grown
+/// on first use of the id.
+fn stream_slot<T: Default>(table: &mut Vec<T>, stream: StreamId) -> &mut T {
+    let idx = stream.0 as usize;
+    if table.len() <= idx {
+        table.resize_with(idx + 1, T::default);
+    }
+    &mut table[idx]
+}
+
 impl SanitizerHooks for Collector {
     fn on_api(&mut self, event: &ApiEvent) {
+        let stream = event.stream;
         match &event.kind {
             ApiKind::Malloc { ptr, size, label } => {
                 let api_idx = self.gpu_apis.len();
+                let path = self.paths.intern(&event.call_path);
+                let label: Arc<str> = Arc::from(label.as_str());
                 let obj = self.registry.on_alloc(
                     label.clone(),
                     AddrRange::new(*ptr, *size),
                     ObjectSource::Cuda,
                     api_idx,
                     true,
-                    self.paths.intern(&event.call_path),
+                    path,
                 );
                 self.push_api(
                     event,
                     GpuApiKind::Alloc,
-                    label.clone(),
+                    ApiDetail::Label(label),
                     VertexAccess {
-                        stream: event.stream,
                         writes: vec![obj],
                         ..Default::default()
                     },
@@ -867,6 +886,12 @@ impl SanitizerHooks for Collector {
             ApiKind::Free { ptr, size, label } => {
                 let api_idx = self.gpu_apis.len();
                 let freed = self.registry.on_free(*ptr, api_idx);
+                // The freed object's label is the one the program allocated
+                // it with: the row shares it.
+                let detail = match freed.and_then(|id| self.registry.get(id)) {
+                    Some(o) if *o.label == **label => ApiDetail::Label(o.label.clone()),
+                    _ => ApiDetail::Text(label.clone()),
+                };
                 // A FREE of a pointer with no live object (spurious or
                 // double free) must not corrupt the usage curve. Like an
                 // ASan report, the record names where the free was called.
@@ -874,8 +899,7 @@ impl SanitizerHooks for Collector {
                     let mut detail =
                         format!("FREE of unknown pointer ({label}) ignored in usage accounting");
                     let path = self.paths.intern(&event.call_path);
-                    let path = self.paths.text(path);
-                    for (depth, frame) in path.iter().enumerate() {
+                    for (depth, frame) in self.paths.text(path).iter().enumerate() {
                         let sep = if depth == 0 { "; freed at" } else { "," };
                         let _ = write!(detail, "{sep} #{depth} {frame}");
                     }
@@ -885,9 +909,8 @@ impl SanitizerHooks for Collector {
                 self.push_api(
                     event,
                     GpuApiKind::Free,
-                    label.clone(),
+                    detail,
                     VertexAccess {
-                        stream: event.stream,
                         frees: freed.into_iter().collect(),
                         ..Default::default()
                     },
@@ -898,84 +921,50 @@ impl SanitizerHooks for Collector {
                 self.record_usage();
             }
             ApiKind::MemcpyH2D { dst, size } => {
-                let api_idx = self.push_api(
-                    event,
-                    GpuApiKind::Cpy,
-                    format!("{size}B H2D"),
-                    VertexAccess {
-                        stream: event.stream,
-                        ..Default::default()
-                    },
-                );
+                let detail = ApiDetail::Bytes(*size, ByteOp::H2D);
+                let api_idx = self.push_api(event, GpuApiKind::Cpy, detail, Default::default());
                 self.range_access(api_idx, *dst, *size, false, true, AccessVia::Memcpy);
                 self.record_usage();
             }
             ApiKind::MemcpyD2H { src, size } => {
-                let api_idx = self.push_api(
-                    event,
-                    GpuApiKind::Cpy,
-                    format!("{size}B D2H"),
-                    VertexAccess {
-                        stream: event.stream,
-                        ..Default::default()
-                    },
-                );
+                let detail = ApiDetail::Bytes(*size, ByteOp::D2H);
+                let api_idx = self.push_api(event, GpuApiKind::Cpy, detail, Default::default());
                 self.range_access(api_idx, *src, *size, true, false, AccessVia::Memcpy);
                 self.record_usage();
             }
             ApiKind::MemcpyD2D { dst, src, size } => {
-                let api_idx = self.push_api(
-                    event,
-                    GpuApiKind::Cpy,
-                    format!("{size}B D2D"),
-                    VertexAccess {
-                        stream: event.stream,
-                        ..Default::default()
-                    },
-                );
+                let detail = ApiDetail::Bytes(*size, ByteOp::D2D);
+                let api_idx = self.push_api(event, GpuApiKind::Cpy, detail, Default::default());
                 self.range_access(api_idx, *src, *size, true, false, AccessVia::Memcpy);
                 self.range_access(api_idx, *dst, *size, false, true, AccessVia::Memcpy);
                 self.record_usage();
             }
             ApiKind::Memset { dst, size, .. } => {
-                let api_idx = self.push_api(
-                    event,
-                    GpuApiKind::Set,
-                    format!("{size}B set"),
-                    VertexAccess {
-                        stream: event.stream,
-                        ..Default::default()
-                    },
-                );
+                let detail = ApiDetail::Bytes(*size, ByteOp::Set);
+                let api_idx = self.push_api(event, GpuApiKind::Set, detail, Default::default());
                 self.range_access(api_idx, *dst, *size, false, true, AccessVia::Memset);
                 self.record_usage();
             }
             ApiKind::KernelLaunch { name, .. } => {
-                self.push_api(
-                    event,
-                    GpuApiKind::Kerl,
-                    name.to_string(),
-                    VertexAccess {
-                        stream: event.stream,
-                        ..Default::default()
-                    },
-                );
+                let detail = ApiDetail::Kernel(name.clone());
+                self.push_api(event, GpuApiKind::Kerl, detail, Default::default());
                 self.record_usage();
             }
             // Event APIs are not GPU APIs in the paper's sense, but they
             // order GPU APIs across streams: record where each event was
             // recorded, and queue an edge for the waiting stream's next API.
+            // An event recorded on a stream with no GPU API yet orders
+            // nothing, whatever it was recorded after before.
             ApiKind::EventRecord { event: ev } => {
-                if let Some(&idx) = self.last_api_on_stream.get(&event.stream.0) {
-                    self.event_record_points.insert(ev.0, idx);
-                }
+                let last = self.last_api_on_stream.get(stream.0 as usize);
+                match last.copied().flatten() {
+                    Some(idx) => self.event_record_points.insert(ev.0, idx),
+                    None => self.event_record_points.remove(&ev.0),
+                };
             }
             ApiKind::EventWait { event: ev } => {
                 if let Some(&idx) = self.event_record_points.get(&ev.0) {
-                    self.pending_sync
-                        .entry(event.stream.0)
-                        .or_default()
-                        .push(idx);
+                    stream_slot(&mut self.pending_sync, stream).push(idx);
                 }
             }
             // Remaining sync/stream-management APIs carry no pattern
@@ -1144,7 +1133,7 @@ impl PoolObserver for Collector {
                 let anchor = self.gpu_apis.len();
                 let path = self.paths.intern(call_path);
                 self.registry.on_alloc(
-                    label.clone(),
+                    label.as_str(),
                     AddrRange::new(*ptr, *size),
                     ObjectSource::PoolTensor,
                     anchor,
@@ -1237,7 +1226,7 @@ mod tests {
             .filter(|x| x.via == AccessVia::Kernel)
             .collect();
         assert_eq!(kernel_accesses.len(), 2);
-        let obj_a = col.registry().iter().find(|o| o.label == "a").unwrap().id;
+        let obj_a = col.registry().iter().find(|o| &*o.label == "a").unwrap().id;
         let a_acc = kernel_accesses.iter().find(|x| x.object == obj_a).unwrap();
         assert!(a_acc.read && !a_acc.write);
     }
@@ -1353,6 +1342,38 @@ mod tests {
     }
 
     #[test]
+    fn rerecord_on_an_idle_stream_clears_the_event_point() {
+        // gpu-sim moves a re-recorded event to the new stream's tail. On a
+        // stream with no GPU API yet that point follows no API, so a wait
+        // on the event must not order anything after `produce`.
+        let mut ctx = DeviceContext::new_default();
+        let c = attach(&mut ctx, ProfilerOptions::object_level());
+        let (s1, s2, s3) = (
+            ctx.create_stream(),
+            ctx.create_stream(),
+            ctx.create_stream(),
+        );
+        let a = ctx.malloc(64, "a").unwrap();
+        let store = move |t: &mut gpu_sim::ThreadCtx<'_>| {
+            let i = t.global_x();
+            if i < 16 {
+                t.store_f32(a + i * 4, 1.0);
+            }
+        };
+        let cfg = LaunchConfig::cover(4, 4).unwrap();
+        ctx.launch("produce", cfg, s1, store).unwrap();
+        let ev = ctx.create_event();
+        ctx.record_event(ev, s1).unwrap();
+        ctx.record_event(ev, s3).unwrap();
+        ctx.wait_event(s2, ev).unwrap();
+        ctx.launch("consume", cfg, s2, store).unwrap();
+        let col = c.lock();
+        // Trace: ALLOC a (0), KERL produce (1), KERL consume (2).
+        assert_eq!(col.gpu_apis()[2].detail.to_string(), "consume");
+        assert!(col.gpu_apis()[2].vertex.after.is_empty());
+    }
+
+    #[test]
     fn pool_tensors_become_objects_when_tracked() {
         use gpu_sim::pool::CachingPool;
         let mut ctx = DeviceContext::new_default();
@@ -1381,7 +1402,7 @@ mod tests {
         let tensor = col
             .registry()
             .iter()
-            .find(|o| o.label == "tensor")
+            .find(|o| &*o.label == "tensor")
             .expect("tensor registered");
         assert_eq!(tensor.source, ObjectSource::PoolTensor);
         assert!(tensor.free_api.is_some());
@@ -1418,7 +1439,13 @@ mod tests {
         let payload = vec![7u8; POOL_ALIGN as usize + 128];
         ctx.memcpy_h2d(t1, &payload).unwrap();
         let col = c.lock();
-        let id_of = |label: &str| col.registry().iter().find(|o| o.label == label).unwrap().id;
+        let id_of = |label: &str| {
+            col.registry()
+                .iter()
+                .find(|o| &*o.label == label)
+                .unwrap()
+                .id
+        };
         let (o1, o2) = (id_of("t1"), id_of("t2"));
         // Both tensors see the write (tensors are innermost, so no slab
         // segment appears inside the copied span).
@@ -1460,7 +1487,7 @@ mod tests {
         // bytes past the tensor's end into slab-only territory.
         ctx.memcpy_h2d(t, &[1u8; 384]).unwrap();
         let col = c.lock();
-        let tensor = col.registry().iter().find(|o| o.label == "t").unwrap();
+        let tensor = col.registry().iter().find(|o| &*o.label == "t").unwrap();
         let intra = col.intra_data();
         let d = intra.iter().find(|d| d.object == tensor.id).unwrap();
         assert_eq!(d.bitmap.count_set(), 256);

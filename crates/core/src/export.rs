@@ -7,10 +7,13 @@
 //! [`report_json`] writes the JSON text directly, with no JSON tree in
 //! between. Its bytes are what `serde_json::to_string_pretty` prints for
 //! the same data: keys in sorted order, two-space indent, and the vendored
-//! crate's number and string escape rules.
+//! crate's number and string escape rules. Only floats go through the
+//! formatter: keys are static words written as they are, integers and API
+//! names are written digit by digit, and a string is scanned once and
+//! copied whole when nothing in it needs escaping.
 
 use crate::guidance::OverallocGuidance;
-use crate::names::ApiName;
+use crate::names::{push_u64, ApiName};
 use crate::patterns::{NuafScope, PatternEvidence};
 use crate::report::{DetectorOutcome, DetectorStatus, Finding, Report};
 use std::fmt::Write;
@@ -34,6 +37,11 @@ impl Scalar for str {
     /// and `\f`; other control characters are written as `\u00XX`.
     fn write(&self, out: &mut String) {
         out.push('"');
+        if !self.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+            out.push_str(self);
+            out.push('"');
+            return;
+        }
         let mut plain = 0;
         for (i, c) in self.char_indices() {
             let escape = match c {
@@ -70,7 +78,9 @@ impl Scalar for ApiName {
     /// A name never needs escaping: a mnemonic and two numbers, or
     /// `<api N>`.
     fn write(&self, out: &mut String) {
-        let _ = write!(out, "\"{self}\"");
+        out.push('"');
+        self.write_to(out);
+        out.push('"');
     }
 }
 
@@ -99,12 +109,18 @@ macro_rules! integer_scalar {
     ($($t:ty),*) => {$(
         impl Scalar for $t {
             fn write(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
+                push_u64(out, u64::from(*self));
             }
         }
     )*};
 }
-integer_scalar!(u32, u64, usize);
+integer_scalar!(u32, u64);
+
+impl Scalar for usize {
+    fn write(&self, out: &mut String) {
+        push_u64(out, *self as u64);
+    }
+}
 
 impl<T: Scalar> Scalar for Option<T> {
     fn write(&self, out: &mut String) {
@@ -114,6 +130,9 @@ impl<T: Scalar> Scalar for Option<T> {
         }
     }
 }
+
+/// Indentation for up to 16 levels; deeper levels take it more than once.
+const INDENT: &str = "                                ";
 
 /// Writes pretty JSON straight into one `String`: two-space indent, one
 /// member or element per line, `{}` and `[]` for empties. Callers write
@@ -128,8 +147,11 @@ struct Pretty {
 impl Pretty {
     fn new_line(&mut self) {
         self.out.push('\n');
-        for _ in 0..self.depth {
-            self.out.push_str("  ");
+        let mut width = 2 * self.depth;
+        while width > 0 {
+            let n = width.min(INDENT.len());
+            self.out.push_str(&INDENT[..n]);
+            width -= n;
         }
     }
 
@@ -142,10 +164,13 @@ impl Pretty {
         self.empty = false;
     }
 
-    fn key(&mut self, key: &str) {
+    /// A member's key: a static word that needs no escaping.
+    fn key(&mut self, key: &'static str) {
+        debug_assert!(key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_'));
         self.line();
-        key.write(&mut self.out);
-        self.out.push_str(": ");
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\": ");
     }
 
     fn open(&mut self, bracket: char) {
@@ -164,13 +189,13 @@ impl Pretty {
     }
 
     /// A member holding a scalar.
-    fn field(&mut self, key: &str, value: &(impl Scalar + ?Sized)) {
+    fn field(&mut self, key: &'static str, value: &(impl Scalar + ?Sized)) {
         self.key(key);
         value.write(&mut self.out);
     }
 
     /// A member holding an object whose members `body` writes.
-    fn object(&mut self, key: &str, body: impl FnOnce(&mut Self)) {
+    fn object(&mut self, key: &'static str, body: impl FnOnce(&mut Self)) {
         self.key(key);
         self.open('{');
         body(self);
@@ -178,7 +203,7 @@ impl Pretty {
     }
 
     /// A member holding an array with one object per item.
-    fn objects<T>(&mut self, key: &str, items: &[T], mut body: impl FnMut(&mut Self, &T)) {
+    fn objects<T>(&mut self, key: &'static str, items: &[T], mut body: impl FnMut(&mut Self, &T)) {
         self.key(key);
         self.open('[');
         for item in items {

@@ -84,6 +84,26 @@ impl ApiName {
     pub fn kind(self) -> Option<GpuApiKind> {
         self.kind
     }
+
+    /// Appends the name's text — what `Display` writes — to `out`,
+    /// without going through the formatter.
+    pub fn write_to(self, out: &mut String) {
+        match self.kind {
+            Some(kind) => {
+                out.push_str(kind.mnemonic());
+                out.push('(');
+                push_u64(out, u64::from(self.stream));
+                out.push_str(", ");
+                push_u64(out, self.ordinal);
+                out.push(')');
+            }
+            None => {
+                out.push_str("<api ");
+                push_u64(out, self.ordinal);
+                out.push('>');
+            }
+        }
+    }
 }
 
 impl fmt::Display for ApiName {
@@ -91,6 +111,120 @@ impl fmt::Display for ApiName {
         match self.kind {
             Some(kind) => write!(f, "{kind}({}, {})", self.stream, self.ordinal),
             None => write!(f, "<api {}>", self.ordinal),
+        }
+    }
+}
+
+/// Appends the decimal digits of `v` to `out`, without going through the
+/// formatter.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
+/// The number of decimal digits of `v`.
+fn digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// The direction of a copy, or a set: the word after a byte count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ByteOp {
+    /// Host-to-device copy.
+    H2D,
+    /// Device-to-host copy.
+    D2H,
+    /// Device-to-device copy.
+    D2D,
+    /// `cudaMemset`.
+    Set,
+}
+
+impl ByteOp {
+    /// The word written after the byte count.
+    pub fn word(self) -> &'static str {
+        match self {
+            ByteOp::H2D => "H2D",
+            ByteOp::D2H => "D2H",
+            ByteOp::D2D => "D2D",
+            ByteOp::Set => "set",
+        }
+    }
+}
+
+/// What a GPU API row says besides its name: held as the facts the API
+/// carried, so recording it costs no text. Renderers write it in place;
+/// `Display` writes the same text.
+///
+/// | variant | text |
+/// |---|---|
+/// | [`ApiDetail::Bytes`] | `4096B H2D`, `64B set` |
+/// | [`ApiDetail::Kernel`] | the kernel name |
+/// | [`ApiDetail::Label`] | the object label |
+/// | [`ApiDetail::Text`] | the text itself |
+#[derive(Debug, Clone)]
+pub enum ApiDetail {
+    /// A copy or set of this many bytes.
+    Bytes(u64, ByteOp),
+    /// A launch's kernel name, shared with the launch event.
+    Kernel(Arc<str>),
+    /// An ALLOC's or FREE's object label, shared with the object in the
+    /// [`crate::object::ObjectRegistry`].
+    Label(Arc<str>),
+    /// Free text: a row read back from a trace, or a FREE of a pointer the
+    /// registry does not know.
+    Text(String),
+}
+
+impl ApiDetail {
+    /// The text of a kernel name, label or free text; `None` for a byte
+    /// count, which has no stored text (see [`ApiDetail::write_to`]).
+    pub fn text(&self) -> Option<&str> {
+        match self {
+            ApiDetail::Bytes(..) => None,
+            ApiDetail::Kernel(s) | ApiDetail::Label(s) => Some(s),
+            ApiDetail::Text(s) => Some(s),
+        }
+    }
+
+    /// Appends the rendered text to `out`.
+    pub fn write_to(&self, out: &mut String) {
+        match self {
+            ApiDetail::Bytes(size, op) => {
+                push_u64(out, *size);
+                out.push_str("B ");
+                out.push_str(op.word());
+            }
+            ApiDetail::Kernel(s) | ApiDetail::Label(s) => out.push_str(s),
+            ApiDetail::Text(s) => out.push_str(s),
+        }
+    }
+
+    /// The length in bytes of the rendered text.
+    pub fn rendered_len(&self) -> usize {
+        match self {
+            ApiDetail::Bytes(size, op) => digits(*size) + 2 + op.word().len(),
+            ApiDetail::Kernel(s) | ApiDetail::Label(s) => s.len(),
+            ApiDetail::Text(s) => s.len(),
+        }
+    }
+}
+
+impl fmt::Display for ApiDetail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ApiDetail::Bytes(size, op) => write!(f, "{size}B {}", op.word()),
+            ApiDetail::Kernel(s) | ApiDetail::Label(s) => f.write_str(s),
+            ApiDetail::Text(s) => f.write_str(s),
         }
     }
 }

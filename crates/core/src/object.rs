@@ -11,6 +11,7 @@ use gpu_sim::{AddrRange, DevicePtr};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound::{Excluded, Unbounded};
+use std::sync::Arc;
 
 /// Stable identity of a data object across its whole lifetime.
 ///
@@ -49,8 +50,9 @@ impl ObjectSource {
 pub struct DataObject {
     /// Stable id.
     pub id: ObjectId,
-    /// Program-supplied label (variable name), e.g. `"q_dx"`.
-    pub label: String,
+    /// Program-supplied label (variable name), e.g. `"q_dx"`. The trace's
+    /// ALLOC and FREE rows share it.
+    pub label: Arc<str>,
     /// Base address and requested size.
     pub range: AddrRange,
     /// Provenance of the memory.
@@ -185,7 +187,7 @@ impl ObjectRegistry {
     /// A new range must not overlap a live range of its own class.
     pub fn on_alloc(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         range: AddrRange,
         source: ObjectSource,
         alloc_api: usize,
@@ -297,7 +299,7 @@ impl ObjectRegistry {
                 len,
             });
         } else {
-            self.resolve_span_into(start, len, out);
+            self.resolve_span(start, len, out);
         }
     }
 
@@ -354,17 +356,11 @@ impl ObjectRegistry {
     }
 
     /// Resolves the byte span `[start, start + len)` to the sequence of
-    /// innermost objects covering it, in address order. A span crossing an
-    /// object's end is split at the boundary; bytes covered by no live
-    /// object are omitted. A zero-length span resolves like a point.
-    pub fn resolve_span(&self, start: DevicePtr, len: u64) -> Vec<SpanSegment> {
-        let mut out = Vec::new();
-        self.resolve_span_into(start, len, &mut out);
-        out
-    }
-
-    /// [`ObjectRegistry::resolve_span`], appending to `out`.
-    fn resolve_span_into(&self, start: DevicePtr, len: u64, out: &mut Vec<SpanSegment>) {
+    /// innermost objects covering it, in address order, appending the
+    /// segments to `out`. A span crossing an object's end is split at the
+    /// boundary; bytes covered by no live object are omitted. A zero-length
+    /// span resolves like a point.
+    pub fn resolve_span(&self, start: DevicePtr, len: u64, out: &mut Vec<SpanSegment>) {
         let mut a = start.addr();
         if len == 0 {
             if let Some(w) = self.window(a) {
@@ -467,6 +463,12 @@ mod tests {
         AddrRange::new(DevicePtr::new(base), len)
     }
 
+    fn span(reg: &ObjectRegistry, start: u64, len: u64) -> Vec<SpanSegment> {
+        let mut out = Vec::new();
+        reg.resolve_span(DevicePtr::new(start), len, &mut out);
+        out
+    }
+
     fn alloc(reg: &mut ObjectRegistry, label: &str, base: u64, len: u64, api: usize) -> ObjectId {
         reg.on_alloc(
             label,
@@ -537,7 +539,7 @@ mod tests {
         assert_eq!(probe(&reg, &mut cache, 0x10FF), Some((t, 0xFF)));
         assert_eq!(reg.live_count(), 2);
         assert_eq!(
-            reg.resolve_span(DevicePtr::new(0x10F0), 0x20),
+            span(&reg, 0x10F0, 0x20),
             vec![seg(t, 0xF0, 0x10), seg(slab, 0x100, 0x10)]
         );
         // The pool returns the tensor, then the slab is freed by its base.
@@ -561,7 +563,7 @@ mod tests {
         assert_eq!(probe(&reg, &mut cache, 0x2000), Some((next, 0)));
         assert_eq!(probe(&reg, &mut cache, 0x1EFF), Some((slab, 0xEFF)));
         let want = vec![seg(slab, 0xEF0, 0x10), seg(t, 0, 0x100), seg(next, 0, 0x20)];
-        assert_eq!(reg.resolve_span(DevicePtr::new(0x1EF0), 0x130), want);
+        assert_eq!(span(&reg, 0x1EF0, 0x130), want);
         // The cached form, starting inside the slab's clipped window, splits
         // the same way.
         let mut out = Vec::new();
@@ -650,7 +652,7 @@ mod tests {
         let a = alloc(&mut reg, "a", 0x1000, 0x100, 0);
         let b = alloc(&mut reg, "b", 0x1100, 0x100, 1);
         // Span covering the tail of `a` and the head of `b`.
-        let segs = reg.resolve_span(DevicePtr::new(0x10C0), 0x80);
+        let segs = span(&reg, 0x10C0, 0x80);
         assert_eq!(
             segs,
             vec![
@@ -667,7 +669,7 @@ mod tests {
             ]
         );
         // Span running past the last live byte: the overhang is dropped.
-        let segs = reg.resolve_span(DevicePtr::new(0x11F0), 0x40);
+        let segs = span(&reg, 0x11F0, 0x40);
         assert_eq!(
             segs,
             vec![SpanSegment {
@@ -678,7 +680,7 @@ mod tests {
         );
         // Span across a gap between objects skips the dead bytes.
         let c = alloc(&mut reg, "c", 0x1300, 0x100, 2);
-        let segs = reg.resolve_span(DevicePtr::new(0x11F0), 0x200);
+        let segs = span(&reg, 0x11F0, 0x200);
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].object, b);
         assert_eq!(

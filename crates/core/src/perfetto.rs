@@ -62,7 +62,7 @@ pub fn trace_json(collector: &Collector, report: &Report) -> Value {
             "pid": 1,
             "tid": tid,
             "args": {
-                "detail": api.detail,
+                "detail": api.detail.to_string(),
                 "topological_ts": tv.api_ts[idx],
                 "call_path": call_path,
             }

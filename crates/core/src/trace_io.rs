@@ -69,7 +69,7 @@ use crate::analyzer::{self, ObjectFacts, ObjectMeta};
 use crate::collector::{Collector, GpuApi, RawAccess};
 use crate::depgraph::VertexAccess;
 use crate::error::TraceError;
-use crate::names::{GpuApiKind, PathId, PathText};
+use crate::names::{push_u64, ApiDetail, GpuApiKind, PathId, PathText};
 use crate::object::{DataObject, ObjectId, ObjectSource};
 use crate::options::Thresholds;
 use crate::patterns::intra::{IntraObjectData, NuafObservation};
@@ -168,7 +168,7 @@ fn tag_of<T: PartialEq>(tags: &Tags<T>, value: T) -> &'static str {
 fn object_row(o: &DataObject) -> SavedObject {
     SavedObject {
         id: o.id.0,
-        label: o.label.clone(),
+        label: String::from(&*o.label),
         size: o.size(),
         source: o.source,
         alloc_api: o.alloc_api,
@@ -290,21 +290,9 @@ impl Enc<'_> {
         }
     }
 
-    fn u64(&mut self, mut v: u64) -> &mut Self {
+    fn u64(&mut self, v: u64) -> &mut Self {
         self.sep();
-        let mut digits = [0u8; 20];
-        let mut i = digits.len();
-        loop {
-            i -= 1;
-            digits[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        for &d in &digits[i..] {
-            self.out.push(char::from(d));
-        }
+        push_u64(self.out, v);
         self
     }
 
@@ -349,6 +337,21 @@ impl Enc<'_> {
         }
         self.out.push('"');
         self
+    }
+
+    /// An API's detail as a JSON string, rendered in place: a byte count
+    /// never needs escaping.
+    fn detail(&mut self, d: &ApiDetail) -> &mut Self {
+        match d.text() {
+            Some(text) => self.str(text),
+            None => {
+                self.sep();
+                self.out.push('"');
+                d.write_to(self.out);
+                self.out.push('"');
+                self
+            }
+        }
     }
 
     fn open(&mut self) -> &mut Self {
@@ -404,7 +407,7 @@ fn write_frame(out: &mut String, name: &str, payload: impl FnOnce(&mut Enc<'_>))
 fn put_api(e: &mut Enc<'_>, a: &GpuApi) {
     e.open()
         .tag(&KINDS, a.kind)
-        .str(&a.detail)
+        .detail(&a.detail)
         .u64(u64::from(a.vertex.stream.0))
         .u64(a.ordinal_in_stream)
         .u64s(a.vertex.reads.iter().map(|o| o.0))
@@ -797,7 +800,7 @@ fn get_api(c: &mut Cursor<'_>) -> Result<GpuApi, String> {
     let stream = StreamId(c.num()?);
     let api = GpuApi {
         kind,
-        detail,
+        detail: ApiDetail::Text(detail),
         stream,
         ordinal_in_stream: c.u64()?,
         vertex: VertexAccess {

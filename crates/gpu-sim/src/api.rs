@@ -1060,10 +1060,9 @@ impl DeviceContext {
             start,
             end,
         );
-        let touched = sink.take_touched();
-        self.sink_arena.reclaim(sink);
         self.sanitizer
-            .dispatch_kernel_end(&info, &touched, &counters);
+            .dispatch_kernel_end(&info, sink.sorted_touched(), &counters);
+        self.sink_arena.reclaim(sink);
         // Faults are reported only after the API event and all hook
         // dispatches, so profilers observe the partial execution.
         if deadline_hit {

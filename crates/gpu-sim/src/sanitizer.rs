@@ -453,12 +453,13 @@ const EMPTY_HINT: (u64, u64) = (u64::MAX, 0);
 /// each launch's [`AccessSink`].
 ///
 /// Two things make this worth threading through every launch: the record
-/// buffer and merge-candidate table keep their high-water capacity instead
-/// of reallocating per kernel, and the per-pc allocation memo stays warm
-/// *across* launches — consecutive kernels usually run with an unchanged
-/// allocation map, so the second launch onward skips the Fig. 5 binary
-/// search almost entirely. The memo is wiped whenever the allocator epoch
-/// changes, which is exactly when its entries could go stale.
+/// buffer, merge-candidate table and hit-flag summary keep their
+/// high-water capacity instead of reallocating per kernel, and the per-pc
+/// allocation memo stays warm *across* launches — consecutive kernels
+/// usually run with an unchanged allocation map, so the second launch
+/// onward skips the Fig. 5 binary search almost entirely. The memo is
+/// wiped whenever the allocator epoch changes, which is exactly when its
+/// entries could go stale.
 #[derive(Debug)]
 pub(crate) struct SinkArena {
     buffer: Vec<MemAccessRecord>,
@@ -468,6 +469,7 @@ pub(crate) struct SinkArena {
     pc_hints: Vec<(u64, u64)>,
     /// Allocator epoch `pc_hints` was built under; `u64::MAX` = never.
     hint_epoch: u64,
+    touched: Vec<TouchedObject>,
 }
 
 impl Default for SinkArena {
@@ -477,6 +479,7 @@ impl Default for SinkArena {
             merge_candidates: CandidateMap::default(),
             pc_hints: Vec::new(),
             hint_epoch: u64::MAX,
+            touched: Vec::new(),
         }
     }
 }
@@ -501,6 +504,8 @@ impl SinkArena {
         let mut merge_candidates = std::mem::take(&mut self.merge_candidates);
         merge_candidates.clear();
         let mut pc_hints = std::mem::take(&mut self.pc_hints);
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
         if self.hint_epoch != alloc_epoch {
             pc_hints.iter_mut().for_each(|h| *h = EMPTY_HINT);
             self.hint_epoch = alloc_epoch;
@@ -514,7 +519,7 @@ impl SinkArena {
             merge_candidates,
             last_hit: None,
             pc_hints,
-            touched: Vec::new(),
+            touched,
             flushes: 0,
             records_seen: 0,
             coalesced_away: 0,
@@ -532,6 +537,7 @@ impl SinkArena {
         sink.merge_candidates.clear();
         self.merge_candidates = sink.merge_candidates;
         self.pc_hints = sink.pc_hints;
+        self.touched = sink.touched;
     }
 }
 
@@ -603,10 +609,10 @@ impl AccessSink {
         self.mode
     }
 
-    pub(crate) fn take_touched(&mut self) -> Vec<TouchedObject> {
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.sort_unstable_by_key(|t| t.base.addr());
-        touched
+    /// The hit-flag summary, sorted by base address.
+    pub(crate) fn sorted_touched(&mut self) -> &[TouchedObject] {
+        self.touched.sort_unstable_by_key(|t| t.base.addr());
+        &self.touched
     }
 
     /// The hit-flag entry for the allocation based at `base`, created on

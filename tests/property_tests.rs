@@ -971,7 +971,8 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
             // run of bytes with the same innermost object, gaps omitted.
             let start = probe_addr(&mut rng, &slabs, &tensors, CAPACITY, 0);
             let len = range(&mut rng, 0, 300);
-            let segs = reg.resolve_span(DevicePtr::new(start), len);
+            let mut segs = Vec::new();
+            reg.resolve_span(DevicePtr::new(start), len, &mut segs);
             // The cached form, fed the persistent cache, splits identically.
             let mut cached = Vec::new();
             reg.resolve_span_cached(DevicePtr::new(start), len, &mut cache, &mut cached);
@@ -996,5 +997,139 @@ fn registry_fast_resolvers_match_btreemap_oracle() {
             }
             assert_eq!(segs, want, "seed {seed}: resolve_span [{start:#x}; {len})");
         }
+    }
+}
+
+// ------------------------------------------------------- event ordering
+
+/// One step of a random multi-stream program.
+#[derive(Debug, Clone, Copy)]
+enum StreamOp {
+    CreateStream,
+    CreateEvent,
+    /// Record event `.0` on stream `.1` (indices into the created lists).
+    Record(usize, usize),
+    /// Stream `.0` waits on event `.1`.
+    Wait(usize, usize),
+    Launch(usize),
+    Memset(usize),
+    CopyIn(usize),
+}
+
+fn stream_ops(rng: &mut SplitMix64) -> Vec<StreamOp> {
+    let len = range(rng, 10, 80) as usize;
+    (0..len)
+        .map(|_| {
+            let s = range(rng, 0, 6) as usize;
+            let e = range(rng, 0, 4) as usize;
+            match range(rng, 0, 100) {
+                0..=9 => StreamOp::CreateStream,
+                10..=19 => StreamOp::CreateEvent,
+                20..=39 => StreamOp::Record(e, s),
+                40..=59 => StreamOp::Wait(s, e),
+                60..=74 => StreamOp::Launch(s),
+                75..=87 => StreamOp::Memset(s),
+                _ => StreamOp::CopyIn(s),
+            }
+        })
+        .collect()
+}
+
+/// The event-ordering edges of Sec. 5.3, kept in hash maps: each GPU API
+/// comes after the APIs its stream's pending waits name. A wait names the
+/// API its event was last recorded after; an event recorded on a stream
+/// that has run no GPU API yet, and an event never recorded, name none.
+#[derive(Default)]
+struct EventModel {
+    last_api: HashMap<u32, usize>,
+    recorded_after: HashMap<u32, usize>,
+    pending: HashMap<u32, Vec<usize>>,
+    after: Vec<Vec<usize>>,
+}
+
+impl EventModel {
+    fn gpu_api(&mut self, stream: StreamId) {
+        let idx = self.after.len();
+        self.after
+            .push(self.pending.remove(&stream.0).unwrap_or_default());
+        self.last_api.insert(stream.0, idx);
+    }
+
+    fn record(&mut self, event: u32, stream: StreamId) {
+        match self.last_api.get(&stream.0) {
+            Some(&idx) => self.recorded_after.insert(event, idx),
+            None => self.recorded_after.remove(&event),
+        };
+    }
+
+    fn wait(&mut self, stream: StreamId, event: u32) {
+        if let Some(&idx) = self.recorded_after.get(&event) {
+            self.pending.entry(stream.0).or_default().push(idx);
+        }
+    }
+}
+
+#[test]
+fn event_edges_match_hash_map_model() {
+    use drgpum::prelude::{DeviceContext, LaunchConfig, Profiler, ProfilerOptions};
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(0xE7E7_0000 ^ seed);
+        let mut ctx = DeviceContext::new_default();
+        let profiler = Profiler::attach(&mut ctx, ProfilerOptions::object_level());
+        let mut model = EventModel::default();
+        let buf = ctx.malloc(64, "buf").unwrap();
+        model.gpu_api(StreamId::DEFAULT);
+        let mut streams = vec![StreamId::DEFAULT];
+        let mut events = Vec::new();
+        let cfg = LaunchConfig::cover(4, 4).unwrap();
+        for op in stream_ops(&mut rng) {
+            // Indices past the created lists wrap; an op on an event before
+            // any exists is skipped.
+            let stream = |i: usize| streams[i % streams.len()];
+            match op {
+                StreamOp::CreateStream => streams.push(ctx.create_stream()),
+                StreamOp::CreateEvent => events.push(ctx.create_event()),
+                StreamOp::Record(e, s) if !events.is_empty() => {
+                    let (ev, s) = (events[e % events.len()], stream(s));
+                    ctx.record_event(ev, s).unwrap();
+                    model.record(ev.0, s);
+                }
+                StreamOp::Wait(s, e) if !events.is_empty() => {
+                    let (s, ev) = (stream(s), events[e % events.len()]);
+                    ctx.wait_event(s, ev).unwrap();
+                    model.wait(s, ev.0);
+                }
+                StreamOp::Record(..) | StreamOp::Wait(..) => {}
+                StreamOp::Launch(s) => {
+                    let s = stream(s);
+                    ctx.launch("k", cfg, s, move |t| {
+                        let i = t.global_x();
+                        if i < 16 {
+                            t.store_f32(buf + i * 4, 1.0);
+                        }
+                    })
+                    .unwrap();
+                    model.gpu_api(s);
+                }
+                StreamOp::Memset(s) => {
+                    let s = stream(s);
+                    ctx.memset_on(buf, 0, 64, s).unwrap();
+                    model.gpu_api(s);
+                }
+                StreamOp::CopyIn(s) => {
+                    let s = stream(s);
+                    ctx.memcpy_h2d_on(buf, &[1u8; 64], s).unwrap();
+                    model.gpu_api(s);
+                }
+            }
+        }
+        let collector = profiler.collector();
+        let collector = collector.lock();
+        let after: Vec<Vec<usize>> = collector
+            .gpu_apis()
+            .iter()
+            .map(|a| a.vertex.after.clone())
+            .collect();
+        assert_eq!(after, model.after, "seed {seed}");
     }
 }

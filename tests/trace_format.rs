@@ -180,6 +180,67 @@ fn strings_round_trip_through_escapes() {
 }
 
 #[test]
+fn api_details_render_their_old_text_and_round_trip() {
+    let mut ctx = DeviceContext::new_default();
+    // Allocated before the profiler attaches: its FREE names a pointer the
+    // registry never saw.
+    let unseen_label = "unseen \"before\" attach";
+    let unseen = ctx.malloc(64, unseen_label).unwrap();
+    let profiler = Profiler::attach(&mut ctx, ProfilerOptions::object_level());
+    let label = "quote\" back\\slash\nnew\ttab\u{1}ctl é [,]";
+    let kernel = "kern\"el\\ \u{2} é";
+    let a = ctx.malloc(256, label).unwrap();
+    let b = ctx.malloc(4096, "b").unwrap();
+    ctx.memset(a, 0, 256).unwrap();
+    ctx.memcpy_h2d(b, &[1u8; 100]).unwrap();
+    ctx.memcpy_d2h(&mut [0u8; 7], a).unwrap();
+    ctx.memcpy_d2d(b, a, 256).unwrap();
+    let cfg = LaunchConfig::cover(4, 4).unwrap();
+    ctx.launch(kernel, cfg, StreamId::DEFAULT, move |t| {
+        let i = t.global_x();
+        if i < 4 {
+            t.store_f32(a + i * 4, 1.0);
+        }
+    })
+    .unwrap();
+    ctx.free(a).unwrap();
+    ctx.free(unseen).unwrap();
+
+    let collector = profiler.collector();
+    let collector = collector.lock();
+    // What each row's detail was formatted as when it was a `String`.
+    let size = 256u64;
+    let want = [
+        label.to_owned(),
+        "b".to_owned(),
+        format!("{size}B set"),
+        format!("{}B H2D", 100),
+        format!("{}B D2H", 7),
+        format!("{size}B D2D"),
+        kernel.to_owned(),
+        label.to_owned(),
+        unseen_label.to_owned(),
+    ];
+    let details: Vec<String> = collector
+        .gpu_apis()
+        .iter()
+        .map(|api| api.detail.to_string())
+        .collect();
+    assert_eq!(details, want);
+    for api in collector.gpu_apis() {
+        let mut text = String::new();
+        api.detail.write_to(&mut text);
+        assert_eq!(text, api.detail.to_string());
+        assert_eq!(api.detail.rendered_len(), text.len(), "{text}");
+    }
+    // A loaded row holds its detail as text: writing it again must give
+    // the bytes the live rows were written as.
+    let text = trace_io::save(&collector, ctx.call_stack().table(), "rtx3090").to_text();
+    let again = trace_io::load(&text).expect("loads strictly").to_text();
+    assert_eq!(again, text);
+}
+
+#[test]
 fn crc32_matches_a_bytewise_model_at_every_length_and_offset() {
     let mut rng = drgpum::sim::SplitMix64::new(0xC0C);
     let bytes: Vec<u8> = (0..308).map(|_| rng.next_below(256) as u8).collect();
