@@ -16,6 +16,7 @@ use crate::report::{
     suggestion_for, wasted_bytes_estimate, DegradationRecord, DetectorOutcome, DetectorStatus,
     Finding, ObjectSummary, PeakSummary, Report, ReportStats,
 };
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -169,36 +170,64 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Outcome of one isolated detector run: findings, `None` if the detector
-/// observed cancellation (watchdog deadline), or the panic payload.
-type DetectorResult =
-    std::result::Result<Option<Vec<PatternFinding>>, Box<dyn std::any::Any + Send>>;
+/// One detector family: its report name and its body, which polls the
+/// token it is given and returns `None` once that token is cancelled.
+type Family<'a> = (
+    &'static str,
+    &'a dyn Fn(&CancelToken) -> Option<Vec<PatternFinding>>,
+);
 
-/// Runs one detector family under panic isolation. Safe to call from a
-/// worker thread; pair with [`record_detector`] on the owning thread.
-fn run_detector(body: impl FnOnce() -> Option<Vec<PatternFinding>>) -> DetectorResult {
-    catch_unwind(AssertUnwindSafe(body))
+/// Runs the detector families one after another on the calling thread,
+/// each under panic isolation and with its own deadline token whose clock
+/// starts when that family starts. Findings and statuses come back in the
+/// order of `families`.
+fn run_families(
+    families: &[Family<'_>],
+    deadline_ms: Option<u64>,
+) -> (Vec<PatternFinding>, Vec<DetectorStatus>) {
+    let mut raw = Vec::new();
+    let mut statuses = Vec::with_capacity(families.len());
+    for &(name, detect) in families {
+        let cancel = match deadline_ms {
+            Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
+            None => CancelToken::new(),
+        };
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            serve_stall(name, &cancel)?;
+            detect(&cancel)
+        }));
+        let outcome = match result {
+            Ok(Some(found)) => {
+                let findings = found.len();
+                raw.extend(found);
+                DetectorOutcome::Ok { findings }
+            }
+            Ok(None) => DetectorOutcome::TimedOut {
+                deadline_ms: deadline_ms.unwrap_or(0),
+            },
+            Err(payload) => DetectorOutcome::Failed {
+                message: panic_message(payload),
+            },
+        };
+        statuses.push(DetectorStatus {
+            name: name.to_owned(),
+            outcome,
+        });
+    }
+    (raw, statuses)
 }
 
 /// Fault-injection hook for the watchdog tests: when
 /// `DRGPUM_FAULT_STALL_DETECTOR` is set to `<name>:<millis>`, the named
-/// detector family busy-waits that long (polling its cancel token) before
+/// detector family sleeps that long (polling its cancel token) before
 /// doing any real work — a deterministic stand-in for a wedged detector.
-fn injected_stall(name: &str) -> Option<u64> {
-    let spec = std::env::var("DRGPUM_FAULT_STALL_DETECTOR").ok()?;
-    let (who, millis) = spec.split_once(':')?;
-    if who != name {
-        return None;
-    }
-    millis.trim().parse().ok()
-}
-
-/// Cooperatively sleeps through an injected stall. Returns `None` (the
-/// cancelled outcome) if the token is cancelled before the stall elapses.
+/// Returns `None` (the cancelled outcome) if the token is cancelled before
+/// the stall elapses.
 fn serve_stall(name: &str, cancel: &CancelToken) -> Option<()> {
-    let millis = match injected_stall(name) {
-        Some(ms) => ms,
-        None => return Some(()),
+    let spec = std::env::var("DRGPUM_FAULT_STALL_DETECTOR").unwrap_or_default();
+    let millis = match spec.split_once(':') {
+        Some((who, ms)) if who == name => ms.trim().parse().unwrap_or(0),
+        _ => return Some(()),
     };
     let until = Instant::now() + Duration::from_millis(millis);
     while Instant::now() < until {
@@ -210,44 +239,6 @@ fn serve_stall(name: &str, cancel: &CancelToken) -> Option<()> {
     Some(())
 }
 
-/// Folds one detector outcome into the report accumulators, appending its
-/// findings (if it succeeded) and recording its status either way.
-fn record_detector(
-    name: &str,
-    result: DetectorResult,
-    deadline_ms: Option<u64>,
-    raw: &mut Vec<PatternFinding>,
-    statuses: &mut Vec<DetectorStatus>,
-) {
-    match result {
-        Ok(Some(found)) => {
-            statuses.push(DetectorStatus {
-                name: name.to_owned(),
-                outcome: DetectorOutcome::Ok {
-                    findings: found.len(),
-                },
-            });
-            raw.extend(found);
-        }
-        Ok(None) => {
-            statuses.push(DetectorStatus {
-                name: name.to_owned(),
-                outcome: DetectorOutcome::TimedOut {
-                    deadline_ms: deadline_ms.unwrap_or(0),
-                },
-            });
-        }
-        Err(payload) => {
-            statuses.push(DetectorStatus {
-                name: name.to_owned(),
-                outcome: DetectorOutcome::Failed {
-                    message: panic_message(payload),
-                },
-            });
-        }
-    }
-}
-
 /// Runs all detectors over prepared inputs and assembles the final report.
 ///
 /// Shared by the online path (profiling a live context) and the offline
@@ -256,6 +247,13 @@ fn record_detector(
 /// loses only its own findings and is marked `Failed` in the report's
 /// detector statuses. `degradations` carries downgrade records accumulated
 /// upstream (collector fallbacks, trace salvage losses).
+///
+/// When `detector_deadline_ms` is set, each family gets that long from its
+/// own start; a family still running at its deadline observes its
+/// [`CancelToken`] cancelled and is recorded as
+/// [`DetectorOutcome::TimedOut`]. Families that finished in time are
+/// unaffected — their findings land in the report exactly as without a
+/// deadline.
 #[allow(clippy::too_many_arguments)] // the two call sites pass through prepared inputs 1:1
 pub fn assemble_report(
     trace: &TraceView,
@@ -266,123 +264,29 @@ pub fn assemble_report(
     thresholds: &crate::options::Thresholds,
     platform: &str,
     degradations: Vec<DegradationRecord>,
-) -> Report {
-    // The offline path (reanalysis of a saved trace) honors the same env
-    // knobs as a live session; an explicit budget is threaded through
-    // `assemble_report_governed` by `analyze`.
-    let budget = crate::governor::ResourceBudget::default().apply_env();
-    assemble_report_governed(
-        trace,
-        intra,
-        usage,
-        objects,
-        unified,
-        thresholds,
-        platform,
-        degradations,
-        budget.detector_deadline_ms,
-    )
-}
-
-/// [`assemble_report`] with an explicit per-detector watchdog deadline.
-///
-/// When `detector_deadline_ms` is set, a watchdog polls the four detector
-/// threads; any family still running at the deadline has its
-/// [`CancelToken`] cancelled and is recorded as
-/// [`DetectorOutcome::TimedOut`]. Families that finished in time are
-/// unaffected — their findings land in the report exactly as without a
-/// deadline.
-#[allow(clippy::too_many_arguments)] // pass-through of prepared inputs, same as assemble_report
-pub fn assemble_report_governed(
-    trace: &TraceView,
-    intra: &[crate::patterns::intra::IntraObjectData],
-    usage: &[crate::peaks::UsageSample],
-    objects: &[ObjectMeta],
-    unified: &[crate::patterns::unified::UnifiedPageStats],
-    thresholds: &crate::options::Thresholds,
-    platform: &str,
-    degradations: Vec<DegradationRecord>,
     detector_deadline_ms: Option<u64>,
 ) -> Report {
-    // Pattern detection. The four families are independent, so they run on
-    // scoped worker threads, each under the same per-family panic isolation
-    // as before. Results are folded in a fixed order (the serial order), so
-    // the report — findings, statuses, serialization — is identical to a
-    // single-threaded run.
-    let mut raw: Vec<PatternFinding> = Vec::new();
-    let mut detectors: Vec<DetectorStatus> = Vec::new();
-    let cancels: [CancelToken; 4] = std::array::from_fn(|_| CancelToken::new());
-    let (c_obj, c_red, c_intra, c_uni) = (&cancels[0], &cancels[1], &cancels[2], &cancels[3]);
-    let (r_obj, r_red, r_intra, r_uni) = std::thread::scope(|s| {
-        let obj = s.spawn(|| {
-            run_detector(|| {
-                serve_stall("object_level", c_obj)?;
-                object_level::detect_all_cancellable(trace, thresholds, c_obj)
-            })
-        });
-        let red = s.spawn(|| {
-            run_detector(|| {
-                serve_stall("redundant", c_red)?;
+    let (raw, detectors) = run_families(
+        &[
+            ("object_level", &|c| {
+                object_level::detect_all_cancellable(trace, thresholds, c)
+            }),
+            ("redundant", &|c| {
                 redundant::detect_redundant_allocations_cancellable(
                     trace,
                     thresholds.redundant_size_pct,
-                    c_red,
+                    c,
                 )
-            })
-        });
-        let intra_h = s.spawn(|| {
-            run_detector(|| {
-                serve_stall("intra", c_intra)?;
-                intra::detect_all_cancellable(intra, trace, thresholds, c_intra)
-            })
-        });
-        let uni = s.spawn(|| {
-            run_detector(|| {
-                serve_stall("unified", c_uni)?;
-                crate::patterns::unified::detect_all_cancellable(unified, thresholds, c_uni)
-            })
-        });
-        // Watchdog: poll until every family finished or the deadline
-        // passed, then cancel only the stragglers. Cancellation is
-        // cooperative — the join below still waits for the detector to
-        // observe its token, which the polling loops do within one
-        // iteration.
-        if let Some(ms) = detector_deadline_ms {
-            let deadline = Instant::now() + Duration::from_millis(ms);
-            let unfinished = || {
-                !(obj.is_finished()
-                    && red.is_finished()
-                    && intra_h.is_finished()
-                    && uni.is_finished())
-            };
-            while unfinished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            if !obj.is_finished() {
-                c_obj.cancel();
-            }
-            if !red.is_finished() {
-                c_red.cancel();
-            }
-            if !intra_h.is_finished() {
-                c_intra.cancel();
-            }
-            if !uni.is_finished() {
-                c_uni.cancel();
-            }
-        }
-        // A detector panic is caught *inside* the worker; a join error can
-        // only be a secondary panic (e.g. in a Drop) — treat its payload
-        // the same way.
-        let join =
-            |h: std::thread::ScopedJoinHandle<'_, DetectorResult>| h.join().unwrap_or_else(Err);
-        (join(obj), join(red), join(intra_h), join(uni))
-    });
-    let ms = detector_deadline_ms;
-    record_detector("object_level", r_obj, ms, &mut raw, &mut detectors);
-    record_detector("redundant", r_red, ms, &mut raw, &mut detectors);
-    record_detector("intra", r_intra, ms, &mut raw, &mut detectors);
-    record_detector("unified", r_uni, ms, &mut raw, &mut detectors);
+            }),
+            ("intra", &|c| {
+                intra::detect_all_cancellable(intra, trace, thresholds, c)
+            }),
+            ("unified", &|c| {
+                crate::patterns::unified::detect_all_cancellable(unified, thresholds, c)
+            }),
+        ],
+        detector_deadline_ms,
+    );
 
     // Peak analysis over the object metadata.
     let by_id: HashMap<_, &ObjectMeta> = objects.iter().map(|o| (o.id, o)).collect();
@@ -441,11 +345,7 @@ pub fn assemble_report_governed(
             })
         })
         .collect();
-    findings.sort_by(|a, b| {
-        b.priority()
-            .cmp(&a.priority())
-            .then(a.object.id.cmp(&b.object.id))
-    });
+    findings.sort_by_cached_key(|f| (Reverse(f.priority()), f.object.id));
 
     // Statistics.
     let leaked: Vec<&ObjectMeta> = objects
@@ -497,7 +397,7 @@ pub fn analyze(collector: &Collector, platform: &str) -> Report {
     let trace = build_trace_view(collector);
     let intra_data: Vec<_> = collector.intra_data().into_iter().cloned().collect();
     let objects = object_metas(collector);
-    assemble_report_governed(
+    assemble_report(
         &trace,
         &intra_data,
         collector.usage_curve(),
@@ -630,6 +530,40 @@ mod tests {
         assert_eq!(tv.api_ts, vec![0, 1, 2]);
         assert_eq!(tv.objects.len(), 1);
         assert_eq!(tv.objects[0].accesses.len(), 1);
+    }
+
+    #[test]
+    fn a_panicking_and_a_stalled_family_leave_the_others_ok() {
+        let finding = |id| PatternFinding {
+            object: ObjectId(id),
+            evidence: crate::patterns::PatternEvidence::UnusedAllocation,
+        };
+        // The last family polls its token after the stalled one's deadline
+        // has passed: it must see a clock of its own.
+        let ok = |c: &CancelToken| (!c.is_cancelled()).then(|| vec![finding(1)]);
+        let panics = |_: &CancelToken| -> Option<Vec<PatternFinding>> { panic!("detector bug") };
+        let stalls = |c: &CancelToken| {
+            while !c.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            None
+        };
+        let (raw, statuses) = run_families(
+            &[("a", &ok), ("b", &panics), ("c", &stalls), ("d", &ok)],
+            Some(30),
+        );
+        let names: Vec<&str> = statuses.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c", "d"]);
+        assert_eq!(statuses[0].outcome, DetectorOutcome::Ok { findings: 1 });
+        assert!(
+            matches!(&statuses[1].outcome, DetectorOutcome::Failed { message } if message == "detector bug")
+        );
+        assert_eq!(
+            statuses[2].outcome,
+            DetectorOutcome::TimedOut { deadline_ms: 30 }
+        );
+        assert_eq!(statuses[3].outcome, DetectorOutcome::Ok { findings: 1 });
+        assert_eq!(raw.len(), 2);
     }
 
     /// Verify the hooks trait is object-safe the way the profiler uses it.

@@ -15,9 +15,9 @@
 //!   counters-only — recording each demotion as a timestamped
 //!   [`DegradationRecord`] so reports stay honest;
 //! * a [`CancelToken`] carries watchdog deadlines to detectors (and any
-//!   other cooperative loop): the offender polls the token, the watchdog
-//!   cancels it on deadline, and the run continues with the offender marked
-//!   `TimedOut`.
+//!   other cooperative loop): the offender polls the token, the token
+//!   reports cancelled once its deadline passes, and the run continues with
+//!   the offender marked `TimedOut`.
 //!
 //! When no budget ever trips the governor is inert: it never mutates
 //! collector state and reports are byte-identical to an ungoverned run.
@@ -25,22 +25,34 @@
 use crate::report::DegradationRecord;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// A shared cooperative-cancellation flag.
+/// A shared cooperative-cancellation flag, optionally with a deadline.
 ///
-/// Cheap to clone (one `Arc<AtomicBool>`); all clones observe the same
-/// flag. Long-running loops poll [`is_cancelled`](Self::is_cancelled) and
-/// bail out promptly when a watchdog calls [`cancel`](Self::cancel).
+/// Cheap to clone (one `Arc<AtomicBool>` and the deadline); all clones
+/// observe the same flag. Long-running loops poll
+/// [`is_cancelled`](Self::is_cancelled) and bail out promptly once someone
+/// calls [`cancel`](Self::cancel) or the deadline passes.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
 }
 
 impl CancelToken {
-    /// A fresh, uncancelled token.
+    /// A fresh, uncancelled token without a deadline.
     pub fn new() -> Self {
         CancelToken::default()
+    }
+
+    /// A fresh token that reports cancelled once `timeout` has elapsed
+    /// from now. A timeout too long for the clock to represent never
+    /// expires.
+    pub fn with_deadline(timeout: Duration) -> Self {
+        CancelToken {
+            flag: Arc::default(),
+            deadline: Instant::now().checked_add(timeout),
+        }
     }
 
     /// Requests cancellation. Idempotent; visible to all clones.
@@ -48,9 +60,10 @@ impl CancelToken {
         self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// `true` once any clone has been cancelled.
+    /// `true` once any clone has been cancelled or the deadline has
+    /// passed. Without a deadline this is one atomic load.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
+        self.flag.load(Ordering::Relaxed) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -89,9 +102,10 @@ pub struct ResourceBudget {
     /// the stream writer stops appending (after a final checkpoint) and the
     /// loss is recorded as a degradation.
     pub max_trace_bytes: Option<u64>,
-    /// Watchdog deadline per pattern-detector family, in milliseconds.
-    /// A detector still running at the deadline is cooperatively cancelled
-    /// and reported `TimedOut`; the other detectors are unaffected.
+    /// Watchdog deadline per pattern-detector family, in milliseconds,
+    /// counted from the moment that family starts. A detector still
+    /// running at its deadline is cooperatively cancelled and reported
+    /// `TimedOut`; the other detectors are unaffected.
     pub detector_deadline_ms: Option<u64>,
     /// Cooperative deadline per simulated kernel launch, in milliseconds
     /// (enforced by `gpu_sim` via `SimConfig::kernel_deadline_ms`).
@@ -370,6 +384,31 @@ mod tests {
         let t = CancelToken::new();
         let u = t.clone();
         assert!(!u.is_cancelled());
+        t.cancel();
+        assert!(u.is_cancelled());
+    }
+
+    #[test]
+    fn token_without_deadline_never_expires() {
+        let t = CancelToken::new();
+        let unrepresentable = CancelToken::with_deadline(Duration::MAX);
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(!t.is_cancelled());
+        assert!(!unrepresentable.is_cancelled());
+    }
+
+    #[test]
+    fn token_past_its_deadline_reports_cancelled() {
+        let t = CancelToken::with_deadline(Duration::ZERO);
+        assert!(t.is_cancelled());
+        let far = CancelToken::with_deadline(Duration::from_secs(3600));
+        assert!(!far.is_cancelled());
+    }
+
+    #[test]
+    fn cancel_works_on_a_token_with_a_deadline() {
+        let t = CancelToken::with_deadline(Duration::from_secs(3600));
+        let u = t.clone();
         t.cancel();
         assert!(u.is_cancelled());
     }

@@ -104,63 +104,36 @@ pub fn detect_structured_access(
     trace: &TraceView,
     thresholds: &Thresholds,
 ) -> Option<PatternFinding> {
-    let mut per_kernel: HashMap<&str, Vec<&RangeSet>> = HashMap::new();
+    // Kernels in the order of their first instance in `per_api`.
+    let mut slot: HashMap<&str, usize> = HashMap::new();
+    let mut per_kernel: Vec<(&str, Vec<&RangeSet>)> = Vec::new();
     for (api_idx, rs) in &data.per_api {
         if rs.is_empty() {
             continue;
         }
         if let Some(Some(kernel)) = trace.api_kernels.get(*api_idx) {
-            per_kernel.entry(kernel.as_str()).or_default().push(rs);
+            let k = *slot.entry(kernel).or_insert_with(|| {
+                per_kernel.push((kernel, Vec::new()));
+                per_kernel.len() - 1
+            });
+            per_kernel[k].1.push(rs);
         }
     }
     // Among qualifying kernels, report the one slicing the most bytes of
     // the object — GramSchmidt's kernel3 (half the matrix) wins over
-    // kernel1 (one diagonal element per instance).
+    // kernel1 (one diagonal element per instance). On equal coverage the
+    // kernel whose first instance comes first wins.
     let mut best: Option<(u64, usize, &str, u64)> = None;
-    'kernels: for (kernel, slices) in &per_kernel {
+    for (kernel, slices) in &per_kernel {
         if slices.len() < thresholds.structured_min_slices {
             continue;
         }
-        for i in 0..slices.len() {
-            for j in i + 1..slices.len() {
-                if slices[i].intersects(slices[j]) {
-                    continue 'kernels;
-                }
-            }
-        }
-        // The memory-saving fix replaces the object with per-slice
-        // allocations "whose lifetimes do not overlap" (Def. 3.10), so the
-        // slices must also be *temporally* disjoint: considering every GPU
-        // API that touches the object (copies, other kernels), each
-        // slice's first-to-last-touch interval must not overlap another
-        // slice's. GramSchmidt's `R` rows qualify; its `A` columns do not
-        // (every iteration reads many columns) and neither does a `Q`
-        // copied out wholesale at the end.
-        let mut lifetimes: Vec<(u64, u64)> = Vec::with_capacity(slices.len());
-        for slice in slices {
-            let mut lo = u64::MAX;
-            let mut hi = 0u64;
-            for (api_idx, rs) in &data.per_api {
-                if rs.intersects(slice) {
-                    let ts = trace.api_ts.get(*api_idx).copied().unwrap_or(0);
-                    lo = lo.min(ts);
-                    hi = hi.max(ts);
-                }
-            }
-            lifetimes.push((lo, hi));
-        }
-        lifetimes.sort_unstable();
-        for w in lifetimes.windows(2) {
-            if w[1].0 <= w[0].1 {
-                continue 'kernels;
-            }
-        }
         let covered: u64 = slices.iter().map(|rs| rs.covered()).sum();
-        let max_slice = slices.iter().map(|rs| rs.covered()).max().unwrap_or(0);
-        let better = best.map(|(c, _, _, _)| covered > c).unwrap_or(true);
-        if better {
-            best = Some((covered, slices.len(), kernel, max_slice));
+        if best.is_some_and(|(c, ..)| covered <= c) || !slices_are_disjoint(slices, data, trace) {
+            continue;
         }
+        let max_slice = slices.iter().map(|rs| rs.covered()).max().unwrap_or(0);
+        best = Some((covered, slices.len(), kernel, max_slice));
     }
     let (_, slices, kernel, max_slice_bytes) = best?;
     Some(PatternFinding {
@@ -171,6 +144,46 @@ pub fn detect_structured_access(
             max_slice_bytes,
         },
     })
+}
+
+/// Whether one kernel's slices of the object are disjoint in space and in
+/// time, in O((R + H) log R) for R slice ranges and H slice hits.
+fn slices_are_disjoint(slices: &[&RangeSet], data: &IntraObjectData, trace: &TraceView) -> bool {
+    // Every slice range, tagged with its slice, sorted by start. A slice's
+    // own ranges never overlap, so two slices share a byte exactly when
+    // two neighbours overlap.
+    let mut ranges: Vec<(u64, u64, usize)> = slices
+        .iter()
+        .enumerate()
+        .flat_map(|(i, rs)| rs.ranges().iter().map(move |&(s, e)| (s, e, i)))
+        .collect();
+    ranges.sort_unstable();
+    if ranges.windows(2).any(|w| w[1].0 < w[0].1) {
+        return false;
+    }
+    // The memory-saving fix replaces the object with per-slice allocations
+    // "whose lifetimes do not overlap" (Def. 3.10), so the slices must also
+    // be *temporally* disjoint: considering every GPU API that touches the
+    // object (copies, other kernels), each slice's first-to-last-touch
+    // interval must not overlap another slice's. GramSchmidt's `R` rows
+    // qualify; its `A` columns do not (every iteration reads many columns)
+    // and neither does a `Q` copied out wholesale at the end. The ranges
+    // are now disjoint, so their ends are sorted too and each footprint
+    // range binary-searches to the slice ranges it overlaps.
+    let mut lifetimes = vec![(u64::MAX, 0u64); slices.len()];
+    for (api_idx, rs) in &data.per_api {
+        let ts = trace.api_ts.get(*api_idx).copied().unwrap_or(0);
+        for &(s, e) in rs.ranges() {
+            let first = ranges.partition_point(|r| r.1 <= s);
+            for &(_, _, slice) in ranges[first..].iter().take_while(|r| r.0 < e) {
+                let (lo, hi) = &mut lifetimes[slice];
+                *lo = (*lo).min(ts);
+                *hi = (*hi).max(ts);
+            }
+        }
+    }
+    lifetimes.sort_unstable();
+    lifetimes.windows(2).all(|w| w[1].0 > w[0].1)
 }
 
 /// Non-uniform access frequency (Def. 3.9): the coefficient of variation of
@@ -381,6 +394,25 @@ mod tests {
         let mut tv = TraceView::synthetic(3);
         tv.api_kernels = vec![None, Some("k".to_owned()), Some("k".to_owned())];
         assert!(detect_structured_access(&d, &tv, &Thresholds::default()).is_none());
+    }
+
+    #[test]
+    fn equal_coverage_names_the_kernel_seen_first() {
+        // Kernel `b` (first instance at API 0) and kernel `a` each slice
+        // 256 bytes into two disjoint, temporally ordered halves.
+        let d = data_with_accesses(
+            1024,
+            &[(0, 0, 128), (1, 128, 256), (2, 256, 384), (3, 384, 512)],
+        );
+        let mut tv = TraceView::synthetic(4);
+        tv.api_kernels = ["b", "b", "a", "a"].map(|k| Some(k.to_owned())).to_vec();
+        for _ in 0..32 {
+            let f = detect_structured_access(&d, &tv, &Thresholds::default()).expect("SA");
+            match f.evidence {
+                PatternEvidence::StructuredAccess { kernel, .. } => assert_eq!(kernel, "b"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

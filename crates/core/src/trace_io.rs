@@ -1773,6 +1773,10 @@ impl SavedTrace {
             thresholds,
             &self.platform,
             degradations,
+            // Reanalysis honors the same env knobs as a live session.
+            crate::governor::ResourceBudget::default()
+                .apply_env()
+                .detector_deadline_ms,
         )
     }
 }

@@ -562,22 +562,12 @@ impl DeviceContext {
         let dur = self.config.free_overhead_ns;
         // Decide before emitting, while `seq` is still this FREE's number.
         let spurious = self.fault_fires(FaultKind::SpuriousFree);
-        let (start, end, ordinal) = self.streams.enqueue_sync(StreamId::DEFAULT, dur)?;
-        self.emit(
-            StreamId::DEFAULT,
-            ordinal,
-            ApiKind::Free {
-                ptr,
-                size: info.size,
-                label: label.clone(),
-            },
-            start,
-            end,
-        );
-        if spurious {
-            // A misbehaving application frees the pointer a second time. The
-            // allocation is already dead, so only the API event is replayed;
-            // instrumentation must tolerate a FREE with no live object.
+        // A misbehaving application frees the pointer a second time. The
+        // allocation is already dead, so only the API event is replayed;
+        // instrumentation must tolerate a FREE with no live object. Only
+        // then does the label need a second copy.
+        let replay = spurious.then(|| label.clone());
+        for label in std::iter::once(label).chain(replay) {
             let (start, end, ordinal) = self.streams.enqueue_sync(StreamId::DEFAULT, dur)?;
             self.emit(
                 StreamId::DEFAULT,

@@ -152,6 +152,9 @@ fn memset_adds_one_allocation() {
 fn free_adds_one_allocation() {
     // The `frees` set; the row shares the object's label.
     assert!(extra_per_api(Api::Free) <= 1.01);
+    // A native FREE moves the object's label into its event, not a copy.
+    let (native, _) = counts_for(Api::Free, false);
+    assert!(native <= N, "{native} new blocks for {N} native frees");
 }
 
 #[test]

@@ -9,6 +9,7 @@ use drgpum::profiler::depgraph::{DependencyGraph, VertexAccess};
 use drgpum::profiler::names::{ApiName, GpuApiKind, PathId};
 use drgpum::profiler::object::ObjectId;
 use drgpum::profiler::options::Thresholds;
+use drgpum::profiler::patterns::intra::{self, IntraObjectData};
 use drgpum::profiler::patterns::{
     object_level, redundant, AccessVia, ApiRef, ObjectAccess, ObjectView, PatternEvidence,
     TraceView,
@@ -665,6 +666,171 @@ fn redundant_allocation_pairs_are_valid() {
             );
         }
     }
+}
+
+// ---------------------------------------------------- structured access
+
+/// Def. 3.10 by brute force: every pair of a kernel's slices is compared
+/// for shared bytes, and every footprint is scanned once per slice for its
+/// lifetime. On equal coverage the kernel whose first instance comes first
+/// in `per_api` wins. Returns `(kernel, slices, max slice bytes)` and how
+/// many qualifying kernels share the winning coverage.
+fn oracle_structured(
+    data: &IntraObjectData,
+    trace: &TraceView,
+    min_slices: usize,
+) -> (Option<(String, usize, u64)>, usize) {
+    let mut per_kernel: Vec<(&str, Vec<&RangeSet>)> = Vec::new();
+    for (api_idx, rs) in &data.per_api {
+        if rs.is_empty() {
+            continue;
+        }
+        if let Some(Some(kernel)) = trace.api_kernels.get(*api_idx) {
+            match per_kernel.iter_mut().find(|(k, _)| k == kernel) {
+                Some((_, slices)) => slices.push(rs),
+                None => per_kernel.push((kernel, vec![rs])),
+            }
+        }
+    }
+    let mut best: Option<(u64, usize, &str, u64)> = None;
+    let mut qualifying_coverage = Vec::new();
+    'kernels: for (kernel, slices) in &per_kernel {
+        if slices.len() < min_slices {
+            continue;
+        }
+        for i in 0..slices.len() {
+            for j in i + 1..slices.len() {
+                if slices[i].intersects(slices[j]) {
+                    continue 'kernels;
+                }
+            }
+        }
+        let mut lifetimes: Vec<(u64, u64)> = Vec::with_capacity(slices.len());
+        for slice in slices {
+            let mut lo = u64::MAX;
+            let mut hi = 0u64;
+            for (api_idx, rs) in &data.per_api {
+                if rs.intersects(slice) {
+                    let ts = trace.api_ts.get(*api_idx).copied().unwrap_or(0);
+                    lo = lo.min(ts);
+                    hi = hi.max(ts);
+                }
+            }
+            lifetimes.push((lo, hi));
+        }
+        lifetimes.sort_unstable();
+        for w in lifetimes.windows(2) {
+            if w[1].0 <= w[0].1 {
+                continue 'kernels;
+            }
+        }
+        let covered: u64 = slices.iter().map(|rs| rs.covered()).sum();
+        let max_slice = slices.iter().map(|rs| rs.covered()).max().unwrap_or(0);
+        qualifying_coverage.push(covered);
+        if best.map(|(c, _, _, _)| covered > c).unwrap_or(true) {
+            best = Some((covered, slices.len(), kernel, max_slice));
+        }
+    }
+    let ties = best.map_or(0, |(c, ..)| {
+        qualifying_coverage.iter().filter(|&&q| q == c).count()
+    });
+    let finding = best.map(|(_, slices, kernel, max)| (kernel.to_owned(), slices, max));
+    (finding, ties)
+}
+
+/// A random object footprint history over a random trace: kernels that
+/// walk disjoint (often abutting) chunks, mixed with copies and other
+/// kernels touching random, identical, multi-range, empty or whole-object
+/// footprints, at timestamps with repeats.
+fn structured_case(rng: &mut SplitMix64) -> (IntraObjectData, TraceView, usize) {
+    const SIZE: u64 = 1024;
+    let n = range(rng, 0, 24) as usize;
+    let mut tv = TraceView::synthetic(n);
+    let mut t = 0;
+    tv.api_ts = (0..n)
+        .map(|_| {
+            t += u64::from(rng.chance(0.7));
+            t
+        })
+        .collect();
+    tv.api_kernels = (0..n)
+        .map(|_| match range(rng, 0, 5) {
+            0 => None,
+            k => Some(format!("k{}", k % 3)),
+        })
+        .collect();
+    let noise = [0.0, 0.1, 0.3, 0.6][range(rng, 0, 4) as usize];
+    let chunk = 16 * range(rng, 1, 5);
+    let mut cursors = [0, 256, 512];
+    let mut data = IntraObjectData::new(ObjectId(0), SIZE);
+    for idx in 0..n + 2 {
+        // The two positions past the trace are dangling API indices.
+        if (idx >= n && !rng.chance(0.1)) || !rng.chance(0.8) {
+            continue;
+        }
+        let mut rs = RangeSet::new();
+        let kernel = tv.api_kernels.get(idx).cloned().flatten();
+        match (kernel, rng.chance(noise)) {
+            (Some(k), false) => {
+                let cursor = &mut cursors[usize::from(k.as_bytes()[1] - b'0')];
+                if rng.chance(0.3) {
+                    // A multi-range slice with a hole in it.
+                    rs.insert(*cursor, *cursor + chunk / 4);
+                    rs.insert(*cursor + chunk / 2, *cursor + chunk);
+                } else {
+                    rs.insert(*cursor, *cursor + chunk);
+                }
+                *cursor += chunk;
+            }
+            _ => match range(rng, 0, 5) {
+                0 => {}
+                1 => rs.insert(0, SIZE),
+                2 => {
+                    if let Some((_, prev)) = data.per_api.last() {
+                        rs = prev.clone();
+                    }
+                }
+                _ => {
+                    for _ in 0..range(rng, 1, 4) {
+                        let s = 16 * range(rng, 0, SIZE / 16);
+                        rs.insert(s, s + 16 * range(rng, 1, 8));
+                    }
+                }
+            },
+        }
+        data.per_api.push((idx, rs));
+    }
+    (data, tv, range(rng, 1, 4) as usize)
+}
+
+#[test]
+fn structured_access_matches_pairwise_oracle() {
+    let (mut found, mut tied) = (0, 0);
+    for seed in 0..CASES * 8 {
+        let mut rng = SplitMix64::new(0x5A_0000 ^ seed);
+        let (data, tv, min_slices) = structured_case(&mut rng);
+        let thresholds = Thresholds {
+            structured_min_slices: min_slices,
+            ..Thresholds::default()
+        };
+        let got =
+            intra::detect_structured_access(&data, &tv, &thresholds).map(|f| match f.evidence {
+                PatternEvidence::StructuredAccess {
+                    kernel,
+                    slices,
+                    max_slice_bytes,
+                } => (kernel, slices, max_slice_bytes),
+                other => panic!("seed {seed}: unexpected {other:?}"),
+            });
+        let (want, ties) = oracle_structured(&data, &tv, min_slices);
+        assert_eq!(got, want, "seed {seed}: {:?}", data.per_api);
+        found += usize::from(want.is_some());
+        tied += usize::from(ties > 1);
+    }
+    assert!(
+        found >= CASES as usize && tied >= 8,
+        "the generator must exercise findings ({found}) and coverage ties ({tied})"
+    );
 }
 
 // --------------------------------------------------------------- peaks
