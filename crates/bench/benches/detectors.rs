@@ -4,7 +4,7 @@
 
 use drgpum_bench::timing::{bench, group};
 use drgpum_core::accessmap::{AccessBitmap, FreqMap, RangeSet};
-use drgpum_core::depgraph::{DependencyGraph, VertexAccess};
+use drgpum_core::depgraph::{DependencyGraph, ObjectList, VertexAccess};
 use drgpum_core::object::ObjectId;
 use drgpum_core::options::Thresholds;
 use drgpum_core::patterns::{
@@ -33,7 +33,7 @@ fn synthetic_trace(n_objects: usize) -> TraceView {
         };
         tv.objects.push(ObjectView {
             id: ObjectId(i as u64),
-            label: format!("obj{i}"),
+            label: format!("obj{i}").into(),
             size: 1024 + (i as u64 % 7) * 64,
             alloc: Some(ApiRef {
                 idx: base,
@@ -70,9 +70,9 @@ fn bench_depgraph() {
         let vertices: Vec<VertexAccess> = (0..n)
             .map(|i| VertexAccess {
                 stream: StreamId((i % 4) as u32),
-                reads: vec![ObjectId((i % 50) as u64)],
-                writes: vec![ObjectId(((i + 1) % 50) as u64)],
-                frees: vec![],
+                reads: ObjectList::from_iter([ObjectId((i % 50) as u64)]),
+                writes: ObjectList::from_iter([ObjectId(((i + 1) % 50) as u64)]),
+                frees: ObjectList::new(),
                 after: vec![],
             })
             .collect();

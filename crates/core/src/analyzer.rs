@@ -6,8 +6,8 @@
 use crate::collector::{Collector, GpuApi, RawAccess};
 use crate::depgraph::DependencyGraph;
 use crate::governor::CancelToken;
-use crate::names::{ApiName, GpuApiKind, PathText};
-use crate::object::{ObjectId, ObjectSource};
+use crate::names::{ApiDetail, ApiName, GpuApiKind, PathText};
+use crate::object::{IdMap, IdSet, ObjectId, ObjectSource};
 use crate::patterns::{
     intra, object_level, redundant, ApiRef, ObjectAccess, ObjectView, PatternFinding, TraceView,
 };
@@ -17,8 +17,8 @@ use crate::report::{
     Finding, ObjectSummary, PeakSummary, Report, ReportStats,
 };
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Builds the [`TraceView`] — the timestamp-augmented object-level memory
@@ -44,7 +44,7 @@ pub fn build_trace_view(collector: &Collector) -> TraceView {
 /// or from a saved trace.
 pub(crate) struct ObjectFacts<'a> {
     pub id: ObjectId,
-    pub label: &'a str,
+    pub label: &'a Arc<str>,
     pub size: u64,
     pub analyzable: bool,
     pub alloc_api: usize,
@@ -65,18 +65,19 @@ pub(crate) fn assemble_trace_view<'a>(
     let api_names: Vec<ApiName> = apis.iter().map(GpuApi::name).collect();
     let api_kernels = apis
         .iter()
-        .map(|a| {
-            // A launch's detail is its kernel name: shared text, or text
-            // read back from a trace.
-            let name = a.detail.text().filter(|_| a.kind == GpuApiKind::Kerl);
-            name.map(str::to_owned)
+        .map(|a| match &a.detail {
+            // A launch's detail is its kernel name, shared with the launch
+            // event or with every loaded row of the same kernel.
+            _ if a.kind != GpuApiKind::Kerl => None,
+            ApiDetail::Kernel(name) => Some(name.clone()),
+            detail => detail.text().map(Arc::from),
         })
         .collect();
     let api_is_dealloc = apis.iter().map(|a| a.kind == GpuApiKind::Free).collect();
 
     // Group accesses per object. An access with a dangling API index (which
     // a faulting run can produce) is dropped rather than panicking.
-    let mut per_object: HashMap<_, Vec<ObjectAccess>> = HashMap::new();
+    let mut per_object: IdMap<ObjectId, Vec<ObjectAccess>> = IdMap::default();
     for acc in accesses {
         let (Some(&ts), Some(&name)) = (api_ts.get(acc.api_idx), api_names.get(acc.api_idx)) else {
             continue;
@@ -107,7 +108,7 @@ pub(crate) fn assemble_trace_view<'a>(
             };
             ObjectView {
                 id: obj.id,
-                label: obj.label.to_owned(),
+                label: obj.label.clone(),
                 size: obj.size,
                 alloc: obj.alloc_is_api.then(|| mk_ref(obj.alloc_api)),
                 alloc_anchor: obj.alloc_api,
@@ -137,8 +138,8 @@ pub(crate) fn assemble_trace_view<'a>(
 pub struct ObjectMeta {
     /// Stable id.
     pub id: crate::object::ObjectId,
-    /// Program label.
-    pub label: String,
+    /// Program label, shared with the registry object or the saved row.
+    pub label: Arc<str>,
     /// Size in bytes.
     pub size: u64,
     /// Provenance.
@@ -289,7 +290,7 @@ pub fn assemble_report(
     );
 
     // Peak analysis over the object metadata.
-    let by_id: HashMap<_, &ObjectMeta> = objects.iter().map(|o| (o.id, o)).collect();
+    let by_id: IdMap<ObjectId, &ObjectMeta> = objects.iter().map(|o| (o.id, o)).collect();
     let peak_points = peaks::find_peaks(usage, thresholds.top_peaks);
     let peak_list: Vec<(usize, u64, Vec<&ObjectMeta>)> = peak_points
         .into_iter()
@@ -304,7 +305,7 @@ pub fn assemble_report(
             (api_idx, bytes, live)
         })
         .collect();
-    let peak_objects: HashSet<_> = peak_list
+    let peak_objects: IdSet<ObjectId> = peak_list
         .iter()
         .flat_map(|(_, _, live)| live.iter().map(|o| o.id))
         .collect();
@@ -318,7 +319,7 @@ pub fn assemble_report(
                 .unwrap_or(ApiName::missing(*api_idx)),
             api_idx: *api_idx,
             bytes: *bytes,
-            objects: live.iter().map(|o| (o.label.clone(), o.size)).collect(),
+            objects: live.iter().map(|o| (o.label.to_string(), o.size)).collect(),
         })
         .collect();
 
@@ -329,12 +330,12 @@ pub fn assemble_report(
             let obj = by_id.get(&pf.object)?;
             let summary = ObjectSummary {
                 id: obj.id,
-                label: obj.label.clone(),
+                label: obj.label.to_string(),
                 size: obj.size,
                 source: obj.source,
                 alloc_path: obj.alloc_path.clone(),
             };
-            let suggestion = suggestion_for(&pf, &summary.label);
+            let suggestion = suggestion_for(&pf, &obj.label);
             let wasted = wasted_bytes_estimate(&pf, summary.size);
             Some(Finding {
                 object: summary,
@@ -378,7 +379,7 @@ pub fn object_metas(collector: &Collector) -> Vec<ObjectMeta> {
         .iter()
         .map(|o| ObjectMeta {
             id: o.id,
-            label: String::from(&*o.label),
+            label: o.label.clone(),
             size: o.size(),
             source: o.source,
             alloc_path: collector.paths().text(o.alloc_path),

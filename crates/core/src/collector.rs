@@ -15,11 +15,11 @@
 //! [`crate::analyzer`], on the data gathered here.
 
 use crate::accessmap::{FreqMap, RangeSet};
-use crate::depgraph::VertexAccess;
+use crate::depgraph::{ObjectList, VertexAccess};
 use crate::error::ProfilerError;
 use crate::governor::{CollectionRung, ResourceBudget, SessionGovernor};
 use crate::names::{ApiDetail, ApiName, ByteOp, GpuApiKind, PathId, PathTable};
-use crate::object::{ObjectId, ObjectRegistry, ObjectSource, ResolveCache, SpanSegment};
+use crate::object::{IdMap, ObjectId, ObjectRegistry, ObjectSource, ResolveCache, SpanSegment};
 use crate::options::{AnalysisLevel, ProfilerOptions};
 use crate::patterns::intra::IntraObjectData;
 use crate::patterns::unified::UnifiedPageStats;
@@ -37,7 +37,6 @@ use gpu_sim::{
     AccessKind, AddrRange, ApiEvent, ApiKind, DevicePtr, FrameId, FrameTable, SimError, SourceLoc,
     StreamId,
 };
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -196,12 +195,12 @@ pub struct Collector {
     /// event edges). Stream ids are dense, handed out in creation order.
     last_api_on_stream: Vec<Option<usize>>,
     /// Event id → the GPU API it was recorded after.
-    event_record_points: HashMap<u32, usize>,
+    event_record_points: IdMap<u32, usize>,
     /// Pending event-sync predecessors for each stream's next GPU API,
     /// indexed by stream id.
     pending_sync: Vec<Vec<usize>>,
     /// Per-page unified-memory migration statistics (the Sec. 8 extension).
-    unified_pages: HashMap<(ObjectId, u32), UnifiedPageStats>,
+    unified_pages: IdMap<(ObjectId, u32), UnifiedPageStats>,
     /// Device memory capacity, for the Sec. 5.5 placement decision.
     device_capacity: u64,
     /// Downgrades taken to keep collecting through faults; copied into the
@@ -254,9 +253,9 @@ impl Collector {
             kernel_touched: Vec::new(),
             mode_decisions: Vec::new(),
             last_api_on_stream: Vec::new(),
-            event_record_points: HashMap::new(),
+            event_record_points: IdMap::default(),
             pending_sync: Vec::new(),
-            unified_pages: HashMap::new(),
+            unified_pages: IdMap::default(),
             device_capacity,
             degradations: Vec::new(),
             force_cpu_maps: false,
@@ -876,7 +875,7 @@ impl SanitizerHooks for Collector {
                     GpuApiKind::Alloc,
                     ApiDetail::Label(label),
                     VertexAccess {
-                        writes: vec![obj],
+                        writes: ObjectList::from_iter([obj]),
                         ..Default::default()
                     },
                 );
@@ -1155,6 +1154,13 @@ mod tests {
     use gpu_sim::{DeviceContext, LaunchConfig};
     use parking_lot::Mutex;
     use std::sync::Arc;
+
+    #[test]
+    fn trace_rows_stay_compact() {
+        // Three def/use lists of two in-place ids each fit in 192 bytes.
+        let size = std::mem::size_of::<GpuApi>();
+        assert!(size <= 192, "a trace row takes {size} bytes");
+    }
 
     fn attach(ctx: &mut DeviceContext, opts: ProfilerOptions) -> Arc<Mutex<Collector>> {
         let c = Arc::new(Mutex::new(Collector::new(

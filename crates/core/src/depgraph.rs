@@ -26,9 +26,131 @@
 //! and the largest timestamp among its readers since that write, and per
 //! stream the timestamp of its last API. It never materializes the edges.
 
-use crate::object::ObjectId;
+use crate::object::{IdMap, ObjectId};
 use gpu_sim::StreamId;
-use std::collections::HashMap;
+use std::fmt;
+use std::ops::Deref;
+
+/// A def/use list of object ids: up to two held in place, more on the
+/// heap. Most GPU APIs touch one or two objects (a copy its destination,
+/// an allocation its object), so recording them allocates nothing.
+/// Readers see a slice.
+///
+/// # Examples
+///
+/// ```
+/// use drgpum_core::depgraph::ObjectList;
+/// use drgpum_core::object::ObjectId;
+///
+/// let mut list: ObjectList = [ObjectId(1), ObjectId(2)].into_iter().collect();
+/// list.push(ObjectId(3)); // spills to the heap
+/// list.retain(|o| o.0 != 2);
+/// assert_eq!(&list[..], &[ObjectId(1), ObjectId(3)]);
+/// ```
+#[derive(Clone)]
+pub struct ObjectList(ListRepr);
+
+#[derive(Clone)]
+enum ListRepr {
+    /// `len` ids (at most two) in place.
+    Inline { len: u8, ids: [ObjectId; 2] },
+    /// Spilled past two.
+    Heap(Vec<ObjectId>),
+}
+
+impl ObjectList {
+    /// An empty list.
+    pub const fn new() -> Self {
+        ObjectList(ListRepr::Inline {
+            len: 0,
+            ids: [ObjectId(0); 2],
+        })
+    }
+
+    /// Appends `id`, moving the list to the heap when a third id arrives.
+    pub fn push(&mut self, id: ObjectId) {
+        match &mut self.0 {
+            ListRepr::Inline { len, ids } if usize::from(*len) < ids.len() => {
+                ids[usize::from(*len)] = id;
+                *len += 1;
+            }
+            ListRepr::Inline { ids, .. } => {
+                let mut spilled = Vec::with_capacity(2 * ids.len());
+                spilled.extend_from_slice(ids);
+                spilled.push(id);
+                self.0 = ListRepr::Heap(spilled);
+            }
+            ListRepr::Heap(v) => v.push(id),
+        }
+    }
+
+    /// Keeps the ids `keep` accepts, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&ObjectId) -> bool) {
+        match &mut self.0 {
+            ListRepr::Inline { len, ids } => {
+                let mut kept = 0;
+                for i in 0..usize::from(*len) {
+                    if keep(&ids[i]) {
+                        ids[kept] = ids[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            ListRepr::Heap(v) => v.retain(keep),
+        }
+    }
+}
+
+impl Default for ObjectList {
+    fn default() -> Self {
+        ObjectList::new()
+    }
+}
+
+impl Deref for ObjectList {
+    type Target = [ObjectId];
+
+    fn deref(&self) -> &[ObjectId] {
+        match &self.0 {
+            ListRepr::Inline { len, ids } => &ids[..usize::from(*len)],
+            ListRepr::Heap(v) => v,
+        }
+    }
+}
+
+impl PartialEq for ObjectList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for ObjectList {}
+
+impl fmt::Debug for ObjectList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<ObjectId> for ObjectList {
+    fn from_iter<I: IntoIterator<Item = ObjectId>>(iter: I) -> Self {
+        let mut list = ObjectList::new();
+        for id in iter {
+            list.push(id);
+        }
+        list
+    }
+}
+
+impl<'a> IntoIterator for &'a ObjectList {
+    type Item = &'a ObjectId;
+    type IntoIter = std::slice::Iter<'a, ObjectId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// How one GPU API touches data objects, for dependency construction.
 #[derive(Debug, Clone, Default)]
@@ -36,13 +158,14 @@ pub struct VertexAccess {
     /// Stream of the invocation.
     pub stream: StreamId,
     /// Objects read (kernel loads, memcpy sources).
-    pub reads: Vec<ObjectId>,
+    pub reads: ObjectList,
     /// Objects written or allocated (kernel stores, memcpy destinations,
     /// memsets, `cudaMalloc` defs).
-    pub writes: Vec<ObjectId>,
+    pub writes: ObjectList,
     /// Objects freed (`cudaFree`), treated as write-like final uses.
-    pub frees: Vec<ObjectId>,
-    /// Explicit predecessor vertices (event-synchronization ordering).
+    pub frees: ObjectList,
+    /// Explicit predecessor vertices (event-synchronization ordering);
+    /// empty unless the program uses events.
     pub after: Vec<usize>,
 }
 
@@ -69,8 +192,8 @@ struct ObjState {
 /// let o = ObjectId(0);
 /// // Two APIs on one stream: an alloc-write then a read.
 /// let vertices = vec![
-///     VertexAccess { stream: StreamId(0), writes: vec![o], ..Default::default() },
-///     VertexAccess { stream: StreamId(0), reads: vec![o], ..Default::default() },
+///     VertexAccess { stream: StreamId(0), writes: [o].into_iter().collect(), ..Default::default() },
+///     VertexAccess { stream: StreamId(0), reads: [o].into_iter().collect(), ..Default::default() },
 /// ];
 /// let g = DependencyGraph::build(&vertices);
 /// assert_eq!(g.timestamps(), &[0, 1]);
@@ -85,7 +208,7 @@ impl DependencyGraph {
     /// invocation order.
     pub fn build<'a>(vertices: impl IntoIterator<Item = &'a VertexAccess>) -> Self {
         let mut ts: Vec<u64> = Vec::new();
-        let mut objects: HashMap<ObjectId, ObjState> = HashMap::new();
+        let mut objects: IdMap<ObjectId, ObjState> = IdMap::default();
         let mut streams: Vec<(StreamId, u64)> = Vec::new();
         for va in vertices {
             let v = ts.len();

@@ -8,8 +8,9 @@
 
 use crate::names::PathId;
 use gpu_sim::{AddrRange, DevicePtr};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
@@ -24,6 +25,49 @@ impl fmt::Display for ObjectId {
         write!(f, "obj{}", self.0)
     }
 }
+
+/// A hasher for integer keys — object ids and trace indices: one
+/// multiply per word (the Fx scheme). The keys come from this program's
+/// registry or from a trace it wrote, not from text an attacker chooses,
+/// so SipHash's flood resistance is traded for speed; a trace crafted so
+/// that its ids collide only slows its own load. Ids are not dense row
+/// indices: a hand-written trace may number its objects 1, 2, 7 or near
+/// `u64::MAX`, so maps stay maps.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits, which a product takes
+        // from the key's low bits only: rotate the well-mixed high bits
+        // down, so ids that differ only above bit 32 still spread.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A hash map keyed by object ids or trace indices, hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A hash set of object ids or trace indices, hashed by [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Where an object's memory came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -461,6 +505,27 @@ mod tests {
 
     fn range(base: u64, len: u64) -> AddrRange {
         AddrRange::new(DevicePtr::new(base), len)
+    }
+
+    #[test]
+    fn id_hashes_spread_low_and_high_bit_keys() {
+        // The table picks a bucket from the low bits of the hash: both
+        // sequential ids and ids that differ only above bit 32 must spread
+        // over many of 1,024 buckets (a bare product puts the latter in one).
+        for shift in [0, 32] {
+            let buckets: HashSet<u64> = (0..1024u64)
+                .map(|k| {
+                    let mut h = IdHasher::default();
+                    h.write_u64(k << shift);
+                    h.finish() & 1023
+                })
+                .collect();
+            assert!(
+                buckets.len() >= 400,
+                "shift {shift}: {} buckets",
+                buckets.len()
+            );
+        }
     }
 
     fn span(reg: &ObjectRegistry, start: u64, len: u64) -> Vec<SpanSegment> {

@@ -282,7 +282,7 @@ mod tests {
     /// A synthetic trace where every API is an instance of kernel `k`.
     fn kernel_trace(n: usize) -> TraceView {
         let mut tv = TraceView::synthetic(n);
-        tv.api_kernels = vec![Some("k".to_owned()); n];
+        tv.api_kernels = vec![Some("k".into()); n];
         tv
     }
 
@@ -363,7 +363,7 @@ mod tests {
         // disjoint across kernels.
         let d = data_with_accesses(1024, &[(0, 0, 128), (1, 128, 256)]);
         let mut tv = TraceView::synthetic(2);
-        tv.api_kernels = vec![Some("k1".to_owned()), Some("k2".to_owned())];
+        tv.api_kernels = vec![Some("k1".into()), Some("k2".into())];
         assert!(detect_structured_access(&d, &tv, &Thresholds::default()).is_none());
     }
 
@@ -377,7 +377,7 @@ mod tests {
         partial.insert(0, 128);
         d.per_api.push((0, partial));
         let mut tv = TraceView::synthetic(3);
-        tv.api_kernels = vec![None, Some("k".to_owned()), Some("k".to_owned())];
+        tv.api_kernels = vec![None, Some("k".into()), Some("k".into())];
         assert!(detect_structured_access(&d, &tv, &Thresholds::default()).is_some());
     }
 
@@ -392,7 +392,7 @@ mod tests {
         d.per_api.push((0, full));
         d.bitmap.set_range(0, 1024);
         let mut tv = TraceView::synthetic(3);
-        tv.api_kernels = vec![None, Some("k".to_owned()), Some("k".to_owned())];
+        tv.api_kernels = vec![None, Some("k".into()), Some("k".into())];
         assert!(detect_structured_access(&d, &tv, &Thresholds::default()).is_none());
     }
 
@@ -405,7 +405,7 @@ mod tests {
             &[(0, 0, 128), (1, 128, 256), (2, 256, 384), (3, 384, 512)],
         );
         let mut tv = TraceView::synthetic(4);
-        tv.api_kernels = ["b", "b", "a", "a"].map(|k| Some(k.to_owned())).to_vec();
+        tv.api_kernels = ["b", "b", "a", "a"].map(|k| Some(k.into())).to_vec();
         for _ in 0..32 {
             let f = detect_structured_access(&d, &tv, &Thresholds::default()).expect("SA");
             match f.evidence {

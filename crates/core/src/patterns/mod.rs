@@ -16,7 +16,7 @@ use crate::names::{ApiName, GpuApiKind};
 use crate::object::ObjectId;
 use gpu_sim::StreamId;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The ten inefficiency patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -169,8 +169,8 @@ pub struct ObjectAccess {
 pub struct ObjectView {
     /// Object identity.
     pub id: ObjectId,
-    /// Program label.
-    pub label: String,
+    /// Program label, shared with the registry object or the saved row.
+    pub label: Arc<str>,
     /// Requested size in bytes.
     pub size: u64,
     /// The allocation: `Some` for `cudaMalloc` objects (a trace API), `None`
@@ -225,7 +225,7 @@ pub struct TraceView {
     /// structured-access detector, which compares footprints across the
     /// instances of one kernel (the paper reports the pattern "at GPU
     /// kernel gramschmidt_kernel3", Sec. 7.3).
-    pub api_kernels: Vec<Option<String>>,
+    pub api_kernels: Vec<Option<Arc<str>>>,
     /// `true` for deallocation APIs (`cudaFree`). The late-deallocation
     /// rule skips these when counting intervening APIs: a deallocation
     /// neither accesses data objects (paper footnote 2) nor keeps the

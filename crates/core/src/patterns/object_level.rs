@@ -208,7 +208,7 @@ mod tests {
     fn object(trace: &TraceView, alloc_idx: usize, free_idx: Option<usize>) -> ObjectView {
         ObjectView {
             id: ObjectId(0),
-            label: "obj".to_owned(),
+            label: "obj".into(),
             size: 1024,
             alloc: Some(api(trace, alloc_idx)),
             alloc_anchor: alloc_idx,

@@ -154,7 +154,7 @@ pub fn detect_redundant_allocations_cancellable(
                             object: candidates[me].id,
                             evidence: PatternEvidence::RedundantAllocation {
                                 reuse_of: reused.id,
-                                reuse_label: reused.label.clone(),
+                                reuse_label: reused.label.to_string(),
                                 size_diff_pct,
                             },
                         });
@@ -205,7 +205,7 @@ mod tests {
         };
         trace.objects.push(ObjectView {
             id: ObjectId(id),
-            label: format!("o{id}"),
+            label: format!("o{id}").into(),
             size,
             alloc: None,
             alloc_anchor: 0,
@@ -309,7 +309,7 @@ mod tests {
         obj(&mut tv, 0, 1000, 1, 2);
         tv.objects.push(ObjectView {
             id: ObjectId(9),
-            label: "never_touched".to_owned(),
+            label: "never_touched".into(),
             size: 1000,
             alloc: None,
             alloc_anchor: 0,

@@ -49,54 +49,27 @@ pub struct MemoryPeak {
 /// assert_eq!(peaks[1], (1, 300));
 /// ```
 pub fn find_peaks(curve: &[UsageSample], top_k: usize) -> Vec<(usize, u64)> {
-    if curve.is_empty() || top_k == 0 {
+    if top_k == 0 {
         return Vec::new();
     }
+    // One pass over the runs of equal values: a run is a maximum when its
+    // neighbouring runs are both lower (or absent).
     let mut maxima: Vec<(usize, u64)> = Vec::new();
-    let n = curve.len();
-    for i in 0..n {
-        let b = curve[i].bytes_in_use;
-        if b == 0 {
-            continue;
+    let mut prev: Option<u64> = None;
+    let mut start = 0;
+    while start < curve.len() {
+        let b = curve[start].bytes_in_use;
+        let end = start
+            + curve[start..]
+                .iter()
+                .position(|s| s.bytes_in_use != b)
+                .unwrap_or(curve.len() - start);
+        let next = curve.get(end).map(|s| s.bytes_in_use);
+        if b != 0 && prev.is_none_or(|p| p < b) && next.is_none_or(|n| n < b) {
+            maxima.push((curve[start].api_idx, b));
         }
-        // Previous distinct value.
-        let rising = {
-            let mut j = i;
-            loop {
-                if j == 0 {
-                    break true;
-                }
-                j -= 1;
-                let pb = curve[j].bytes_in_use;
-                if pb < b {
-                    break true;
-                }
-                if pb > b {
-                    break false;
-                }
-            }
-        };
-        // Skip non-first samples of a plateau.
-        let plateau_follower = i > 0 && curve[i - 1].bytes_in_use == b;
-        let falling_after = {
-            let mut j = i + 1;
-            loop {
-                if j >= n {
-                    break true;
-                }
-                let nb = curve[j].bytes_in_use;
-                if nb < b {
-                    break true;
-                }
-                if nb > b {
-                    break false;
-                }
-                j += 1;
-            }
-        };
-        if rising && falling_after && !plateau_follower {
-            maxima.push((curve[i].api_idx, b));
-        }
+        prev = Some(b);
+        start = end;
     }
     maxima.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     maxima.truncate(top_k);

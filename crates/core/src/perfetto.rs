@@ -85,7 +85,7 @@ pub fn trace_json(collector: &Collector, report: &Report) -> Value {
     for obj in &tv.objects {
         // Like the paper's GUI we focus the object pane on the data objects
         // involved in the top memory peaks (Sec. 4).
-        if !peak_labels.contains(obj.label.as_str()) {
+        if !peak_labels.contains(&*obj.label) {
             continue;
         }
         let tid = obj.id.0 + 1;

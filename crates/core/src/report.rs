@@ -8,7 +8,7 @@
 //! text renderer produces a terminal-friendly equivalent and
 //! [`crate::perfetto`] the GUI feed.
 
-use crate::names::{ApiName, PathText};
+use crate::names::{push_u64, ApiName, PathText};
 use crate::object::{ObjectId, ObjectSource};
 use crate::patterns::{PatternEvidence, PatternFinding, PatternKind};
 use std::collections::BTreeSet;
@@ -225,78 +225,80 @@ impl Report {
             .collect()
     }
 
-    /// Renders the report as human-readable text.
+    /// Renders the report as human-readable text. Text, integers and API
+    /// names are appended in place; only percentages go through the
+    /// formatter.
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "DrGPUM report — platform {}", self.platform);
-        let _ = writeln!(
-            out,
-            "  {} GPU APIs, {} data objects, peak memory {} bytes",
-            self.stats.gpu_apis, self.stats.objects, self.stats.peak_bytes
-        );
+        // A finding renders to about 300 bytes.
+        let mut out = String::with_capacity(512 + 320 * self.findings.len());
+        let o = &mut out;
+        push(o, &["DrGPUM report — platform ", &self.platform, "\n  "]);
+        push_u64(o, self.stats.gpu_apis);
+        o.push_str(" GPU APIs, ");
+        push_u64(o, self.stats.objects);
+        o.push_str(" data objects, peak memory ");
+        push_u64(o, self.stats.peak_bytes);
+        o.push_str(" bytes\n");
         if self.stats.leaked_objects > 0 {
-            let _ = writeln!(
-                out,
-                "  {} leaked objects ({} bytes)",
-                self.stats.leaked_objects, self.stats.leaked_bytes
-            );
+            o.push_str("  ");
+            push_u64(o, self.stats.leaked_objects);
+            o.push_str(" leaked objects (");
+            push_u64(o, self.stats.leaked_bytes);
+            o.push_str(" bytes)\n");
         }
         for d in &self.detectors {
             match &d.outcome {
                 DetectorOutcome::Ok { .. } => {}
                 DetectorOutcome::Failed { message } => {
-                    let _ = writeln!(out, "  detector {} FAILED: {message}", d.name);
+                    push(o, &["  detector ", &d.name, " FAILED: ", message, "\n"]);
                 }
                 DetectorOutcome::Skipped { reason } => {
-                    let _ = writeln!(out, "  detector {} skipped: {reason}", d.name);
+                    push(o, &["  detector ", &d.name, " skipped: ", reason, "\n"]);
                 }
                 DetectorOutcome::TimedOut { deadline_ms } => {
-                    let _ = writeln!(
-                        out,
-                        "  detector {} TIMED OUT (exceeded the {deadline_ms}ms \
-                         watchdog deadline; cancelled)",
-                        d.name
-                    );
+                    push(o, &["  detector ", &d.name, " TIMED OUT (exceeded the "]);
+                    push_u64(o, *deadline_ms);
+                    o.push_str("ms watchdog deadline; cancelled)\n");
                 }
             }
         }
         for deg in &self.degradations {
-            match deg.at_ms {
-                Some(ms) => {
-                    let _ = writeln!(out, "  degraded [{}] at {ms}ms: {}", deg.stage, deg.detail);
-                }
-                None => {
-                    let _ = writeln!(out, "  degraded [{}]: {}", deg.stage, deg.detail);
-                }
+            push(o, &["  degraded [", &deg.stage, "]"]);
+            if let Some(ms) = deg.at_ms {
+                o.push_str(" at ");
+                push_u64(o, ms);
+                o.push_str("ms");
             }
+            push(o, &[": ", &deg.detail, "\n"]);
         }
         for (i, peak) in self.peaks.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  peak #{}: {} bytes at {}",
-                i + 1,
-                peak.bytes,
-                peak.api_name
-            );
+            o.push_str("  peak #");
+            push_u64(o, i as u64 + 1);
+            o.push_str(": ");
+            push_u64(o, peak.bytes);
+            o.push_str(" bytes at ");
+            peak.api_name.write_to(o);
+            o.push('\n');
             for (label, size) in peak.objects.iter().take(5) {
-                let _ = writeln!(out, "    - {label} ({size} bytes)");
+                push(o, &["    - ", label, " ("]);
+                push_u64(o, *size);
+                o.push_str(" bytes)\n");
             }
         }
-        let _ = writeln!(out, "findings ({}):", self.findings.len());
+        o.push_str("findings (");
+        push_u64(o, self.findings.len() as u64);
+        o.push_str("):\n");
         for f in &self.findings {
-            let peak_mark = if f.at_peak { " [at peak]" } else { "" };
-            let _ = writeln!(
-                out,
-                "  [{}] {} ({} bytes){}",
-                f.kind().code(),
-                f.object.label,
-                f.object.size,
-                peak_mark
-            );
-            let _ = writeln!(out, "      pattern: {}", f.kind());
-            let _ = writeln!(out, "      suggestion: {}", f.suggestion);
+            push(o, &["  [", f.kind().code(), "] ", &f.object.label, " ("]);
+            push_u64(o, f.object.size);
+            o.push_str(" bytes)");
+            if f.at_peak {
+                o.push_str(" [at peak]");
+            }
+            push(o, &["\n      pattern: ", f.kind().name()]);
+            push(o, &["\n      suggestion: ", &f.suggestion, "\n"]);
             if let Some(site) = f.object.alloc_site() {
-                let _ = writeln!(out, "      allocated at: {site}");
+                push(o, &["      allocated at: ", site, "\n"]);
             }
             match &f.evidence {
                 PatternEvidence::EarlyAllocation {
@@ -304,24 +306,26 @@ impl Report {
                     distance,
                     first_access,
                 } => {
-                    let _ = writeln!(
-                        out,
-                        "      {intervening} GPU APIs before first touch {} \
-                         (inefficiency distance {distance})",
-                        first_access.name
-                    );
+                    o.push_str("      ");
+                    push_u64(o, *intervening);
+                    o.push_str(" GPU APIs before first touch ");
+                    first_access.name.write_to(o);
+                    o.push_str(" (inefficiency distance ");
+                    push_u64(o, *distance);
+                    o.push_str(")\n");
                 }
                 PatternEvidence::LateDeallocation {
                     intervening,
                     distance,
                     last_access,
                 } => {
-                    let _ = writeln!(
-                        out,
-                        "      {intervening} GPU APIs after last touch {} \
-                         (inefficiency distance {distance})",
-                        last_access.name
-                    );
+                    o.push_str("      ");
+                    push_u64(o, *intervening);
+                    o.push_str(" GPU APIs after last touch ");
+                    last_access.name.write_to(o);
+                    o.push_str(" (inefficiency distance ");
+                    push_u64(o, *distance);
+                    o.push_str(")\n");
                 }
                 PatternEvidence::Overallocation {
                     accessed_pct,
@@ -329,28 +333,30 @@ impl Report {
                     guidance,
                     wasted_bytes,
                 } => {
-                    let _ = writeln!(
-                        out,
+                    let _ = write!(
+                        o,
                         "      {accessed_pct:.3}% accessed, {fragmentation_pct:.3}% \
-                         fragmentation, {wasted_bytes} wasted bytes — {guidance}"
+                         fragmentation, "
                     );
+                    push_u64(o, *wasted_bytes);
+                    push(o, &[" wasted bytes — ", guidance.advice(), "\n"]);
                 }
                 PatternEvidence::NonUniformAccessFrequency {
                     cov_pct, at_api, ..
                 } => {
-                    let _ = writeln!(
-                        out,
-                        "      access-frequency variance {cov_pct:.1}% at {}",
-                        at_api.name
-                    );
+                    let _ = write!(o, "      access-frequency variance {cov_pct:.1}% at ");
+                    at_api.name.write_to(o);
+                    o.push('\n');
                 }
                 PatternEvidence::TemporaryIdleness { spans } => {
                     for s in spans.iter().take(3) {
-                        let _ = writeln!(
-                            out,
-                            "      idle for {} GPU APIs between {} and {}",
-                            s.intervening, s.from.name, s.to.name
-                        );
+                        o.push_str("      idle for ");
+                        push_u64(o, s.intervening);
+                        o.push_str(" GPU APIs between ");
+                        s.from.name.write_to(o);
+                        o.push_str(" and ");
+                        s.to.name.write_to(o);
+                        o.push('\n');
                     }
                 }
                 _ => {}
@@ -360,85 +366,157 @@ impl Report {
     }
 }
 
-/// Builds the optimization suggestion for one finding, in the paper's voice.
+/// Appends each of `parts` to `out`.
+fn push(out: &mut String, parts: &[&str]) {
+    for part in parts {
+        out.push_str(part);
+    }
+}
+
+/// Builds the optimization suggestion for one finding, in the paper's
+/// voice, appending text, integers and API names in place.
 pub fn suggestion_for(finding: &PatternFinding, object_label: &str) -> String {
+    let label = object_label;
+    let mut s = String::with_capacity(2 * label.len() + 160);
+    let o = &mut s;
     match &finding.evidence {
-        PatternEvidence::EarlyAllocation { first_access, .. } => format!(
-            "defer the allocation of {object_label} until just before {}",
-            first_access.name
-        ),
-        PatternEvidence::LateDeallocation { last_access, .. } => format!(
-            "free {object_label} immediately after its last-touch GPU API {}",
-            last_access.name
-        ),
-        PatternEvidence::RedundantAllocation { reuse_label, .. } => {
-            format!("reuse the memory of {reuse_label} instead of allocating {object_label}")
+        PatternEvidence::EarlyAllocation { first_access, .. } => {
+            push(
+                o,
+                &["defer the allocation of ", label, " until just before "],
+            );
+            first_access.name.write_to(o);
         }
-        PatternEvidence::UnusedAllocation => format!(
-            "{object_label} is never accessed by GPU APIs; remove or \
-             conditionally bypass its allocation"
-        ),
-        PatternEvidence::MemoryLeak => {
-            format!("{object_label} is never deallocated; pair its allocation with a free")
+        PatternEvidence::LateDeallocation { last_access, .. } => {
+            push(
+                o,
+                &["free ", label, " immediately after its last-touch GPU API "],
+            );
+            last_access.name.write_to(o);
         }
+        PatternEvidence::RedundantAllocation { reuse_label, .. } => push(
+            o,
+            &[
+                "reuse the memory of ",
+                reuse_label,
+                " instead of allocating ",
+                label,
+            ],
+        ),
+        PatternEvidence::UnusedAllocation => push(
+            o,
+            &[
+                label,
+                " is never accessed by GPU APIs; remove or conditionally bypass its allocation",
+            ],
+        ),
+        PatternEvidence::MemoryLeak => push(
+            o,
+            &[
+                label,
+                " is never deallocated; pair its allocation with a free",
+            ],
+        ),
         PatternEvidence::TemporaryIdleness { spans } => {
             match spans.iter().max_by_key(|s| s.intervening) {
-                Some(longest) => format!(
-                    "free or offload {object_label} to the CPU just before {} \
-                     and bring it back just before {}",
-                    longest.from.name, longest.to.name
-                ),
+                Some(longest) => {
+                    push(o, &["free or offload ", label, " to the CPU just before "]);
+                    longest.from.name.write_to(o);
+                    o.push_str(" and bring it back just before ");
+                    longest.to.name.write_to(o);
+                }
                 // Defensive: evidence should carry spans, but a salvaged
                 // trace may have lost them.
-                None => format!(
-                    "free or offload {object_label} to the CPU during its \
-                     idle phases"
+                None => push(
+                    o,
+                    &[
+                        "free or offload ",
+                        label,
+                        " to the CPU during its idle phases",
+                    ],
                 ),
             }
         }
-        PatternEvidence::DeadWrite { first, second } => format!(
-            "the write to {object_label} at {} is overwritten by {} without \
-             an intervening read; remove the first write",
-            first.name, second.name
+        PatternEvidence::DeadWrite { first, second } => {
+            push(o, &["the write to ", label, " at "]);
+            first.name.write_to(o);
+            o.push_str(" is overwritten by ");
+            second.name.write_to(o);
+            o.push_str(" without an intervening read; remove the first write");
+        }
+        PatternEvidence::Overallocation { guidance, .. } => push(
+            o,
+            &[
+                "shrink the allocation of ",
+                label,
+                " to the accessed portion (",
+                guidance.advice(),
+                ")",
+            ],
         ),
-        PatternEvidence::Overallocation { guidance, .. } => format!(
-            "shrink the allocation of {object_label} to the accessed portion \
-             ({})",
-            guidance.advice()
-        ),
-        PatternEvidence::NonUniformAccessFrequency { cov_pct, .. } => format!(
-            "place the hottest slices of {object_label} in shared memory \
-             (access-frequency variance {cov_pct:.0}%)"
-        ),
+        PatternEvidence::NonUniformAccessFrequency { cov_pct, .. } => {
+            push(
+                o,
+                &["place the hottest slices of ", label, " in shared memory"],
+            );
+            let _ = write!(o, " (access-frequency variance {cov_pct:.0}%)");
+        }
         PatternEvidence::PageThrashing {
             page_index,
             migrations,
-        } => format!(
-            "page {page_index} of {object_label} migrated {migrations} times \
-             between host and device; batch same-side accesses or prefetch \
-             with cudaMemPrefetchAsync"
-        ),
+        } => {
+            o.push_str("page ");
+            push_u64(o, u64::from(*page_index));
+            push(o, &[" of ", label, " migrated "]);
+            push_u64(o, *migrations);
+            o.push_str(
+                " times between host and device; batch same-side accesses or \
+                 prefetch with cudaMemPrefetchAsync",
+            );
+        }
         PatternEvidence::PageFalseSharing {
             page_index,
             migrations,
             host_bytes,
             device_bytes,
-        } => format!(
-            "page {page_index} of {object_label} thrashes ({migrations} \
-             migrations) although the host ({host_bytes} B) and device \
-             ({device_bytes} B) touch disjoint bytes — split or pad \
-             {object_label} at page boundaries to end the false sharing"
-        ),
+        } => {
+            o.push_str("page ");
+            push_u64(o, u64::from(*page_index));
+            push(o, &[" of ", label, " thrashes ("]);
+            push_u64(o, *migrations);
+            o.push_str(" migrations) although the host (");
+            push_u64(o, *host_bytes);
+            o.push_str(" B) and device (");
+            push_u64(o, *device_bytes);
+            push(
+                o,
+                &[
+                    " B) touch disjoint bytes — split or pad ",
+                    label,
+                    " at page boundaries to end the false sharing",
+                ],
+            );
+        }
         PatternEvidence::StructuredAccess {
             kernel,
             slices,
             max_slice_bytes,
-        } => format!(
-            "{object_label} is accessed as {slices} disjoint slices by the \
-             instances of kernel {kernel}; allocate one {max_slice_bytes}-byte \
-             slice and reuse it across instances"
-        ),
+        } => {
+            push(o, &[label, " is accessed as "]);
+            push_u64(o, *slices as u64);
+            push(
+                o,
+                &[
+                    " disjoint slices by the instances of kernel ",
+                    kernel,
+                    "; allocate one ",
+                ],
+            );
+            push_u64(o, *max_slice_bytes);
+            o.push_str("-byte slice and reuse it across instances");
+        }
     }
+    s
 }
 
 /// Estimated wasted bytes for prioritization.

@@ -49,6 +49,17 @@
 //! which wins. Lifetime access frequencies are saved as sorted, disjoint
 //! runs `(first element, elements, count)` of equal nonzero counts.
 //!
+//! Loading shares text instead of copying it per row. A string is read
+//! in place, borrowed from the payload unless it holds an escape. A
+//! launch's kernel name, an ALLOC's or FREE's label, an object row's label
+//! and a call-path frame come from one table keyed by text, which lives
+//! across all delta frames: rows with the same text share one `Arc<str>`.
+//! A CPY or SET row's detail becomes [`ApiDetail::Bytes`] only when its
+//! text is exactly what that variant renders — a canonical `u64`, `B `,
+//! and the row kind's word; any other text stays [`ApiDetail::Text`].
+//! Every decoded detail renders its source text, so save → load → save is
+//! byte-identical.
+//!
 //! Both readers replay the frames in order with one decoder:
 //!
 //! * [`load`] is **strict**: the replay must lose nothing — any framing
@@ -67,10 +78,10 @@
 use crate::accessmap::{AccessBitmap, FreqMap, RangeSet};
 use crate::analyzer::{self, ObjectFacts, ObjectMeta};
 use crate::collector::{Collector, GpuApi, RawAccess};
-use crate::depgraph::VertexAccess;
+use crate::depgraph::{ObjectList, VertexAccess};
 use crate::error::TraceError;
-use crate::names::{push_u64, ApiDetail, GpuApiKind, PathId, PathText};
-use crate::object::{DataObject, ObjectId, ObjectSource};
+use crate::names::{push_u64, ApiDetail, ByteOp, GpuApiKind, PathId, PathText};
+use crate::object::{DataObject, IdMap, IdSet, ObjectId, ObjectSource};
 use crate::options::Thresholds;
 use crate::patterns::intra::{IntraObjectData, NuafObservation};
 use crate::patterns::unified::UnifiedPageStats;
@@ -78,7 +89,8 @@ use crate::patterns::{AccessVia, TraceView};
 use crate::peaks::UsageSample;
 use crate::report::{DegradationRecord, Report};
 use gpu_sim::{FrameTable, StreamId};
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -91,7 +103,9 @@ const MAGIC: &str = "DRGPUM-TRACE";
 #[derive(Debug, Clone)]
 struct SavedObject {
     id: u64,
-    label: String,
+    /// Shared with the registry object, or with every row of a loaded
+    /// trace that carries the same text.
+    label: Arc<str>,
     size: u64,
     source: ObjectSource,
     alloc_api: usize,
@@ -168,7 +182,7 @@ fn tag_of<T: PartialEq>(tags: &Tags<T>, value: T) -> &'static str {
 fn object_row(o: &DataObject) -> SavedObject {
     SavedObject {
         id: o.id.0,
-        label: String::from(&*o.label),
+        label: o.label.clone(),
         size: o.size(),
         source: o.source,
         alloc_api: o.alloc_api,
@@ -555,23 +569,26 @@ fn put_header(out: &mut String, version: u32, platform: &str) {
 // ---------------------------------------------------------------------------
 
 /// Reads one frame payload back, mirroring [`Enc`]: every value read first
-/// consumes the comma that separates it from the previous one.
+/// consumes the comma that separates it from the previous one. The
+/// per-value readers are `#[inline]`: a row is a dozen of them.
 struct Cursor<'a> {
     b: &'a [u8],
     i: usize,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
     fn fail<T>(&self, what: &str) -> Result<T, String> {
         Err(format!("expected {what} at byte {}", self.i))
     }
 
+    #[inline]
     fn eat(&mut self, byte: u8) -> bool {
         let hit = self.b.get(self.i) == Some(&byte);
         self.i += usize::from(hit);
         hit
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), String> {
         if self.eat(byte) {
             Ok(())
@@ -591,6 +608,7 @@ impl Cursor<'_> {
         hit
     }
 
+    #[inline]
     fn sep(&mut self) -> Result<(), String> {
         match self.i.checked_sub(1).map(|p| self.b[p]) {
             None | Some(b'[' | b',') => Ok(()),
@@ -598,6 +616,7 @@ impl Cursor<'_> {
         }
     }
 
+    #[inline]
     fn u64(&mut self) -> Result<u64, String> {
         self.sep()?;
         let start = self.i;
@@ -616,13 +635,26 @@ impl Cursor<'_> {
     }
 
     /// A number that must fit `T`.
+    #[inline]
     fn num<T: TryFrom<u64>>(&mut self) -> Result<T, String> {
         let at = self.i;
         T::try_from(self.u64()?).map_err(|_| format!("number at byte {at} is out of range"))
     }
 
+    #[inline]
     fn object(&mut self) -> Result<ObjectId, String> {
         self.u64().map(ObjectId)
+    }
+
+    /// A list of object ids, read into place without a `Vec`.
+    #[inline]
+    fn objects(&mut self) -> Result<ObjectList, String> {
+        self.open()?;
+        let mut list = ObjectList::new();
+        while !self.eat(b']') {
+            list.push(self.object()?);
+        }
+        Ok(list)
     }
 
     fn f64(&mut self) -> Result<f64, String> {
@@ -641,6 +673,7 @@ impl Cursor<'_> {
             .ok_or_else(|| format!("expected a float at byte {start}"))
     }
 
+    #[inline]
     fn bool(&mut self) -> Result<bool, String> {
         self.sep()?;
         if self.eat_word(b"true") {
@@ -665,36 +698,44 @@ impl Cursor<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A JSON string, borrowed from the payload when it holds no escape.
+    #[inline]
+    fn text(&mut self) -> Result<Cow<'a, str>, String> {
         self.sep()?;
         self.expect(b'"')?;
-        let mut s = String::new();
+        let b = self.b;
+        let mut unescaped: Option<String> = None;
         loop {
             let start = self.i;
-            while self
-                .b
+            while b
                 .get(self.i)
                 .is_some_and(|&c| c >= 0x20 && c != b'"' && c != b'\\')
             {
                 self.i += 1;
             }
-            let plain = std::str::from_utf8(&self.b[start..self.i])
+            let plain = std::str::from_utf8(&b[start..self.i])
                 .map_err(|_| format!("string at byte {start} is not UTF-8"))?;
-            s.push_str(plain);
-            match self.b.get(self.i) {
+            match b.get(self.i) {
                 Some(b'"') => {
                     self.i += 1;
-                    return Ok(s);
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(plain),
+                        Some(mut s) => {
+                            s.push_str(plain);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
                 Some(b'\\') => {
-                    let esc = self.b.get(self.i + 1).copied();
+                    let s = unescaped.get_or_insert_with(String::new);
+                    s.push_str(plain);
+                    let esc = b.get(self.i + 1).copied();
                     self.i += 2;
                     match esc {
                         Some(b'"') => s.push('"'),
                         Some(b'\\') => s.push('\\'),
                         Some(b'u') => {
-                            let code = self
-                                .b
+                            let code = b
                                 .get(self.i..self.i + 4)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
@@ -715,6 +756,7 @@ impl Cursor<'_> {
 
     /// An enum field: one of the words in `tags`, matched in place
     /// without building a `String`.
+    #[inline]
     fn tag<T: Copy>(&mut self, tags: &Tags<T>, what: &str) -> Result<T, String> {
         self.sep()?;
         let at = self.i;
@@ -730,11 +772,13 @@ impl Cursor<'_> {
         Ok(value)
     }
 
+    #[inline]
     fn open(&mut self) -> Result<(), String> {
         self.sep()?;
         self.expect(b'[')
     }
 
+    #[inline]
     fn close(&mut self) -> Result<(), String> {
         self.expect(b']')
     }
@@ -793,21 +837,72 @@ fn get_path(c: &mut Cursor<'_>) -> Result<PathId, String> {
     c.num().map(PathId)
 }
 
-fn get_api(c: &mut Cursor<'_>) -> Result<GpuApi, String> {
+/// The kernel names, labels and call-path frames one load has read, each
+/// held once: every row with the same text shares one `Arc<str>`, across
+/// all delta frames.
+#[derive(Default)]
+struct Interner(HashSet<Arc<str>>);
+
+impl Interner {
+    fn intern(&mut self, text: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get(text) {
+            return shared.clone();
+        }
+        let shared = Arc::<str>::from(text);
+        self.0.insert(shared.clone());
+        shared
+    }
+}
+
+/// `text` as the byte count a copy or set row of `kind` renders, if it is
+/// exactly that rendering: a canonical `u64` (no sign, no leading zero),
+/// `B `, and the kind's word.
+fn byte_detail(kind: GpuApiKind, text: &str) -> Option<ApiDetail> {
+    let (count, word) = text.split_once("B ")?;
+    let canonical = !count.is_empty()
+        && count.bytes().all(|d| d.is_ascii_digit())
+        && (count == "0" || !count.starts_with('0'));
+    if !canonical {
+        return None;
+    }
+    let ops: &[ByteOp] = match kind {
+        GpuApiKind::Cpy => &[ByteOp::H2D, ByteOp::D2H, ByteOp::D2D],
+        GpuApiKind::Set => &[ByteOp::Set],
+        _ => &[],
+    };
+    let op = *ops.iter().find(|op| op.word() == word)?;
+    Some(ApiDetail::Bytes(count.parse().ok()?, op))
+}
+
+/// The typed detail of a row of `kind` whose trace text is `text`; it
+/// renders `text` again. A launch's kernel name and an ALLOC's or FREE's
+/// label are interned; a copy or set count that does not render back
+/// exactly stays text.
+fn api_detail(kind: GpuApiKind, text: Cow<'_, str>, interner: &mut Interner) -> ApiDetail {
+    match kind {
+        GpuApiKind::Kerl => ApiDetail::Kernel(interner.intern(&text)),
+        GpuApiKind::Alloc | GpuApiKind::Free => ApiDetail::Label(interner.intern(&text)),
+        GpuApiKind::Cpy | GpuApiKind::Set => {
+            byte_detail(kind, &text).unwrap_or_else(|| ApiDetail::Text(text.into_owned()))
+        }
+    }
+}
+
+fn get_api(c: &mut Cursor<'_>, interner: &mut Interner) -> Result<GpuApi, String> {
     c.open()?;
     let kind = c.tag(&KINDS, "API kind")?;
-    let detail = c.string()?;
+    let detail = api_detail(kind, c.text()?, interner);
     let stream = StreamId(c.num()?);
     let api = GpuApi {
         kind,
-        detail: ApiDetail::Text(detail),
+        detail,
         stream,
         ordinal_in_stream: c.u64()?,
         vertex: VertexAccess {
             stream,
-            reads: c.list(Cursor::object)?,
-            writes: c.list(Cursor::object)?,
-            frees: c.list(Cursor::object)?,
+            reads: c.objects()?,
+            writes: c.objects()?,
+            frees: c.objects()?,
             after: c.list(Cursor::num)?,
         },
         start_ns: c.u64()?,
@@ -831,11 +926,11 @@ fn get_access(c: &mut Cursor<'_>) -> Result<RawAccess, String> {
     Ok(access)
 }
 
-fn get_object(c: &mut Cursor<'_>) -> Result<SavedObject, String> {
+fn get_object(c: &mut Cursor<'_>, interner: &mut Interner) -> Result<SavedObject, String> {
     c.open()?;
     let object = SavedObject {
         id: c.u64()?,
-        label: c.string()?,
+        label: interner.intern(&c.text()?),
         size: c.u64()?,
         source: c.tag(&SOURCES, "object source")?,
         alloc_api: c.num()?,
@@ -922,23 +1017,23 @@ struct Delta {
     usage: Vec<UsageSample>,
 }
 
-fn get_delta(c: &mut Cursor<'_>) -> Result<Delta, String> {
+fn get_delta(c: &mut Cursor<'_>, interner: &mut Interner) -> Result<Delta, String> {
     c.open()?;
     let delta = Delta {
         paths: c.list(|c| {
-            let frames: Vec<Arc<str>> = c.list(|c| c.string().map(Arc::from))?;
+            let frames: Vec<Arc<str>> = c.list(|c| Ok(interner.intern(&c.text()?)))?;
             Ok(PathText::from(frames))
         })?,
-        apis: c.list(get_api)?,
+        apis: c.list(|c| get_api(c, interner))?,
         api_updates: c.list(|c| {
             c.open()?;
-            let update = (c.num()?, get_api(c)?);
+            let update = (c.num()?, get_api(c, interner)?);
             c.close()?;
             Ok(update)
         })?,
         accesses: c.list(get_access)?,
-        objects: c.list(get_object)?,
-        object_updates: c.list(get_object)?,
+        objects: c.list(|c| get_object(c, interner))?,
+        object_updates: c.list(|c| get_object(c, interner))?,
         usage: c
             .pairs()?
             .into_iter()
@@ -976,7 +1071,7 @@ fn get_checkpoint(c: &mut Cursor<'_>) -> Result<Checkpoint, String> {
 
 fn get_meta(c: &mut Cursor<'_>) -> Result<String, String> {
     c.open()?;
-    let platform = c.string()?;
+    let platform = c.text()?.into_owned();
     c.close()?;
     Ok(platform)
 }
@@ -1081,28 +1176,39 @@ fn malformed(section: &str, reason: String) -> TraceError {
     }
 }
 
+/// Appends `rows` to `into`; into an empty list — a batch trace's one
+/// delta — they move without a copy.
+fn append<T>(into: &mut Vec<T>, rows: Vec<T>) {
+    if into.is_empty() {
+        *into = rows;
+    } else {
+        into.extend(rows);
+    }
+}
+
 /// Appends one decoded delta to the replayed trace. `ids` maps each
 /// object id to its row, so an update finds its row in constant time.
 /// Checks before it mutates, so a bad delta leaves the trace untouched.
 fn apply_delta(
     trace: &mut SavedTrace,
-    ids: &mut HashMap<u64, usize>,
+    ids: &mut IdMap<u64, usize>,
     d: Delta,
 ) -> Result<(), String> {
     let n = trace.apis.len() + d.apis.len();
     if let Some((idx, _)) = d.api_updates.iter().find(|(idx, _)| *idx >= n) {
         return Err(format!("api update index {idx} out of range ({n} apis)"));
     }
-    trace.paths.extend(d.paths);
-    trace.apis.extend(d.apis);
+    append(&mut trace.paths, d.paths);
+    append(&mut trace.apis, d.apis);
     for (idx, row) in d.api_updates {
         trace.apis[idx] = row;
     }
-    trace.accesses.extend(d.accesses);
-    for o in d.objects {
-        ids.entry(o.id).or_insert(trace.objects.len());
-        trace.objects.push(o);
+    append(&mut trace.accesses, d.accesses);
+    let first = trace.objects.len();
+    for (i, o) in d.objects.iter().enumerate() {
+        ids.entry(o.id).or_insert(first + i);
     }
+    append(&mut trace.objects, d.objects);
     for o in d.object_updates {
         match ids.get(&o.id) {
             Some(&i) => trace.objects[i] = o,
@@ -1112,7 +1218,7 @@ fn apply_delta(
             }
         }
     }
-    trace.usage.extend(d.usage);
+    append(&mut trace.usage, d.usage);
     Ok(())
 }
 
@@ -1152,7 +1258,8 @@ fn replay(text: &str) -> (SavedTrace, Losses) {
             return (trace, losses);
         }
     }
-    let mut ids = HashMap::new();
+    let mut ids = IdMap::default();
+    let mut interner = Interner::default();
     let mut platform = None;
     let mut checkpoint: Option<Checkpoint> = None;
     let mut deltas = 0usize;
@@ -1188,8 +1295,8 @@ fn replay(text: &str) -> (SavedTrace, Losses) {
             },
             "delta" => {
                 deltas += 1;
-                let applied =
-                    decode(payload, get_delta).and_then(|d| apply_delta(&mut trace, &mut ids, d));
+                let applied = decode(payload, |c| get_delta(c, &mut interner))
+                    .and_then(|d| apply_delta(&mut trace, &mut ids, d));
                 if let Err(reason) = applied {
                     let e = malformed("delta", reason);
                     lose_frame(&mut losses, "stopped at damaged streaming frame", e);
@@ -1315,7 +1422,7 @@ impl Dropped {
 /// the first, [`salvage`] notes them all.
 fn scrub(t: &mut SavedTrace) -> Losses {
     let n = t.apis.len();
-    let ids: HashSet<u64> = t.objects.iter().map(|o| o.id).collect();
+    let ids: IdSet<u64> = t.objects.iter().map(|o| o.id).collect();
     let unknown = |obj: u64| (!ids.contains(&obj)).then(|| format!("unknown object {obj}"));
 
     let mut edges = Dropped::default();
@@ -1646,6 +1753,12 @@ impl SavedTrace {
     /// first; `None` past the end of the trace.
     pub fn api_call_path(&self, idx: usize) -> Option<&PathText> {
         self.paths.get(self.apis.get(idx)?.path.0 as usize)
+    }
+
+    /// The detail of the API at trace position `idx` — for a loaded trace,
+    /// typed by [`load`]'s rule; `None` past the end of the trace.
+    pub fn api_detail(&self, idx: usize) -> Option<&ApiDetail> {
+        self.apis.get(idx).map(|a| &a.detail)
     }
 
     /// The allocation call path of the `idx`-th object row, innermost

@@ -5,8 +5,8 @@
 //! deterministic generator, so every failure is reproducible from its seed.
 
 use drgpum::profiler::accessmap::{AccessBitmap, FreqMap, RangeSet};
-use drgpum::profiler::depgraph::{DependencyGraph, VertexAccess};
-use drgpum::profiler::names::{ApiName, GpuApiKind, PathId};
+use drgpum::profiler::depgraph::{DependencyGraph, ObjectList, VertexAccess};
+use drgpum::profiler::names::{ApiDetail, ApiName, GpuApiKind, PathId};
 use drgpum::profiler::object::ObjectId;
 use drgpum::profiler::options::Thresholds;
 use drgpum::profiler::patterns::intra::{self, IntraObjectData};
@@ -14,6 +14,8 @@ use drgpum::profiler::patterns::{
     object_level, redundant, AccessVia, ApiRef, ObjectAccess, ObjectView, PatternEvidence,
     TraceView,
 };
+use drgpum::profiler::peaks::{find_peaks, UsageSample};
+use drgpum::profiler::trace_io;
 use gpu_sim::mem::DeviceAllocator;
 use gpu_sim::{SplitMix64, StreamId};
 use std::collections::HashMap;
@@ -338,7 +340,7 @@ fn kahn_waves(n: usize, edges: &[(usize, usize)]) -> Vec<u64> {
 }
 
 /// `count` object ids below 6, repeats allowed.
-fn objects(rng: &mut SplitMix64, count: u64) -> Vec<ObjectId> {
+fn objects(rng: &mut SplitMix64, count: u64) -> ObjectList {
     (0..count).map(|_| ObjectId(range(rng, 0, 6))).collect()
 }
 
@@ -412,6 +414,47 @@ fn topological_timestamps_respect_all_edges() {
     }
 }
 
+// ----------------------------------------------------- def/use lists
+
+#[test]
+fn object_list_matches_vec_model() {
+    let (mut spilled, mut shrunk) = (0, 0);
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let mut list = ObjectList::new();
+        let mut model: Vec<ObjectId> = Vec::new();
+        for step in 0..range(&mut rng, 1, 40) {
+            if rng.chance(0.75) {
+                let id = ObjectId(range(&mut rng, 0, 5));
+                list.push(id);
+                model.push(id);
+            } else {
+                let (m, r) = (range(&mut rng, 2, 4), range(&mut rng, 0, 4));
+                let keep = |o: &ObjectId| o.0 % m != r;
+                let before = model.len();
+                list.retain(keep);
+                model.retain(keep);
+                shrunk += usize::from(before > 2 && model.len() <= 2);
+            }
+            spilled += usize::from(model.len() == 3);
+            assert_eq!(&list[..], &model[..], "seed {seed} step {step}");
+            assert_eq!(list.iter().copied().collect::<Vec<_>>(), model);
+            assert_eq!(format!("{list:?}"), format!("{model:?}"));
+            let copy = list.clone();
+            assert_eq!(copy, list, "seed {seed}: a clone is equal");
+            // Equality is by contents, whichever way the ids are held.
+            assert_eq!(model.iter().copied().collect::<ObjectList>(), list);
+            let mut longer = copy;
+            longer.push(ObjectId(9));
+            assert_ne!(longer, list);
+        }
+    }
+    assert!(
+        spilled >= 20 && shrunk >= 5,
+        "{spilled} spills, {shrunk} shrinks"
+    );
+}
+
 // ------------------------------------------------------- between counts
 
 /// The whole-trace scans the between counts once were: the reference
@@ -445,9 +488,9 @@ fn stream_timestamps(rng: &mut SplitMix64, n: usize) -> Vec<u64> {
     let vertices: Vec<VertexAccess> = (0..n)
         .map(|_| VertexAccess {
             stream: StreamId(range(rng, 0, 4) as u32),
-            reads: vec![ObjectId(range(rng, 0, 8))],
-            writes: vec![ObjectId(range(rng, 0, 8))],
-            frees: vec![],
+            reads: ObjectList::from_iter([ObjectId(range(rng, 0, 8))]),
+            writes: ObjectList::from_iter([ObjectId(range(rng, 0, 8))]),
+            frees: ObjectList::new(),
             after: vec![],
         })
         .collect();
@@ -552,7 +595,7 @@ fn object_level_findings_are_sound() {
             };
             tv.objects.push(ObjectView {
                 id: ObjectId(i as u64),
-                label: format!("o{i}"),
+                label: format!("o{i}").into(),
                 size: 512,
                 alloc: Some(ApiRef {
                     idx: alloc,
@@ -630,7 +673,7 @@ fn redundant_allocation_pairs_are_valid() {
             };
             tv.objects.push(ObjectView {
                 id: ObjectId(i as u64),
-                label: format!("o{i}"),
+                label: format!("o{i}").into(),
                 size,
                 alloc: None,
                 alloc_anchor: 0,
@@ -686,7 +729,7 @@ fn oracle_structured(
             continue;
         }
         if let Some(Some(kernel)) = trace.api_kernels.get(*api_idx) {
-            match per_kernel.iter_mut().find(|(k, _)| k == kernel) {
+            match per_kernel.iter_mut().find(|(k, _)| *k == &**kernel) {
                 Some((_, slices)) => slices.push(rs),
                 None => per_kernel.push((kernel, vec![rs])),
             }
@@ -756,7 +799,7 @@ fn structured_case(rng: &mut SplitMix64) -> (IntraObjectData, TraceView, usize) 
     tv.api_kernels = (0..n)
         .map(|_| match range(rng, 0, 5) {
             0 => None,
-            k => Some(format!("k{}", k % 3)),
+            k => Some(format!("k{}", k % 3).into()),
         })
         .collect();
     let noise = [0.0, 0.1, 0.3, 0.6][range(rng, 0, 4) as usize];
@@ -876,6 +919,111 @@ fn peaks_are_true_local_maxima() {
             }
         }
     }
+}
+
+/// The two-way scan `find_peaks` once was — for each sample, a walk back
+/// to the previous distinct value and forward to the next one — kept as
+/// the reference model for the one-pass run scan.
+fn scan_peaks(curve: &[UsageSample], top_k: usize) -> Vec<(usize, u64)> {
+    if curve.is_empty() || top_k == 0 {
+        return Vec::new();
+    }
+    let mut maxima: Vec<(usize, u64)> = Vec::new();
+    let n = curve.len();
+    for i in 0..n {
+        let b = curve[i].bytes_in_use;
+        if b == 0 {
+            continue;
+        }
+        let rising = {
+            let mut j = i;
+            loop {
+                if j == 0 {
+                    break true;
+                }
+                j -= 1;
+                let pb = curve[j].bytes_in_use;
+                if pb < b {
+                    break true;
+                }
+                if pb > b {
+                    break false;
+                }
+            }
+        };
+        let plateau_follower = i > 0 && curve[i - 1].bytes_in_use == b;
+        let falling_after = {
+            let mut j = i + 1;
+            loop {
+                if j >= n {
+                    break true;
+                }
+                let nb = curve[j].bytes_in_use;
+                if nb < b {
+                    break true;
+                }
+                if nb > b {
+                    break false;
+                }
+                j += 1;
+            }
+        };
+        if rising && falling_after && !plateau_follower {
+            maxima.push((curve[i].api_idx, b));
+        }
+    }
+    maxima.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    maxima.truncate(top_k);
+    maxima
+}
+
+fn usage(values: &[u64]) -> Vec<UsageSample> {
+    values
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| UsageSample {
+            api_idx: i,
+            bytes_in_use: b,
+        })
+        .collect()
+}
+
+#[test]
+fn peaks_match_the_two_way_scan() {
+    let (mut plateaus, mut equal_peaks) = (0, 0);
+    for seed in 0..4 * CASES {
+        let mut rng = SplitMix64::new(seed);
+        // Runs of one to six equal values from a small alphabet with zero:
+        // plateaus, zero gaps and equal peaks in most curves.
+        let mut curve = Vec::new();
+        for _ in 0..range(&mut rng, 0, 30) {
+            let v = [0, 0, 100, 200, 300, 400][range(&mut rng, 0, 6) as usize];
+            let run = range(&mut rng, 1, 7);
+            plateaus += usize::from(v > 0 && run > 1);
+            curve.extend(std::iter::repeat_n(v, run as usize));
+        }
+        let samples = usage(&curve);
+        for top_k in 0..=4 {
+            let expect = scan_peaks(&samples, top_k);
+            equal_peaks += usize::from(expect.windows(2).any(|w| w[0].1 == w[1].1));
+            assert_eq!(
+                find_peaks(&samples, top_k),
+                expect,
+                "seed {seed} top_k {top_k}"
+            );
+        }
+    }
+    assert!(
+        plateaus >= 100 && equal_peaks >= 20,
+        "{plateaus} plateaus, {equal_peaks} ties"
+    );
+    // A launch loop with no allocation is one long plateau: the scan is
+    // linear, so a million samples take milliseconds.
+    let mut curve = vec![7u64; 1_000_000];
+    assert_eq!(find_peaks(&usage(&curve), 2), vec![(0, 7)]);
+    curve[0] = 3;
+    curve.push(5);
+    assert_eq!(find_peaks(&usage(&curve), 2), vec![(1, 7)]);
 }
 
 // ------------------------------------------------------------ memory map
@@ -1298,4 +1446,227 @@ fn event_edges_match_hash_map_model() {
             .collect();
         assert_eq!(after, model.after, "seed {seed}");
     }
+}
+
+// ------------------------------------------------------- trace details
+
+/// A JSON string as the trace writer escapes it: `"` and `\` behind a
+/// backslash, control characters as `\u00xx`, everything else verbatim.
+fn json_str(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c < ' ' => out += &format!("\\u{:04x}", u32::from(c)),
+            c => out.push(c),
+        }
+    }
+    out + "\""
+}
+
+/// A finished trace: header, meta, the delta payloads, a checkpoint over
+/// `apis` rows, and the finish marker — framed exactly as the writer
+/// frames them.
+fn framed_trace(deltas: &[String], apis: usize) -> String {
+    let mut text = String::from("DRGPUM-TRACE 4\n");
+    let meta = r#"["rtx3090"]"#.to_owned();
+    let checkpoint = format!("[{apis},[],[]]");
+    let frames = std::iter::once(("meta", &meta))
+        .chain(deltas.iter().map(|d| ("delta", d)))
+        .chain([("checkpoint", &checkpoint)]);
+    for (name, payload) in frames {
+        text += &format!(
+            "section {name} {} {}\n{payload}\n",
+            payload.len(),
+            trace_io::crc32(payload.as_bytes())
+        );
+    }
+    text + "end\n"
+}
+
+/// Whether a copy or set row's `text` is exactly what a byte count
+/// renders: canonical decimal digits, `B `, and the kind's word.
+fn renders_as_bytes(kind: GpuApiKind, text: &str) -> bool {
+    let Some((count, word)) = text.split_once("B ") else {
+        return false;
+    };
+    let words: &[&str] = match kind {
+        GpuApiKind::Cpy => &["H2D", "D2H", "D2D"],
+        _ => &["set"],
+    };
+    count.parse::<u64>().is_ok_and(|n| n.to_string() == count) && words.contains(&word)
+}
+
+/// A short name with quotes, backslashes, control characters and
+/// non-ASCII characters, from a small alphabet so that texts repeat.
+fn odd_name(rng: &mut SplitMix64) -> String {
+    const CHARS: [char; 10] = ['k', 'b', '_', '"', '\\', '\n', '\u{1}', '\t', 'é', ' '];
+    (0..range(rng, 0, 4))
+        .map(|_| CHARS[range(rng, 0, CHARS.len() as u64) as usize])
+        .collect()
+}
+
+const ODD_BYTES: [&str; 10] = [
+    "007B H2D",
+    "12B h2d",
+    "5B D2D",
+    "18446744073709551616B H2D",
+    "B H2D",
+    "1B  H2D",
+    "0B set",
+    "00B set",
+    "18446744073709551615B D2H",
+    "64B set ",
+];
+
+#[test]
+fn loaded_details_render_their_source_text() {
+    let (mut bytes, mut texts, mut shared, mut split) = (0, 0, 0, 0);
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let n = range(&mut rng, 1, 40) as usize;
+        // Rows, with the objects their ALLOCs define and FREEs retire;
+        // object ids are sparse (3 i + 1).
+        let mut rows = Vec::new();
+        let mut objects: Vec<(u64, String, usize, Option<usize>)> = Vec::new();
+        for i in 0..n {
+            let kind = [
+                GpuApiKind::Alloc,
+                GpuApiKind::Free,
+                GpuApiKind::Cpy,
+                GpuApiKind::Set,
+                GpuApiKind::Kerl,
+            ][range(&mut rng, 0, 5) as usize];
+            let live = objects.iter().position(|o| o.3.is_none());
+            let (text, writes, frees) = match kind {
+                GpuApiKind::Alloc => {
+                    let label = odd_name(&mut rng);
+                    let id = 3 * i as u64 + 1;
+                    objects.push((id, label.clone(), i, None));
+                    (label, vec![id], vec![])
+                }
+                // A FREE of a live object carries its label; otherwise it
+                // frees a pointer no object owns.
+                GpuApiKind::Free => match live.filter(|_| rng.chance(0.7)) {
+                    Some(o) => {
+                        objects[o].3 = Some(i);
+                        (objects[o].1.clone(), vec![], vec![objects[o].0])
+                    }
+                    None => (odd_name(&mut rng), vec![], vec![]),
+                },
+                GpuApiKind::Kerl => (odd_name(&mut rng), vec![], vec![]),
+                _ if rng.chance(0.5) => {
+                    let word = match kind {
+                        GpuApiKind::Cpy => ["H2D", "D2H", "D2D"][range(&mut rng, 0, 3) as usize],
+                        _ => "set",
+                    };
+                    let count = rng.next_u64() >> range(&mut rng, 0, 64);
+                    (format!("{count}B {word}"), vec![], vec![])
+                }
+                _ if rng.chance(0.6) => {
+                    let odd = ODD_BYTES[range(&mut rng, 0, ODD_BYTES.len() as u64) as usize];
+                    (odd.to_owned(), vec![], vec![])
+                }
+                _ => (odd_name(&mut rng), vec![], vec![]),
+            };
+            let ids = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
+            let row = format!(
+                "[{},{},0,{i},[],[{}],[{}],[],{},{},0]",
+                json_str(kind.mnemonic()),
+                json_str(&text),
+                ids(&writes),
+                ids(&frees),
+                10 * i,
+                10 * i + 5
+            );
+            rows.push((kind, text, row));
+        }
+        let object_row = |(id, label, alloc, free): &(u64, String, usize, Option<usize>)| {
+            let free = free.map_or("null".to_owned(), |f| f.to_string());
+            let freed = free != "null";
+            format!(
+                "[{id},{},64,\"cuda\",{alloc},true,{free},{freed},0]",
+                json_str(label)
+            )
+        };
+        // Cut the rows into delta frames; each object row travels with
+        // its ALLOC, already carrying the FREE that may come frames later.
+        let cuts: Vec<usize> = (0..n)
+            .filter(|&i| i > 0 && rng.chance(0.2))
+            .chain([n])
+            .collect();
+        let mut deltas = Vec::new();
+        let mut from = 0;
+        for &to in &cuts {
+            let paths = if from == 0 {
+                r#"[["main @ app.rs:1"]]"#
+            } else {
+                "[]"
+            };
+            let apis: Vec<&str> = rows[from..to].iter().map(|r| r.2.as_str()).collect();
+            let objs: Vec<String> = objects
+                .iter()
+                .filter(|o| (from..to).contains(&o.2))
+                .map(object_row)
+                .collect();
+            deltas.push(format!(
+                "[{paths},[{}],[],[],[{}],[],[]]",
+                apis.join(","),
+                objs.join(",")
+            ));
+            from = to;
+        }
+        let text = framed_trace(&deltas, n);
+        let saved = trace_io::load(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let mut first: HashMap<&str, &std::sync::Arc<str>> = HashMap::new();
+        for (i, (kind, source, _)) in rows.iter().enumerate() {
+            let detail = saved.api_detail(i).expect("every row loads");
+            assert_eq!(detail.to_string(), *source, "seed {seed} row {i}");
+            let shared_text = match (kind, detail) {
+                (GpuApiKind::Cpy | GpuApiKind::Set, ApiDetail::Bytes(..)) => {
+                    assert!(renders_as_bytes(*kind, source), "seed {seed}: {source:?}");
+                    bytes += 1;
+                    None
+                }
+                (GpuApiKind::Cpy | GpuApiKind::Set, ApiDetail::Text(_)) => {
+                    assert!(!renders_as_bytes(*kind, source), "seed {seed}: {source:?}");
+                    texts += 1;
+                    None
+                }
+                (GpuApiKind::Kerl, ApiDetail::Kernel(s)) => Some(s),
+                (GpuApiKind::Alloc | GpuApiKind::Free, ApiDetail::Label(s)) => Some(s),
+                other => panic!("seed {seed} row {i}: {other:?}"),
+            };
+            // One load holds each kernel name or label once, across frames.
+            if let Some(s) = shared_text {
+                let owner = *first.entry(source.as_str()).or_insert(s);
+                assert!(std::sync::Arc::ptr_eq(owner, s), "seed {seed} row {i}");
+                shared += usize::from(!std::ptr::eq(owner, s));
+            }
+        }
+        split += usize::from(
+            objects
+                .iter()
+                .any(|o| o.3.is_some_and(|f| cuts.iter().any(|&c| o.2 < c && c <= f))),
+        );
+        // Save, load, save: byte-identical; a one-frame trace is already
+        // in the writer's form.
+        let resaved = saved.to_text();
+        if deltas.len() == 1 {
+            assert_eq!(resaved, text, "seed {seed}");
+        }
+        let again = trace_io::load(&resaved).expect("a saved trace loads");
+        assert_eq!(again.to_text(), resaved, "seed {seed}");
+    }
+    assert!(
+        bytes >= 50 && texts >= 50,
+        "{bytes} byte counts, {texts} texts"
+    );
+    assert!(
+        shared >= 50 && split >= 10,
+        "{shared} shared texts, {split} split frees"
+    );
 }
