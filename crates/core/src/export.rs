@@ -1,16 +1,17 @@
-//! Machine-readable report export.
+//! Machine-readable report export, and the JSON writer shared by every
+//! export.
 //!
 //! The GUI consumes Perfetto JSON ([`crate::perfetto`]); CI pipelines and
 //! scripts consume this flat JSON form of the [`Report`]. Field names are
 //! stable; unknown fields may be added in minor releases.
 //!
-//! [`report_json`] writes the JSON text directly, with no JSON tree in
-//! between. Its bytes are what `serde_json::to_string_pretty` prints for
-//! the same data: keys in sorted order, two-space indent, and the vendored
-//! crate's number and string escape rules. Only floats go through the
-//! formatter: keys are static words written as they are, integers and API
-//! names are written digit by digit, and a string is scanned once and
-//! copied whole when nothing in it needs escaping.
+//! Both are written by one writer straight into a `String`, with no JSON
+//! tree in between. Its bytes are what `serde_json::to_string_pretty`
+//! prints for the same data: keys in sorted order, two-space indent, and
+//! the vendored crate's number and string escape rules. Only floats go
+//! through the formatter: keys are static words written as they are,
+//! integers and API names are written digit by digit, and a string is
+//! scanned once and copied whole when nothing in it needs escaping.
 
 use crate::guidance::OverallocGuidance;
 use crate::names::{push_u64, ApiName};
@@ -28,7 +29,7 @@ fn guidance_str(g: OverallocGuidance) -> &'static str {
 }
 
 /// A JSON scalar, printed by the vendored `serde_json`'s rules.
-trait Scalar {
+pub(crate) trait Scalar {
     fn write(&self, out: &mut String);
 }
 
@@ -137,7 +138,7 @@ const INDENT: &str = "                                ";
 /// Writes pretty JSON straight into one `String`: two-space indent, one
 /// member or element per line, `{}` and `[]` for empties. Callers write
 /// object members in sorted key order.
-struct Pretty {
+pub(crate) struct Pretty {
     out: String,
     depth: usize,
     /// No member or element written yet at the current depth.
@@ -145,6 +146,19 @@ struct Pretty {
 }
 
 impl Pretty {
+    /// Writes one top-level object whose members `body` writes.
+    pub(crate) fn document(body: impl FnOnce(&mut Self)) -> String {
+        let mut j = Pretty {
+            out: String::new(),
+            depth: 0,
+            empty: true,
+        };
+        j.open('{');
+        body(&mut j);
+        j.close('}');
+        j.out
+    }
+
     fn new_line(&mut self) {
         self.out.push('\n');
         let mut width = 2 * self.depth;
@@ -189,14 +203,30 @@ impl Pretty {
     }
 
     /// A member holding a scalar.
-    fn field(&mut self, key: &'static str, value: &(impl Scalar + ?Sized)) {
+    pub(crate) fn field(&mut self, key: &'static str, value: &(impl Scalar + ?Sized)) {
         self.key(key);
         value.write(&mut self.out);
     }
 
     /// A member holding an object whose members `body` writes.
-    fn object(&mut self, key: &'static str, body: impl FnOnce(&mut Self)) {
+    pub(crate) fn object(&mut self, key: &'static str, body: impl FnOnce(&mut Self)) {
         self.key(key);
+        self.open('{');
+        body(self);
+        self.close('}');
+    }
+
+    /// A member holding an array whose elements `body` writes.
+    pub(crate) fn array(&mut self, key: &'static str, body: impl FnOnce(&mut Self)) {
+        self.key(key);
+        self.open('[');
+        body(self);
+        self.close(']');
+    }
+
+    /// An array element holding an object whose members `body` writes.
+    pub(crate) fn element(&mut self, body: impl FnOnce(&mut Self)) {
+        self.line();
         self.open('{');
         body(self);
         self.close('}');
@@ -204,15 +234,11 @@ impl Pretty {
 
     /// A member holding an array with one object per item.
     fn objects<T>(&mut self, key: &'static str, items: &[T], mut body: impl FnMut(&mut Self, &T)) {
-        self.key(key);
-        self.open('[');
-        for item in items {
-            self.line();
-            self.open('{');
-            body(self, item);
-            self.close('}');
-        }
-        self.close(']');
+        self.array(key, |j| {
+            for item in items {
+                j.element(|j| body(j, item));
+            }
+        });
     }
 }
 
@@ -316,13 +342,12 @@ fn finding_json(j: &mut Pretty, f: &Finding) {
     j.field("code", f.kind().code());
     j.object("evidence", |j| evidence_json(j, &f.evidence));
     j.object("object", |j| {
-        j.key("alloc_path");
-        j.open('[');
-        for frame in f.object.alloc_path.iter() {
-            j.line();
-            frame.write(&mut j.out);
-        }
-        j.close(']');
+        j.array("alloc_path", |j| {
+            for frame in f.object.alloc_path.iter() {
+                j.line();
+                frame.write(&mut j.out);
+            }
+        });
         j.field("label", &f.object.label);
         j.field("size_bytes", &f.object.size);
     });
@@ -360,40 +385,34 @@ fn detector_json(j: &mut Pretty, d: &DetectorStatus) {
 /// object keys in sorted order. This is what `drgpum run --json` and
 /// `drgpum reanalyze --json` write.
 pub fn report_json(report: &Report) -> String {
-    let mut j = Pretty {
-        out: String::new(),
-        depth: 0,
-        empty: true,
-    };
-    j.open('{');
-    j.objects("degradations", &report.degradations, |j, d| {
-        j.field("at_ms", &d.at_ms);
-        j.field("detail", &d.detail);
-        j.field("stage", &d.stage);
-    });
-    j.field("degraded", &report.is_degraded());
-    j.objects("detectors", &report.detectors, detector_json);
-    j.objects("findings", &report.findings, finding_json);
-    j.objects("peaks", &report.peaks, |j, p| {
-        j.field("api", &p.api_name);
-        j.field("bytes", &p.bytes);
-        j.objects("objects", &p.objects, |j, (label, size)| {
-            j.field("label", label);
-            j.field("size_bytes", size);
+    Pretty::document(|j| {
+        j.objects("degradations", &report.degradations, |j, d| {
+            j.field("at_ms", &d.at_ms);
+            j.field("detail", &d.detail);
+            j.field("stage", &d.stage);
         });
-    });
-    j.field("platform", &report.platform);
-    j.object("stats", |j| {
-        let s = &report.stats;
-        j.field("gpu_apis", &s.gpu_apis);
-        j.field("leaked_bytes", &s.leaked_bytes);
-        j.field("leaked_objects", &s.leaked_objects);
-        j.field("objects", &s.objects);
-        j.field("peak_bytes", &s.peak_bytes);
-    });
-    j.field("tool", "drgpum");
-    j.close('}');
-    j.out
+        j.field("degraded", &report.is_degraded());
+        j.objects("detectors", &report.detectors, detector_json);
+        j.objects("findings", &report.findings, finding_json);
+        j.objects("peaks", &report.peaks, |j, p| {
+            j.field("api", &p.api_name);
+            j.field("bytes", &p.bytes);
+            j.objects("objects", &p.objects, |j, (label, size)| {
+                j.field("label", label);
+                j.field("size_bytes", size);
+            });
+        });
+        j.field("platform", &report.platform);
+        j.object("stats", |j| {
+            let s = &report.stats;
+            j.field("gpu_apis", &s.gpu_apis);
+            j.field("leaked_bytes", &s.leaked_bytes);
+            j.field("leaked_objects", &s.leaked_objects);
+            j.field("objects", &s.objects);
+            j.field("peak_bytes", &s.peak_bytes);
+        });
+        j.field("tool", "drgpum");
+    })
 }
 
 #[cfg(test)]
