@@ -44,7 +44,9 @@ fn predicted_reduction(spec: &drgpum_workloads::WorkloadSpec) -> f64 {
     };
     (spec.run)(&mut ctx, Variant::Unoptimized, &cfg)
         .unwrap_or_else(|e| panic!("workload {} failed: {e}", spec.name));
-    profiler.estimate_savings(&ctx).reduction_pct()
+    profiler
+        .estimate_savings(&profiler.report(&ctx))
+        .reduction_pct()
 }
 
 fn peak(outcome: &RunOutcome) -> u64 {

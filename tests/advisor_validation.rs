@@ -26,7 +26,9 @@ fn predicted(spec: &WorkloadSpec) -> f64 {
             .then(|| profiler.collector() as drgpum::sim::pool::SharedPoolObserver),
     };
     (spec.run)(&mut ctx, Variant::Unoptimized, &cfg).expect("runs");
-    profiler.estimate_savings(&ctx).reduction_pct()
+    profiler
+        .estimate_savings(&profiler.report(&ctx))
+        .reduction_pct()
 }
 
 fn achieved(spec: &WorkloadSpec) -> f64 {
