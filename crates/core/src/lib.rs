@@ -61,7 +61,6 @@ pub mod error;
 pub mod export;
 pub mod governor;
 pub mod guidance;
-pub mod html;
 pub mod metrics;
 pub mod names;
 pub mod object;
