@@ -14,8 +14,6 @@
 
 #![warn(missing_docs)]
 
-pub mod timing;
-
 use drgpum_core::{AnalysisLevel, GpuApiKind, Profiler, ProfilerOptions, Report, SamplingPolicy};
 use drgpum_workloads::common::{RunOutcome, Variant};
 use drgpum_workloads::registry::{RunConfig, WorkloadSpec};
