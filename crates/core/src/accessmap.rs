@@ -9,6 +9,7 @@
 //!   access frequency* detector's coefficient-of-variation test.
 
 use std::fmt;
+use std::ops::Range;
 
 /// A bitmap with one bit per byte of a data object.
 ///
@@ -434,22 +435,92 @@ impl FreqMap {
     }
 
     /// Coefficient of variation (stddev / mean) of the access counts of
-    /// *accessed* elements, as a percentage. Returns 0 when fewer than two
-    /// elements were accessed.
+    /// *accessed* elements, as a percentage: the variance measure behind
+    /// *non-uniform access frequency* (Def. 3.9, footnote 3). Returns 0
+    /// when fewer than two elements were accessed.
     pub fn coefficient_of_variation_pct(&self) -> f64 {
-        crate::metrics::coefficient_of_variation_pct(
-            self.counts
-                .iter()
-                .filter(|&&c| c > 0)
-                .map(|&c| f64::from(c)),
-        )
+        self.cov_over(std::iter::once(0..self.counts.len()))
     }
 
     /// Histogram of counts (count value → number of elements), for the GUI.
     pub fn histogram(&self) -> Vec<(u32, usize)> {
+        self.histogram_over(std::iter::once(0..self.counts.len()))
+    }
+
+    /// [`FreqMap::coefficient_of_variation_pct`] visiting only the elements
+    /// that overlap `touched`: the same value when every accessed element
+    /// does, as at a kernel's end with the kernel's ranges.
+    pub fn touched_cov_pct(&self, touched: &RangeSet) -> f64 {
+        self.cov_over(self.touched_spans(touched))
+    }
+
+    /// [`FreqMap::histogram`] over the elements that overlap `touched`.
+    pub fn touched_histogram(&self, touched: &RangeSet) -> Vec<(u32, usize)> {
+        self.histogram_over(self.touched_spans(touched))
+    }
+
+    /// Adds `other`'s counts into this map (same geometry) over the
+    /// elements that overlap `touched`, saturating at `u32::MAX`: what
+    /// recording `other`'s accesses here one by one gives, when `touched`
+    /// covers them.
+    pub fn add_touched(&mut self, other: &FreqMap, touched: &RangeSet) {
+        debug_assert_eq!(self.len(), other.len());
+        for span in other.touched_spans(touched) {
+            for (c, &o) in self.counts[span.clone()]
+                .iter_mut()
+                .zip(&other.counts[span])
+            {
+                *c = c.saturating_add(o);
+            }
+        }
+    }
+
+    /// The element spans overlapping the byte ranges of `touched`, in
+    /// element order; an element two ranges share is visited once.
+    fn touched_spans<'a>(
+        &self,
+        touched: &'a RangeSet,
+    ) -> impl Iterator<Item = Range<usize>> + Clone + 'a {
+        let (w, n) = (u64::from(self.elem_size), self.counts.len() as u64);
+        let mut next = 0;
+        touched.ranges().iter().filter_map(move |&(s, e)| {
+            let (lo, hi) = ((s / w).max(next), e.div_ceil(w).min(n));
+            (lo < hi).then(|| {
+                next = hi;
+                lo as usize..hi as usize
+            })
+        })
+    }
+
+    /// The CoV of the nonzero counts in `spans`. The mean comes from an
+    /// integer sum, which equals the sequential `f64` sum below 2^53
+    /// counted accesses; the variance is a sequential `f64` sum in element
+    /// order.
+    fn cov_over(&self, spans: impl Iterator<Item = Range<usize>> + Clone) -> f64 {
+        let (mut n, mut sum) = (0u64, 0u64);
+        for span in spans.clone() {
+            for &c in &self.counts[span] {
+                n += u64::from(c > 0);
+                sum += u64::from(c);
+            }
+        }
+        if n < 2 {
+            return 0.0;
+        }
+        let (n, mut var) = (n as f64, 0.0);
+        let mean = sum as f64 / n;
+        for span in spans {
+            for &c in self.counts[span].iter().filter(|&&c| c > 0) {
+                var += (f64::from(c) - mean) * (f64::from(c) - mean);
+            }
+        }
+        ((var / n).sqrt() / mean) * 100.0
+    }
+
+    fn histogram_over(&self, spans: impl Iterator<Item = Range<usize>>) -> Vec<(u32, usize)> {
         let mut map = std::collections::BTreeMap::new();
-        for &c in &self.counts {
-            if c > 0 {
+        for span in spans {
+            for &c in self.counts[span].iter().filter(|&&c| c > 0) {
                 *map.entry(c).or_insert(0usize) += 1;
             }
         }
@@ -581,6 +652,17 @@ mod tests {
         }
         fm.record(4, 4);
         assert!(fm.coefficient_of_variation_pct() > 20.0);
+    }
+
+    #[test]
+    fn freqmap_cov_known_value() {
+        // Counts 2 and 4: mean 3, population stddev 1, CoV 33.3%.
+        let mut fm = FreqMap::new(12, 4);
+        fm.fill(0, 1, 2);
+        fm.fill(2, 1, 4);
+        assert!((fm.coefficient_of_variation_pct() - 100.0 / 3.0).abs() < 1e-12);
+        fm.fill(0, 3, u32::MAX);
+        assert_eq!(fm.coefficient_of_variation_pct(), 0.0);
     }
 
     #[test]

@@ -1,50 +1,10 @@
 //! Metrics quantifying inefficiency severity.
 //!
 //! * fragmentation — Eq. (1) of the paper;
-//! * coefficient of variation — the variance measure behind *non-uniform
-//!   access frequency* (Def. 3.9, footnote 3);
 //! * inefficiency distance — the timestamp gap between dependent GPU APIs
 //!   (Sec. 5.3).
 
 use crate::accessmap::AccessBitmap;
-
-/// Coefficient of variation (stddev / mean) of `values`, as a percentage.
-///
-/// Returns 0.0 for fewer than two values or a zero mean.
-///
-/// # Examples
-///
-/// ```
-/// use drgpum_core::metrics::coefficient_of_variation_pct;
-///
-/// let uniform = coefficient_of_variation_pct([4.0, 4.0, 4.0]);
-/// assert_eq!(uniform, 0.0);
-/// let skewed = coefficient_of_variation_pct([1.0, 1.0, 10.0]);
-/// assert!(skewed > 100.0);
-/// ```
-pub fn coefficient_of_variation_pct(values: impl IntoIterator<Item = f64>) -> f64 {
-    // Non-finite samples are dropped up front: one NaN would otherwise
-    // poison the mean, propagate to the result, and make every threshold
-    // compare downstream (`cov > nuaf_cov_pct`) silently false.
-    let values: Vec<f64> = values.into_iter().filter(|v| v.is_finite()).collect();
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-    let cov = (var.sqrt() / mean) * 100.0;
-    // Overflowed intermediates (inf - inf, inf / inf) must not escape as
-    // NaN; report 0 ("no evidence of skew") rather than a poisoned value.
-    if cov.is_finite() {
-        cov
-    } else {
-        0.0
-    }
-}
 
 /// Memory fragmentation of the unaccessed portion of a data object — the
 /// paper's Eq. (1):
@@ -80,36 +40,6 @@ pub fn inefficiency_distance(earlier_ts: u64, later_ts: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cov_edge_cases() {
-        assert_eq!(coefficient_of_variation_pct([]), 0.0);
-        assert_eq!(coefficient_of_variation_pct([5.0]), 0.0);
-        assert_eq!(coefficient_of_variation_pct([0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn cov_never_returns_nan() {
-        for values in [
-            vec![f64::NAN, 1.0, 2.0],
-            vec![f64::INFINITY, 1.0],
-            vec![f64::NEG_INFINITY, f64::INFINITY],
-            vec![f64::MAX, f64::MAX, f64::MAX],
-            vec![-1.0, 1.0], // mean exactly zero
-        ] {
-            let cov = coefficient_of_variation_pct(values.iter().copied());
-            assert!(cov.is_finite(), "{values:?} -> {cov}");
-        }
-        // Dropping the NaN leaves [1.0, 2.0], which has a real CoV.
-        assert!(coefficient_of_variation_pct([f64::NAN, 1.0, 2.0]) > 0.0);
-    }
-
-    #[test]
-    fn cov_known_value() {
-        // values 2, 4: mean 3, population stddev 1 → CoV 33.33%.
-        let cov = coefficient_of_variation_pct([2.0, 4.0]);
-        assert!((cov - 33.333).abs() < 0.01, "got {cov}");
-    }
 
     #[test]
     fn fragmentation_single_chunk_is_zero() {

@@ -449,6 +449,10 @@ const PC_MEMO_CAP: usize = 1 << 16;
 /// An empty per-pc memo slot: a range no address is contained in.
 const EMPTY_HINT: (u64, u64) = (u64::MAX, 0);
 
+/// Bounds of a record that opened outside every allocation: no access
+/// lies below their end, so such a record never grows.
+const NO_BOUNDS: (u64, u64) = (0, 0);
+
 /// Reusable collection storage, owned by the device context and lent to
 /// each launch's [`AccessSink`].
 ///
@@ -463,6 +467,7 @@ const EMPTY_HINT: (u64, u64) = (u64::MAX, 0);
 #[derive(Debug)]
 pub(crate) struct SinkArena {
     buffer: Vec<MemAccessRecord>,
+    bounds: Vec<(u64, u64)>,
     merge_candidates: CandidateMap,
     /// Per-pc `(start, end)` of the containing allocation, or
     /// [`EMPTY_HINT`].
@@ -476,6 +481,7 @@ impl Default for SinkArena {
     fn default() -> Self {
         SinkArena {
             buffer: Vec::new(),
+            bounds: Vec::new(),
             merge_candidates: CandidateMap::default(),
             pc_hints: Vec::new(),
             hint_epoch: u64::MAX,
@@ -498,6 +504,7 @@ impl SinkArena {
     ) -> AccessSink {
         let mut buffer = std::mem::take(&mut self.buffer);
         buffer.clear();
+        let bounds = std::mem::take(&mut self.bounds);
         if mode == PatchMode::Full {
             buffer.reserve(capacity);
         }
@@ -510,12 +517,15 @@ impl SinkArena {
             pc_hints.iter_mut().for_each(|h| *h = EMPTY_HINT);
             self.hint_epoch = alloc_epoch;
         }
+        let coalesce_align = u64::from(align.max(1));
         AccessSink {
             mode,
             buffer,
+            bounds,
             capacity,
             coalesce,
-            coalesce_align: u64::from(align.max(1)),
+            coalesce_align,
+            align_mask: coalesce_align.is_power_of_two().then(|| coalesce_align - 1),
             merge_candidates,
             last_hit: None,
             pc_hints,
@@ -534,6 +544,8 @@ impl SinkArena {
     pub(crate) fn reclaim(&mut self, mut sink: AccessSink) {
         sink.buffer.clear();
         self.buffer = sink.buffer;
+        sink.bounds.clear();
+        self.bounds = sink.bounds;
         sink.merge_candidates.clear();
         self.merge_candidates = sink.merge_candidates;
         self.pc_hints = sink.pc_hints;
@@ -550,6 +562,11 @@ impl SinkArena {
 pub struct AccessSink {
     mode: PatchMode,
     buffer: Vec<MemAccessRecord>,
+    /// `(start, end)` of the allocation each buffered record opened in
+    /// ([`NO_BOUNDS`] outside every allocation), index for index with
+    /// `buffer`. Set once, when the record opens: a merge stays inside
+    /// these bounds, so it needs no lookup of its own.
+    bounds: Vec<(u64, u64)>,
     capacity: usize,
     /// When set, merge an incoming access into a recent buffered record
     /// it extends contiguously (same kind, same warp).
@@ -557,6 +574,9 @@ pub struct AccessSink {
     /// Merge-junction alignment (bytes, relative to the containing
     /// allocation's base); see [`Sanitizer::set_coalesce_alignment`].
     coalesce_align: u64,
+    /// `coalesce_align - 1` when the alignment is a power of two: the
+    /// junction test is then a mask instead of a 64-bit division.
+    align_mask: Option<u64>,
     /// Open merge candidates: `(warp, pc)` → buffer index of the record a
     /// neighbouring lane's access at the same instruction would extend.
     /// Rebuilt per flush (indices are invalidated when the buffer drains).
@@ -634,8 +654,12 @@ impl AccessSink {
     /// Resolves and stores one access. The containing object is looked up in
     /// the live-allocation map (the Fig. 5 binary search) and its hit flag is
     /// updated; in [`PatchMode::Full`] the record is also buffered and
-    /// streamed to the tools when the device-side buffer fills.
+    /// streamed to the tools when the device-side buffer fills. An access
+    /// merged into a buffered record skips the lookup: it lies in the
+    /// allocation the record opened in, with the record's kind, and that
+    /// hit flag was set when the record opened.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub(crate) fn note_access(
         &mut self,
         alloc: &DeviceAllocator,
@@ -651,12 +675,7 @@ impl AccessSink {
             return;
         }
         self.records_seen += 1;
-        let alloc_start = self.update_touched(alloc, addr, kind, pc);
-        if self.mode != PatchMode::Full {
-            return;
-        }
-        let raw = addr.addr();
-        if self.coalesce {
+        if self.mode == PatchMode::Full && self.coalesce {
             // Merge into a buffered record the incoming access extends
             // contiguously (same kind, same warp, adjacent address, no
             // size overflow). The merged record keeps the first access's
@@ -664,30 +683,15 @@ impl AccessSink {
             // range insert, per-byte frequency add) see exactly the same
             // byte coverage, so in-place growth cannot change any
             // analysis.
+            let raw = addr.addr();
             let warp = flat_thread / WARP_SIZE;
             // (a) Warp-lane merge: an earlier lane of this warp executed
             //     the same instruction (pc) and left an open record; this
             //     mirrors hardware coalescing across a warp and holds
             //     even when other accesses were buffered in between.
-            // A record may only grow (a) within the allocation containing
-            // the incoming access — adjacent allocations can abut exactly
-            // (sizes that are multiples of the 256-byte alignment), and a
-            // record spanning two objects would corrupt per-object
-            // attribution downstream — and (b) at a junction aligned to
-            // the tools' element width, so per-element frequency counts
-            // (one per record per overlapped element) stay exact.
-            let align = self.coalesce_align;
-            let can_grow = |rec: &MemAccessRecord| {
-                alloc_start.is_some_and(|s| rec.addr.addr() >= s && (raw - s).is_multiple_of(align))
-            };
             if let Some(idx) = self.merge_candidates.get(warp, pc) {
-                let rec = &mut self.buffer[idx];
-                if rec.kind == kind
-                    && rec.addr + u64::from(rec.size) == addr
-                    && rec.size.checked_add(size).is_some()
-                    && can_grow(rec)
-                {
-                    rec.size += size;
+                if self.extends(idx, raw, size, kind) {
+                    self.buffer[idx].size += size;
                     self.coalesced_away += 1;
                     return;
                 }
@@ -697,12 +701,7 @@ impl AccessSink {
             //     matrix row, with the pc advancing each step).
             let window = self.buffer.len().saturating_sub(COALESCE_WINDOW);
             if let Some(idx) = (window..self.buffer.len()).rev().find(|&i| {
-                let rec = &self.buffer[i];
-                rec.kind == kind
-                    && rec.flat_thread / WARP_SIZE == warp
-                    && rec.addr + u64::from(rec.size) == addr
-                    && rec.size.checked_add(size).is_some()
-                    && can_grow(rec)
+                self.buffer[i].flat_thread / WARP_SIZE == warp && self.extends(i, raw, size, kind)
             }) {
                 self.buffer[idx].size += size;
                 self.merge_candidates.insert(warp, pc, idx);
@@ -711,6 +710,11 @@ impl AccessSink {
             }
             self.merge_candidates.insert(warp, pc, self.buffer.len());
         }
+        let bounds = self.update_touched(alloc, addr, kind, pc);
+        if self.mode != PatchMode::Full {
+            return;
+        }
+        self.bounds.push(bounds.unwrap_or(NO_BOUNDS));
         self.buffer.push(MemAccessRecord {
             addr,
             size,
@@ -723,15 +727,38 @@ impl AccessSink {
         }
     }
 
+    /// Whether an access of `kind` at `raw` may grow buffered record `idx`:
+    /// same kind, starting at the record's end, without overflowing its
+    /// size, inside the allocation the record opened in — adjacent
+    /// allocations can abut exactly (sizes that are multiples of the
+    /// 256-byte alignment), and a record spanning two objects would corrupt
+    /// per-object attribution downstream — and at a junction aligned to the
+    /// tools' element width, so per-element frequency counts (one per
+    /// record per overlapped element) stay exact. A record lies inside its
+    /// bounds, so `start <= raw` holds whenever `raw < end` does.
+    #[inline]
+    fn extends(&self, idx: usize, raw: u64, size: u32, kind: AccessKind) -> bool {
+        let rec = &self.buffer[idx];
+        let (start, end) = self.bounds[idx];
+        rec.kind == kind
+            && rec.addr.addr() + u64::from(rec.size) == raw
+            && rec.size.checked_add(size).is_some()
+            && raw < end
+            && match self.align_mask {
+                Some(mask) => (raw - start) & mask == 0,
+                None => (raw - start).is_multiple_of(self.coalesce_align),
+            }
+    }
+
     /// Updates the touched-object hit flags for one access and returns the
-    /// containing allocation's base address, if any.
+    /// containing allocation's `(start, end)`, if any.
     fn update_touched(
         &mut self,
         alloc: &DeviceAllocator,
         addr: DevicePtr,
         kind: AccessKind,
         pc: u32,
-    ) -> Option<u64> {
+    ) -> Option<(u64, u64)> {
         // One-entry cache of the containing allocation. Access streams are
         // bursty per object, so the Fig. 5 binary search and the touched-map
         // update can usually be skipped. The live-allocation map cannot
@@ -752,7 +779,7 @@ impl AccessSink {
                         AccessKind::Write => entry.written = true,
                     }
                 }
-                Some(h.start)
+                Some((h.start, h.end))
             }
             _ => {
                 // Second level: the per-pc memo. Kernels that alternate
@@ -790,7 +817,7 @@ impl AccessSink {
                     read: entry.read,
                     written: entry.written,
                 });
-                Some(start)
+                Some((start, end))
             }
         }
     }
@@ -801,6 +828,7 @@ impl AccessSink {
         }
         sanitizer.dispatch_buffer(info, &self.buffer);
         self.buffer.clear();
+        self.bounds.clear();
         // Buffer indices held by open merge candidates die with the drain.
         self.merge_candidates.clear();
         self.flushes += 1;

@@ -91,6 +91,18 @@ fn outcome_code(degraded: bool, strict: bool) -> ExitCode {
     }
 }
 
+/// A usage error (exit 2) naming the first argument left once the known
+/// flags are taken: an unrecognised `-`-prefixed token, else the first
+/// positional past the `positionals` the command takes.
+fn reject_stray(args: &[String], positionals: usize) -> Option<ExitCode> {
+    let token = args
+        .iter()
+        .find(|a| a.starts_with('-'))
+        .or_else(|| args.get(positionals))?;
+    eprintln!("error: unexpected argument `{token}`");
+    Some(usage())
+}
+
 fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     if let Some(pos) = args.iter().position(|a| a == flag) {
         args.remove(pos);
@@ -144,6 +156,9 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
     let optimized = take_flag(&mut args, "--optimized");
     let intra = take_flag(&mut args, "--intra");
     let estimate = take_flag(&mut args, "--estimate");
+    if let Some(code) = reject_stray(&args, usize::from(resume.is_none())) {
+        return Ok(code);
+    }
     if let Some(trace_path) = resume {
         return replay_trace(&trace_path, &Thresholds::default(), json_out, strict, true);
     }
@@ -317,6 +332,9 @@ fn cmd_reanalyze(mut args: Vec<String>) -> Result<ExitCode, String> {
     if let Some(v) = take_value(&mut args, "--redundant-pct")? {
         thresholds.redundant_size_pct =
             v.parse().map_err(|_| "--redundant-pct must be a number")?;
+    }
+    if let Some(code) = reject_stray(&args, 1) {
+        return Ok(code);
     }
     let Some(path) = args.first() else {
         return Err("reanalyze: missing trace file".into());

@@ -274,6 +274,122 @@ fn freqmap_runs_reproduce_counts() {
     );
 }
 
+/// The coefficient of variation as the collector computed it before
+/// kernel-end statistics visited touched elements only: every nonzero
+/// count copied into a `Vec<f64>`, the mean a sequential `f64` sum.
+fn reference_cov_pct(counts: &[u32]) -> f64 {
+    let values: Vec<f64> = counts
+        .iter()
+        .filter(|&&c| c > 0)
+        .map(|&c| f64::from(c))
+        .collect();
+    if values.len() < 2 {
+        return 0.0;
+    }
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+    (var.sqrt() / mean) * 100.0
+}
+
+/// A kernel's record stream over one object: `(offset, size)` pairs inside
+/// `size` bytes. Pins the edges the kernel-end statistics must get right:
+/// a trailing partial element, two ranges that share an element without
+/// touching, and (when `uniform`) every touched element counted equally.
+fn kernel_records(rng: &mut SplitMix64, size: u64, elem: u64, uniform: bool) -> Vec<(u64, u32)> {
+    let mut recs = Vec::new();
+    if uniform {
+        // Disjoint element-aligned runs: each touched element counts 1.
+        let mut off = range(rng, 0, 3) * elem;
+        while off < size {
+            let len = (range(rng, 1, 4) * elem).min(size - off);
+            recs.push((off, len as u32));
+            off += len + range(rng, 0, 3) * elem;
+        }
+        return recs;
+    }
+    for _ in 0..range(rng, 0, 40) {
+        let off = range(rng, 0, size);
+        let len = range(rng, 1, 3 * elem + 2).min(size - off);
+        recs.push((off, len as u32));
+    }
+    if elem > 1 && size > 2 * elem {
+        // One element, two ranges a byte apart.
+        let e = range(rng, 0, size / elem - 1) * elem;
+        recs.push((e, 1));
+        recs.push((e + 2, (elem - 2).max(1) as u32));
+    }
+    // A record ending at the object's end, in its partial last element.
+    recs.push((size - 1, 1));
+    recs
+}
+
+#[test]
+fn touched_only_statistics_match_the_whole_map() {
+    let mut shared = 0;
+    for seed in 0..CASES {
+        for elem in [1u32, 3, 4, 12] {
+            let mut rng = SplitMix64::new(seed * 16 + u64::from(elem));
+            let w = u64::from(elem);
+            let size = range(&mut rng, 1, 64) * w + range(&mut rng, 0, w);
+            let size = size.max(1);
+            let recs = kernel_records(&mut rng, size, w, seed % 4 == 0);
+            let mut kernel = FreqMap::new(size, elem);
+            let mut ranges = RangeSet::new();
+            for &(off, len) in &recs {
+                kernel.record(off, len);
+                ranges.insert(off, off + u64::from(len));
+            }
+            shared += usize::from(ranges.ranges().windows(2).any(|p| p[0].1 / w == p[1].0 / w));
+            let what = format!("seed {seed} elem {elem}");
+            let reference = reference_cov_pct(kernel.counts()).to_bits();
+            assert_eq!(
+                kernel.coefficient_of_variation_pct().to_bits(),
+                reference,
+                "{what}"
+            );
+            assert_eq!(
+                kernel.touched_cov_pct(&ranges).to_bits(),
+                reference,
+                "{what}"
+            );
+            assert_eq!(
+                kernel.touched_histogram(&ranges),
+                kernel.histogram(),
+                "{what}"
+            );
+            if seed % 4 == 0 {
+                assert_eq!(kernel.touched_cov_pct(&ranges), 0.0, "{what}: all equal");
+            }
+            // The lifetime map fed at kernel end equals the one fed per
+            // record, saturating counts included.
+            let mut before = FreqMap::new(size, elem);
+            let n = before.len() as u64;
+            for e in 0..n {
+                let c = match rng.next_below(4) {
+                    0 => 0,
+                    1 => u32::MAX - rng.next_below(3) as u32,
+                    _ => range(&mut rng, 1, 9) as u32,
+                };
+                before.fill(e, 1, c);
+            }
+            assert_eq!(
+                before.coefficient_of_variation_pct().to_bits(),
+                reference_cov_pct(before.counts()).to_bits(),
+                "{what}: near-saturated counts"
+            );
+            let mut per_record = before.clone();
+            for &(off, len) in &recs {
+                per_record.record(off, len);
+            }
+            let mut at_end = before;
+            at_end.add_touched(&kernel, &ranges);
+            assert_eq!(at_end, per_record, "{what}");
+        }
+    }
+    assert!(shared >= 20, "only {shared} cases with a shared element");
+}
+
 // ----------------------------------------------------- dependency graph
 
 /// The dependency edges of Def. 5.1 plus stream order and event sync,
@@ -1669,4 +1785,191 @@ fn loaded_details_render_their_source_text() {
         shared >= 50 && split >= 10,
         "{shared} shared texts, {split} split frees"
     );
+}
+
+// ------------------------------------------------- sanitizer coalescing
+
+/// Everything a tool can observe of a kernel's accesses: the hit-flag
+/// summary of each kernel and every delivered record.
+#[derive(Default)]
+struct Capture {
+    touched: Vec<Vec<gpu_sim::TouchedObject>>,
+    records: Vec<gpu_sim::MemAccessRecord>,
+}
+
+impl gpu_sim::SanitizerHooks for Capture {
+    fn on_kernel_begin(&mut self, _info: &gpu_sim::KernelInfo) -> gpu_sim::PatchMode {
+        gpu_sim::PatchMode::Full
+    }
+    fn on_mem_access_buffer(
+        &mut self,
+        _info: &gpu_sim::KernelInfo,
+        records: &[gpu_sim::MemAccessRecord],
+    ) {
+        self.records.extend_from_slice(records);
+    }
+    fn on_kernel_end(
+        &mut self,
+        _info: &gpu_sim::KernelInfo,
+        touched: &[gpu_sim::TouchedObject],
+        _counters: &gpu_sim::KernelCounters,
+    ) {
+        self.touched.push(touched.to_vec());
+    }
+}
+
+/// One thread's accesses: `(allocation, offset, width, write)`.
+type Script = Vec<(usize, u64, u32, bool)>;
+
+/// A generated kernel over allocations of `sizes` bytes (multiples of 256,
+/// so they abut): per step, every thread uses one access pattern — lanes
+/// side by side, warps ending exactly at an allocation's end, lanes
+/// straddling into the next allocation, a thread streaming through a
+/// buffer, or random offsets — with widths of 1, 4 or 8 bytes and reads
+/// and writes mixed.
+fn coalescing_kernel(rng: &mut SplitMix64, sizes: &[u64], threads: u64) -> Vec<Script> {
+    let widths = [1u32, 4, 8];
+    let steps = range(rng, 1, 7);
+    let stream = (
+        range(rng, 0, sizes.len() as u64) as usize,
+        widths[rng.next_below(3) as usize],
+    );
+    let mut scripts = vec![Script::new(); threads as usize];
+    for step in 0..steps {
+        let pattern = rng.next_below(5);
+        let a = range(rng, 0, sizes.len() as u64) as usize;
+        let w = widths[rng.next_below(3) as usize];
+        let write = rng.chance(0.5);
+        let mixed = rng.chance(0.2);
+        for (g, script) in scripts.iter_mut().enumerate() {
+            let (g, lane, w64) = (g as u64, g as u64 % 32, u64::from(w));
+            let write = if mixed { rng.chance(0.5) } else { write };
+            let access = match pattern {
+                0 => (a, (g * w64) % sizes[a], w),
+                2 if a + 1 < sizes.len() && lane >= 16 => (a + 1, (lane - 16) * w64, w),
+                2 if a + 1 < sizes.len() => (a, sizes[a] - (16 - lane) * w64, w),
+                1 | 2 => (a, sizes[a] - (32 - lane) * w64, w),
+                3 => {
+                    let (sa, sw) = (stream.0, u64::from(stream.1));
+                    (sa, ((g * steps + step) * sw) % sizes[sa], stream.1)
+                }
+                _ => (a, range(rng, 0, sizes[a] - w64 + 1), w),
+            };
+            script.push((access.0, access.1, access.2, write));
+        }
+    }
+    scripts
+}
+
+/// Runs `kernels` with coalescing on or off at merge alignment `align` and
+/// returns the hit-flag summaries, each allocation's covered bytes and its
+/// per-element record counts at width `align` (what the collector's maps
+/// see), and the number of coalesced accesses.
+#[allow(clippy::type_complexity)]
+fn observe_coalescing(
+    sizes: &[u64],
+    kernels: &[(u32, u32, Vec<Script>)],
+    capacity: usize,
+    coalesce: bool,
+    align: u32,
+) -> (
+    Vec<Vec<gpu_sim::TouchedObject>>,
+    Vec<Vec<bool>>,
+    Vec<Vec<u32>>,
+    u64,
+) {
+    use gpu_sim::{DeviceContext, LaunchConfig};
+    let capture = std::sync::Arc::new(parking_lot::Mutex::new(Capture::default()));
+    let mut ctx = DeviceContext::new_default();
+    ctx.sanitizer_mut().register(capture.clone());
+    ctx.sanitizer_mut().set_coalescing(coalesce);
+    ctx.sanitizer_mut().set_coalesce_alignment(align);
+    ctx.sanitizer_mut().set_buffer_capacity(capacity);
+    let ptrs: Vec<_> = sizes
+        .iter()
+        .map(|&s| ctx.malloc(s, "buf").expect("malloc"))
+        .collect();
+    for p in ptrs.windows(2).zip(sizes) {
+        assert_eq!(p.0[0] + *p.1, p.0[1], "allocations abut");
+    }
+    for (blocks, block, scripts) in kernels {
+        ctx.launch(
+            "k",
+            LaunchConfig::new(*blocks, *block),
+            StreamId::DEFAULT,
+            |t| {
+                for &(a, off, w, write) in &scripts[t.global_thread_id() as usize] {
+                    let p = ptrs[a] + off;
+                    match (w, write) {
+                        (1, false) => drop(t.load_u8(p)),
+                        (1, true) => t.store_u8(p, 1),
+                        (4, false) => drop(t.load_u32(p)),
+                        (4, true) => t.store_u32(p, 1),
+                        (_, false) => drop(t.load_u64(p)),
+                        (_, true) => t.store_u64(p, 1),
+                    }
+                }
+            },
+        )
+        .expect("kernel runs");
+    }
+    let capture = capture.lock();
+    let mut covered: Vec<Vec<bool>> = sizes.iter().map(|&s| vec![false; s as usize]).collect();
+    let w = u64::from(align);
+    let mut counts: Vec<Vec<u32>> = sizes
+        .iter()
+        .map(|&s| vec![0; s.div_ceil(w) as usize])
+        .collect();
+    for r in &capture.records {
+        let a = ptrs
+            .iter()
+            .zip(sizes)
+            .position(|(&p, &s)| p <= r.addr && r.addr < p + s)
+            .expect("a record starts in an allocation");
+        let off = r.addr.addr() - ptrs[a].addr();
+        let end = off + u64::from(r.size);
+        assert!(end <= sizes[a], "a record stays in its allocation: {r:?}");
+        covered[a][off as usize..end as usize].fill(true);
+        for c in &mut counts[a][(off / w) as usize..=((end - 1) / w) as usize] {
+            *c += 1;
+        }
+    }
+    (
+        capture.touched.clone(),
+        covered,
+        counts,
+        ctx.stats().coalesced_records,
+    )
+}
+
+#[test]
+fn lookup_free_merges_match_raw_records() {
+    let mut merged = 0;
+    for seed in 0..CASES / 2 {
+        let mut rng = SplitMix64::new(seed);
+        let sizes: Vec<u64> = (0..range(&mut rng, 2, 6))
+            .map(|_| range(&mut rng, 1, 5) * 256)
+            .collect();
+        // Two launches, so the per-pc allocation memo carries over.
+        let kernels: Vec<(u32, u32, Vec<Script>)> = (0..2)
+            .map(|_| {
+                let blocks = range(&mut rng, 1, 4) as u32;
+                let block = [32, 64, 96][rng.next_below(3) as usize];
+                let scripts = coalescing_kernel(&mut rng, &sizes, u64::from(blocks * block));
+                (blocks, block, scripts)
+            })
+            .collect();
+        let capacity = range(&mut rng, 4, 200) as usize;
+        for align in [1u32, 4, 8, 12, 96] {
+            let raw = observe_coalescing(&sizes, &kernels, capacity, false, align);
+            let on = observe_coalescing(&sizes, &kernels, capacity, true, align);
+            let what = format!("seed {seed} align {align}");
+            assert_eq!(on.0, raw.0, "{what}: touched summaries");
+            assert_eq!(on.1, raw.1, "{what}: byte coverage");
+            assert_eq!(on.2, raw.2, "{what}: per-element counts");
+            assert_eq!(raw.3, 0, "{what}");
+            merged += on.3;
+        }
+    }
+    assert!(merged > 1000, "only {merged} accesses were merged");
 }
