@@ -19,11 +19,10 @@
 //! composable) but lands close to the measured Table 4 reductions on the
 //! paper's workloads — see `table4`'s "est." column.
 
-use crate::analyzer::ObjectMeta;
 use crate::object::ObjectId;
 use crate::patterns::{PatternEvidence, PatternKind};
-use crate::peaks::UsageSample;
 use crate::report::{Finding, Report};
+use crate::trace_io::{SavedObject, SavedTrace};
 use std::collections::HashMap;
 
 /// One modelled fix: subtract `bytes` from the usage curve over the
@@ -63,11 +62,11 @@ impl SavingsEstimate {
     }
 }
 
-fn lifetime_end(meta: &ObjectMeta, curve_len: usize) -> usize {
+fn lifetime_end(meta: &SavedObject, curve_len: usize) -> usize {
     meta.free_api.unwrap_or(curve_len)
 }
 
-fn fix_for(finding: &Finding, meta: &ObjectMeta, curve_len: usize) -> Vec<ModeledFix> {
+fn fix_for(finding: &Finding, meta: &SavedObject, curve_len: usize) -> Vec<ModeledFix> {
     let whole_life = (meta.alloc_api, lifetime_end(meta, curve_len));
     match &finding.evidence {
         PatternEvidence::UnusedAllocation => vec![ModeledFix {
@@ -138,13 +137,14 @@ fn fix_for(finding: &Finding, meta: &ObjectMeta, curve_len: usize) -> Vec<Modele
 }
 
 /// Predicts the achievable peak from a report and the recording it came
-/// from.
+/// from: its usage curve and object rows.
 ///
 /// A leak also reported as a late deallocation is only modelled once; for
 /// each object and API index, the subtracted bytes are capped at the
 /// object's size (overlapping fixes on one object do not double-count).
-pub fn estimate(report: &Report, usage: &[UsageSample], objects: &[ObjectMeta]) -> SavingsEstimate {
-    let by_id: HashMap<ObjectId, &ObjectMeta> = objects.iter().map(|o| (o.id, o)).collect();
+pub fn estimate(report: &Report, trace: &SavedTrace) -> SavingsEstimate {
+    let usage = &trace.usage;
+    let by_id: HashMap<ObjectId, &SavedObject> = trace.objects.iter().map(|o| (o.id, o)).collect();
     let curve_len = usage.len();
     let mut fixes: Vec<ModeledFix> = Vec::new();
     for finding in &report.findings {
@@ -194,25 +194,15 @@ pub fn estimate(report: &Report, usage: &[UsageSample], objects: &[ObjectMeta]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::{analyze, object_metas};
-    use crate::collector::Collector;
     use crate::options::ProfilerOptions;
+    use crate::profiler::Profiler;
     use gpu_sim::{DeviceContext, SourceLoc};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
 
     fn profile(body: impl FnOnce(&mut DeviceContext)) -> SavingsEstimate {
         let mut ctx = DeviceContext::new_default();
-        let c = Arc::new(Mutex::new(Collector::new(
-            ProfilerOptions::intra_object(),
-            ctx.config().device_memory_bytes,
-        )));
-        ctx.sanitizer_mut().register(c.clone());
+        let profiler = Profiler::attach(&mut ctx, ProfilerOptions::intra_object());
         body(&mut ctx);
-        let col = c.lock();
-        let report = analyze(&col, "rtx3090");
-        let metas = object_metas(&col);
-        estimate(&report, col.usage_curve(), &metas)
+        profiler.estimate_savings(&profiler.report(&ctx))
     }
 
     #[test]

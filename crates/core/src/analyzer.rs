@@ -1,13 +1,18 @@
 //! The offline analyzer (Sec. 4): builds the timestamp-augmented trace from
-//! collected data, runs every pattern detector, resolves call paths to
+//! a recording, runs every pattern detector, resolves call paths to
 //! source locations (the DWARF step), pinpoints memory peaks, and assembles
 //! the final [`Report`].
+//!
+//! Its one input is a [`SavedTrace`]: the live report analyzes a clone of
+//! the collector's recording ([`crate::trace_io::save`]) through the same
+//! entry, `SavedTrace::analyze`, that reanalyzes a trace loaded back.
 
-use crate::collector::{Collector, GpuApi, RawAccess};
+use crate::collector::GpuApi;
 use crate::depgraph::DependencyGraph;
 use crate::governor::CancelToken;
-use crate::names::{ApiDetail, ApiName, GpuApiKind, PathText};
+use crate::names::{ApiDetail, ApiName, GpuApiKind};
 use crate::object::{IdMap, IdSet, ObjectId, ObjectSource};
+use crate::options::Thresholds;
 use crate::patterns::{
     intra, object_level, redundant, ApiRef, ObjectAccess, ObjectView, PatternFinding, TraceView,
 };
@@ -16,51 +21,17 @@ use crate::report::{
     suggestion_for, wasted_bytes_estimate, DegradationRecord, DetectorOutcome, DetectorStatus,
     Finding, ObjectSummary, PeakSummary, Report, ReportStats,
 };
+use crate::trace_io::{SavedObject, SavedTrace};
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Builds the [`TraceView`] — the timestamp-augmented object-level memory
-/// access trace of Fig. 2 — from the collector's raw data.
-pub fn build_trace_view(collector: &Collector) -> TraceView {
-    assemble_trace_view(
-        collector.gpu_apis(),
-        collector.accesses(),
-        collector.registry().iter().map(|o| ObjectFacts {
-            id: o.id,
-            label: &o.label,
-            size: o.size(),
-            analyzable: o.source.is_analyzable(),
-            alloc_api: o.alloc_api,
-            alloc_is_api: o.alloc_is_api,
-            free_api: o.free_api,
-            free_is_api: o.free_is_api,
-        }),
-    )
-}
-
-/// What the trace view needs of one data object, from the live registry
-/// or from a saved trace.
-pub(crate) struct ObjectFacts<'a> {
-    pub id: ObjectId,
-    pub label: &'a Arc<str>,
-    pub size: u64,
-    pub analyzable: bool,
-    pub alloc_api: usize,
-    pub alloc_is_api: bool,
-    pub free_api: Option<usize>,
-    pub free_is_api: bool,
-}
-
-/// Builds the [`TraceView`] from the APIs, the raw accesses and the
-/// objects — the step the live analysis ([`build_trace_view`]) and trace
-/// reanalysis ([`crate::trace_io`]) share.
-pub(crate) fn assemble_trace_view<'a>(
-    apis: &[GpuApi],
-    accesses: &[RawAccess],
-    objects: impl Iterator<Item = ObjectFacts<'a>>,
-) -> TraceView {
+/// access trace of Fig. 2 — from a recording's APIs, raw accesses and
+/// object rows.
+pub(crate) fn assemble_trace_view(t: &SavedTrace) -> TraceView {
+    let apis = &t.apis;
     let api_ts = DependencyGraph::build(apis.iter().map(|a| &a.vertex)).into_timestamps();
     let api_names: Vec<ApiName> = apis.iter().map(GpuApi::name).collect();
     let api_kernels = apis
@@ -78,7 +49,7 @@ pub(crate) fn assemble_trace_view<'a>(
     // Group accesses per object. An access with a dangling API index (which
     // a faulting run can produce) is dropped rather than panicking.
     let mut per_object: IdMap<ObjectId, Vec<ObjectAccess>> = IdMap::default();
-    for acc in accesses {
+    for acc in &t.accesses {
         let (Some(&ts), Some(&name)) = (api_ts.get(acc.api_idx), api_names.get(acc.api_idx)) else {
             continue;
         };
@@ -97,7 +68,9 @@ pub(crate) fn assemble_trace_view<'a>(
             });
     }
 
-    let objects: Vec<ObjectView> = objects
+    let objects: Vec<ObjectView> = t
+        .objects
+        .iter()
         .map(|obj| {
             let mut accesses = per_object.remove(&obj.id).unwrap_or_default();
             accesses.sort_by_key(|a| (a.api.ts, a.api.idx));
@@ -115,7 +88,7 @@ pub(crate) fn assemble_trace_view<'a>(
                 free: obj.free_api.filter(|_| obj.free_is_api).map(mk_ref),
                 free_anchor: obj.free_api.filter(|_| !obj.free_is_api),
                 accesses,
-                analyzable: obj.analyzable,
+                analyzable: obj.source.is_analyzable(),
             }
         })
         .collect();
@@ -127,36 +100,6 @@ pub(crate) fn assemble_trace_view<'a>(
         api_is_dealloc,
         objects,
         between: Default::default(),
-    }
-}
-
-/// Everything the assembly stage needs to know about one data object,
-/// with call paths already resolved to source strings. Both the live path
-/// ([`analyze`]) and the offline replay path ([`crate::trace_io`]) produce
-/// this form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObjectMeta {
-    /// Stable id.
-    pub id: crate::object::ObjectId,
-    /// Program label, shared with the registry object or the saved row.
-    pub label: Arc<str>,
-    /// Size in bytes.
-    pub size: u64,
-    /// Provenance.
-    pub source: ObjectSource,
-    /// Resolved allocation call path, innermost frame first, shared with
-    /// the session's path table.
-    pub alloc_path: PathText,
-    /// Trace position after which the object existed.
-    pub alloc_api: usize,
-    /// Trace position of the deallocation, `None` if leaked.
-    pub free_api: Option<usize>,
-}
-
-impl ObjectMeta {
-    /// Returns `true` if the object was never deallocated.
-    pub fn leaked(&self) -> bool {
-        self.free_api.is_none()
     }
 }
 
@@ -240,10 +183,10 @@ fn serve_stall(name: &str, cancel: &CancelToken) -> Option<()> {
     Some(())
 }
 
-/// Runs all detectors over prepared inputs and assembles the final report.
+/// Runs all detectors over a recording and its trace view and assembles
+/// the final report. Its one caller is the analysis entry,
+/// `SavedTrace::analyze`.
 ///
-/// Shared by the online path (profiling a live context) and the offline
-/// path (re-analyzing a saved trace, possibly with different thresholds).
 /// Each detector family runs under panic isolation: one crashing detector
 /// loses only its own findings and is marked `Failed` in the report's
 /// detector statuses. `degradations` carries downgrade records accumulated
@@ -255,15 +198,10 @@ fn serve_stall(name: &str, cancel: &CancelToken) -> Option<()> {
 /// [`DetectorOutcome::TimedOut`]. Families that finished in time are
 /// unaffected — their findings land in the report exactly as without a
 /// deadline.
-#[allow(clippy::too_many_arguments)] // the two call sites pass through prepared inputs 1:1
-pub fn assemble_report(
+pub(crate) fn assemble_report(
     trace: &TraceView,
-    intra: &[crate::patterns::intra::IntraObjectData],
-    usage: &[crate::peaks::UsageSample],
-    objects: &[ObjectMeta],
-    unified: &[crate::patterns::unified::UnifiedPageStats],
-    thresholds: &crate::options::Thresholds,
-    platform: &str,
+    t: &SavedTrace,
+    thresholds: &Thresholds,
     degradations: Vec<DegradationRecord>,
     detector_deadline_ms: Option<u64>,
 ) -> Report {
@@ -280,46 +218,39 @@ pub fn assemble_report(
                 )
             }),
             ("intra", &|c| {
-                intra::detect_all_cancellable(intra, trace, thresholds, c)
+                intra::detect_all_cancellable(&t.intra, trace, thresholds, c)
             }),
             ("unified", &|c| {
-                crate::patterns::unified::detect_all_cancellable(unified, thresholds, c)
+                crate::patterns::unified::detect_all_cancellable(&t.unified, thresholds, c)
             }),
         ],
         detector_deadline_ms,
     );
 
-    // Peak analysis over the object metadata.
-    let by_id: IdMap<ObjectId, &ObjectMeta> = objects.iter().map(|o| (o.id, o)).collect();
-    let peak_points = peaks::find_peaks(usage, thresholds.top_peaks);
-    let peak_list: Vec<(usize, u64, Vec<&ObjectMeta>)> = peak_points
+    // Peak analysis over the object rows: the objects live at each peak,
+    // largest first.
+    let objects = &t.objects;
+    let by_id: IdMap<ObjectId, &SavedObject> = objects.iter().map(|o| (o.id, o)).collect();
+    let mut peak_objects: IdSet<ObjectId> = IdSet::default();
+    let peaks: Vec<PeakSummary> = peaks::find_peaks(&t.usage, thresholds.top_peaks)
         .into_iter()
         .map(|(api_idx, bytes)| {
-            let mut live: Vec<&ObjectMeta> = objects
+            let mut live: Vec<&SavedObject> = objects
                 .iter()
-                .filter(|o| {
-                    o.alloc_api <= api_idx && o.free_api.map(|f| f > api_idx).unwrap_or(true)
-                })
+                .filter(|o| o.alloc_api <= api_idx && o.free_api.is_none_or(|f| f > api_idx))
                 .collect();
             live.sort_by(|a, b| b.size.cmp(&a.size).then(a.id.cmp(&b.id)));
-            (api_idx, bytes, live)
-        })
-        .collect();
-    let peak_objects: IdSet<ObjectId> = peak_list
-        .iter()
-        .flat_map(|(_, _, live)| live.iter().map(|o| o.id))
-        .collect();
-    let peaks: Vec<PeakSummary> = peak_list
-        .iter()
-        .map(|(api_idx, bytes, live)| PeakSummary {
-            api_name: trace
-                .api_names
-                .get(*api_idx)
-                .copied()
-                .unwrap_or(ApiName::missing(*api_idx)),
-            api_idx: *api_idx,
-            bytes: *bytes,
-            objects: live.iter().map(|o| (o.label.to_string(), o.size)).collect(),
+            peak_objects.extend(live.iter().map(|o| o.id));
+            PeakSummary {
+                api_name: trace
+                    .api_names
+                    .get(api_idx)
+                    .copied()
+                    .unwrap_or(ApiName::missing(api_idx)),
+                api_idx,
+                bytes,
+                objects: live.iter().map(|o| (o.label.to_string(), o.size)).collect(),
+            }
         })
         .collect();
 
@@ -333,7 +264,7 @@ pub fn assemble_report(
                 label: obj.label.to_string(),
                 size: obj.size,
                 source: obj.source,
-                alloc_path: obj.alloc_path.clone(),
+                alloc_path: t.path(obj.alloc_path),
             };
             let suggestion = suggestion_for(&pf, &obj.label);
             let wasted = wasted_bytes_estimate(&pf, summary.size);
@@ -349,20 +280,20 @@ pub fn assemble_report(
     findings.sort_by_cached_key(|f| (Reverse(f.priority()), f.object.id));
 
     // Statistics.
-    let leaked: Vec<&ObjectMeta> = objects
+    let (leaked_objects, leaked_bytes) = objects
         .iter()
-        .filter(|o| o.leaked() && o.source != ObjectSource::PoolSlab)
-        .collect();
+        .filter(|o| o.free_api.is_none() && o.source != ObjectSource::PoolSlab)
+        .fold((0, 0), |(n, bytes), o| (n + 1, bytes + o.size));
     let stats = ReportStats {
         gpu_apis: trace.api_ts.len() as u64,
         objects: objects.len() as u64,
-        peak_bytes: usage.iter().map(|s| s.bytes_in_use).max().unwrap_or(0),
-        leaked_objects: leaked.len() as u64,
-        leaked_bytes: leaked.iter().map(|o| o.size).sum(),
+        peak_bytes: t.usage.iter().map(|s| s.bytes_in_use).max().unwrap_or(0),
+        leaked_objects,
+        leaked_bytes,
     };
 
     Report {
-        platform: platform.to_owned(),
+        platform: t.platform.clone(),
         findings,
         peaks,
         stats,
@@ -371,66 +302,22 @@ pub fn assemble_report(
     }
 }
 
-/// Extracts the [`ObjectMeta`] list from a collector, with call paths
-/// from its path table.
-pub fn object_metas(collector: &Collector) -> Vec<ObjectMeta> {
-    collector
-        .registry()
-        .iter()
-        .map(|o| ObjectMeta {
-            id: o.id,
-            label: o.label.clone(),
-            size: o.size(),
-            source: o.source,
-            alloc_path: collector.paths().text(o.alloc_path),
-            alloc_api: o.alloc_api,
-            free_api: o.free_api,
-        })
-        .collect()
-}
-
-/// Runs the complete offline analysis and assembles the report.
-///
-/// Call paths come rendered from the collector's path table, which mirrors
-/// the profiled context's frame table (the stand-in for DWARF debugging
-/// sections); `platform` names the machine for the report header.
-pub fn analyze(collector: &Collector, platform: &str) -> Report {
-    let trace = build_trace_view(collector);
-    let intra_data: Vec<_> = collector.intra_data().into_iter().cloned().collect();
-    let objects = object_metas(collector);
-    assemble_report(
-        &trace,
-        &intra_data,
-        collector.usage_curve(),
-        &objects,
-        &collector.unified_page_stats(),
-        &collector.options().thresholds,
-        platform,
-        collector.degradations().to_vec(),
-        collector.budget().detector_deadline_ms,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::Collector;
     use crate::options::ProfilerOptions;
     use crate::patterns::PatternKind;
+    use crate::profiler::Profiler;
+    use crate::trace_io;
     use gpu_sim::sanitizer::SanitizerHooks;
     use gpu_sim::{DeviceContext, LaunchConfig, SourceLoc, StreamId};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
 
     fn run_and_analyze(opts: ProfilerOptions, body: impl FnOnce(&mut DeviceContext)) -> Report {
         let mut ctx = DeviceContext::new_default();
-        let c = Arc::new(Mutex::new(Collector::new(
-            opts,
-            ctx.config().device_memory_bytes,
-        )));
-        ctx.sanitizer_mut().register(c.clone());
+        let profiler = Profiler::attach(&mut ctx, opts);
         body(&mut ctx);
-        let col = c.lock();
-        analyze(&col, &ctx.config().name)
+        profiler.report(&ctx)
     }
 
     #[test]
@@ -478,20 +365,15 @@ mod tests {
             .unwrap();
             ctx.free(big).unwrap();
         });
-        assert!(report.has_pattern(PatternKind::Overallocation));
-        let f = &report.findings_for("big")[0];
-        match &f.evidence {
-            crate::patterns::PatternEvidence::Overallocation { accessed_pct, .. } => {
-                assert!(*accessed_pct < 1.0);
-            }
-            _ => {
-                // Overallocation may not be the first finding; search it.
-                assert!(report
-                    .findings_for("big")
-                    .iter()
-                    .any(|f| f.kind() == PatternKind::Overallocation));
-            }
-        }
+        let oa = report
+            .findings_for("big")
+            .into_iter()
+            .find(|f| f.kind() == PatternKind::Overallocation)
+            .expect("`big` is overallocated");
+        assert!(matches!(
+            oa.evidence,
+            crate::patterns::PatternEvidence::Overallocation { accessed_pct, .. } if accessed_pct < 1.0
+        ));
     }
 
     #[test]
@@ -518,16 +400,16 @@ mod tests {
     #[test]
     fn trace_view_timestamps_are_invocation_order_single_stream() {
         let mut ctx = DeviceContext::new_default();
-        let c = Arc::new(Mutex::new(Collector::new(
-            ProfilerOptions::object_level(),
-            ctx.config().device_memory_bytes,
-        )));
-        ctx.sanitizer_mut().register(c.clone());
+        let profiler = Profiler::attach(&mut ctx, ProfilerOptions::object_level());
         let a = ctx.malloc(64, "a").unwrap();
         ctx.memset(a, 0, 64).unwrap();
         ctx.free(a).unwrap();
-        let col = c.lock();
-        let tv = build_trace_view(&col);
+        let col = profiler.collector();
+        let tv = assemble_trace_view(&trace_io::save(
+            &col.lock(),
+            ctx.call_stack().table(),
+            "rtx3090",
+        ));
         assert_eq!(tv.api_ts, vec![0, 1, 2]);
         assert_eq!(tv.objects.len(), 1);
         assert_eq!(tv.objects[0].accesses.len(), 1);

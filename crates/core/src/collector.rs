@@ -829,6 +829,14 @@ impl Collector {
         }
     }
 
+    /// Tells a writing streaming trace that object `id` was freed or
+    /// reclassified; without one nothing is kept.
+    fn note_changed(&mut self, id: ObjectId) {
+        if let Some(state) = self.stream.as_mut().filter(|s| !s.stopped()) {
+            state.note_changed(id);
+        }
+    }
+
     /// Flushes pending state to the streaming trace, if one is attached and
     /// still writing. A write/sync failure stops the stream (recorded as a
     /// degradation) but never aborts profiling; tripping the trace-bytes
@@ -898,6 +906,9 @@ impl SanitizerHooks for Collector {
             ApiKind::Free { ptr, size, label } => {
                 let api_idx = self.gpu_apis.len();
                 let freed = self.registry.on_free(*ptr, api_idx);
+                if let Some(id) = freed {
+                    self.note_changed(id);
+                }
                 // The freed object's label is the one the program allocated
                 // it with: the row shares it.
                 let detail = match freed.and_then(|id| self.registry.get(id)) {
@@ -1140,6 +1151,7 @@ impl PoolObserver for Collector {
                 if let Some(slab) = self.registry.resolve(*ptr) {
                     if self.registry.get(slab).map(|o| o.source) == Some(ObjectSource::Cuda) {
                         self.registry.reclassify(slab, ObjectSource::PoolSlab);
+                        self.note_changed(slab);
                     }
                 }
                 let anchor = self.gpu_apis.len();
@@ -1155,7 +1167,9 @@ impl PoolObserver for Collector {
             }
             PoolEvent::Free { ptr, .. } => {
                 let anchor = self.gpu_apis.len();
-                self.registry.on_pool_free(*ptr, anchor);
+                if let Some(id) = self.registry.on_pool_free(*ptr, anchor) {
+                    self.note_changed(id);
+                }
             }
         }
     }
@@ -1313,7 +1327,6 @@ mod tests {
 
     #[test]
     fn event_sync_orders_independent_streams() {
-        use crate::analyzer::build_trace_view;
         // Producer on stream 1 and consumer on stream 2 touch *different*
         // objects; only an event orders them. Without the event-sync edge
         // the two kernels would share a topological wave.
@@ -1350,8 +1363,8 @@ mod tests {
             },
         )
         .unwrap();
-        let col = c.lock();
-        let tv = build_trace_view(&col);
+        let saved = crate::trace_io::save(&c.lock(), ctx.call_stack().table(), "rtx3090");
+        let tv = crate::analyzer::assemble_trace_view(&saved);
         // Trace: ALLOC a (0), ALLOC b (1), KERL produce (2), KERL consume (3).
         assert!(
             tv.api_ts[3] > tv.api_ts[2],

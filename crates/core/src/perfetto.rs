@@ -19,10 +19,10 @@
 //! The JSON is written by [`crate::export`]'s writer, so its bytes follow
 //! the same rules as the report export.
 
-use crate::analyzer::build_trace_view;
-use crate::collector::Collector;
+use crate::analyzer::assemble_trace_view;
 use crate::export::Pretty;
 use crate::report::Report;
+use crate::trace_io::SavedTrace;
 use std::fmt::Write as _;
 
 /// Nanoseconds as the trace-event format's microseconds.
@@ -48,13 +48,14 @@ fn metadata(j: &mut Pretty, pid: u64, tid: Option<u64>, name: &str) {
     });
 }
 
-/// Builds the Chrome-trace JSON for a profiled run.
+/// Builds the Chrome-trace JSON for a recording and `report`, its
+/// analysis.
 ///
 /// Load the result in [Perfetto UI](https://ui.perfetto.dev) via
 /// *Open trace file* — the workflow in the paper's artifact appendix.
-pub fn trace_json(collector: &Collector, report: &Report) -> String {
-    let tv = build_trace_view(collector);
-    let apis = collector.gpu_apis();
+pub fn trace_json(trace: &SavedTrace, report: &Report) -> String {
+    let tv = assemble_trace_view(trace);
+    let apis = &trace.apis;
     Pretty::document(|j| {
         j.field("displayTimeUnit", "ns");
         j.object("otherData", |j| {
@@ -75,7 +76,7 @@ pub fn trace_json(collector: &Collector, report: &Report) -> String {
                 }
                 // A backtrace, innermost frame first: `  #0 f @ file:line` lines.
                 let mut call_path = String::new();
-                for (depth, frame) in collector.paths().text(api.path).iter().enumerate() {
+                for (depth, frame) in trace.path(api.path).iter().enumerate() {
                     let _ = writeln!(call_path, "  #{depth} {frame}");
                 }
                 j.element(|j| {
@@ -165,7 +166,7 @@ pub fn trace_json(collector: &Collector, report: &Report) -> String {
             // --- The usage curve under the objects: a counter track, and
             // one process-wide instant per peak. --------------------------
             let start_us = |idx: usize| us(apis.get(idx).map_or(0, |a| a.start_ns));
-            for sample in collector.usage_curve() {
+            for sample in &trace.usage {
                 j.element(|j| {
                     j.object("args", |j| j.field("bytes", &sample.bytes_in_use));
                     j.field("name", "device memory");
@@ -195,22 +196,15 @@ pub fn trace_json(collector: &Collector, report: &Report) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::analyzer::analyze;
     use crate::options::ProfilerOptions;
+    use crate::profiler::Profiler;
     use gpu_sim::DeviceContext;
-    use parking_lot::Mutex;
     use serde_json::Value;
-    use std::sync::Arc;
 
     #[test]
     fn trace_json_structure() {
         let mut ctx = DeviceContext::new_default();
-        let c = Arc::new(Mutex::new(Collector::new(
-            ProfilerOptions::object_level(),
-            ctx.config().device_memory_bytes,
-        )));
-        ctx.sanitizer_mut().register(c.clone());
+        let profiler = Profiler::attach(&mut ctx, ProfilerOptions::object_level());
         let s1 = ctx.create_stream();
         let a = ctx.malloc(4096, "d_data_in1").unwrap();
         ctx.memset(a, 0, 4096).unwrap();
@@ -218,9 +212,8 @@ mod tests {
         ctx.sync_device();
         ctx.free(a).unwrap();
 
-        let col = c.lock();
-        let report = analyze(&col, "rtx3090");
-        let v: Value = serde_json::from_str(&trace_json(&col, &report)).unwrap();
+        let report = profiler.report(&ctx);
+        let v: Value = serde_json::from_str(&profiler.perfetto_trace(&report)).unwrap();
 
         let events = v["traceEvents"].as_array().unwrap();
         assert!(!events.is_empty());
@@ -229,7 +222,10 @@ mod tests {
             .iter()
             .filter(|e| e["ph"] == "X" && e["pid"] == 1)
             .collect();
-        assert_eq!(api_slices.len(), col.gpu_apis().len());
+        assert_eq!(
+            api_slices.len(),
+            profiler.collector().lock().gpu_apis().len()
+        );
         // Stream 1's copy runs on its own track.
         assert!(api_slices.iter().any(|e| e["tid"] == 2));
         // The peak object gets a lifetime slice with patterns attached.

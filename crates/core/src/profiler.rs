@@ -4,11 +4,11 @@
 //! Ties together the online data collector, the offline analyzer, and the
 //! GUI exporter — the complete DrGPUM workflow of Fig. 1.
 
-use crate::analyzer;
 use crate::collector::Collector;
 use crate::error::ProfilerError;
 use crate::options::ProfilerOptions;
 use crate::report::Report;
+use crate::trace_io;
 use crate::trace_stream::{StreamState, StreamingTraceWriter};
 use gpu_sim::pool::CachingPool;
 use gpu_sim::DeviceContext;
@@ -107,29 +107,35 @@ impl Profiler {
         self.collector.clone()
     }
 
-    /// Runs the offline analysis and produces the report.
+    /// Runs the offline analysis and produces the report: the analysis
+    /// [`trace_io::SavedTrace::reanalyze`] runs, on a clone of the recording, under
+    /// the session's thresholds, detector deadline and degradations.
     ///
     /// Call after the profiled program finished (the simulated analogue of
     /// process exit).
     pub fn report(&self, ctx: &DeviceContext) -> Report {
         let collector = self.collector.lock();
-        analyzer::analyze(&collector, &ctx.config().name)
+        trace_io::snapshot(&collector, &ctx.config().name).analyze(
+            &collector.options().thresholds,
+            collector.degradations().to_vec(),
+            collector.budget().detector_deadline_ms,
+        )
     }
 
     /// Predicts the peak-memory reduction achievable by applying the
     /// suggestions of `report`, this run's [`Profiler::report`] (the
     /// advisor; see [`crate::advisor`]).
     pub fn estimate_savings(&self, report: &Report) -> crate::advisor::SavingsEstimate {
-        let collector = self.collector.lock();
-        let metas = analyzer::object_metas(&collector);
-        crate::advisor::estimate(report, collector.usage_curve(), &metas)
+        let recording = trace_io::snapshot(&self.collector.lock(), &report.platform);
+        crate::advisor::estimate(report, &recording)
     }
 
     /// Builds the Perfetto GUI trace (Fig. 7) for the profiled run and
     /// `report`, its [`Profiler::report`]: the JSON text
     /// `drgpum run --perfetto` writes.
     pub fn perfetto_trace(&self, report: &Report) -> String {
-        crate::perfetto::trace_json(&self.collector.lock(), report)
+        let recording = trace_io::snapshot(&self.collector.lock(), &report.platform);
+        crate::perfetto::trace_json(&recording, report)
     }
 }
 

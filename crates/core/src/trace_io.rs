@@ -1,13 +1,16 @@
 //! Saving, loading, and re-analyzing traces offline — resiliently.
 //!
 //! DrGPUM's workflow splits online collection from offline analysis
-//! (Fig. 1). This module makes that split durable: [`save`] serializes
-//! everything the offline analyzer consumes — the GPU-API trace with object
-//! def/use sets, object metadata with resolved call paths, the usage curve,
-//! and the intra-object access maps — and [`SavedTrace::reanalyze`] re-runs
-//! the detectors on the saved data, possibly with *different thresholds*,
-//! without re-running the program. That is how a user tunes the paper's
-//! user-tunable `X` parameters (Sec. 3) interactively over one recording.
+//! (Fig. 1). A [`SavedTrace`] is the analyzer's one input: everything the
+//! offline analyzer consumes — the GPU-API trace with object def/use sets,
+//! object rows with call-path ids and the path table, the usage curve, the
+//! intra-object access maps and the unified-memory pages — in the forms
+//! the detectors read. [`save`] clones it out of a collector; the live
+//! [`crate::Profiler::report`] analyzes that clone, and
+//! [`SavedTrace::reanalyze`] re-runs the same analysis on a trace loaded
+//! back, possibly with *different thresholds*, without re-running the
+//! program. That is how a user tunes the paper's user-tunable `X`
+//! parameters (Sec. 3) interactively over one recording.
 //!
 //! # On-disk format (version 4)
 //!
@@ -46,8 +49,9 @@
 //!
 //! Intra-object and unified-memory maps are mutated in place during
 //! collection, so they travel in `checkpoint` snapshots, the latest of
-//! which wins. Lifetime access frequencies are saved as sorted, disjoint
-//! runs `(first element, elements, count)` of equal nonzero counts.
+//! which wins. The encoder writes a map's bitmap as its accessed byte
+//! ranges and its lifetime access frequencies as sorted, disjoint runs
+//! `(first element, elements, count)` of equal nonzero counts.
 //!
 //! Loading shares text instead of copying it per row. A string is read
 //! in place, borrowed from the payload unless it holds an escape. A
@@ -74,18 +78,23 @@
 //!   rows with an undefined path id at an empty path. Every loss is
 //!   reported as a [`DegradationRecord`] so a partial report is
 //!   honest about being partial.
+//!
+//! Both readers build a map's bitmap and frequency map only after checking
+//! the map against its object row: a map sized unlike its object is a
+//! typed error to [`load`] and a dropped map to [`salvage`], so a crafted
+//! size never reaches an allocation.
 
 use crate::accessmap::{AccessBitmap, FreqMap, RangeSet};
-use crate::analyzer::{self, ObjectFacts, ObjectMeta};
+use crate::analyzer;
 use crate::collector::{Collector, GpuApi, RawAccess};
 use crate::depgraph::{ObjectList, VertexAccess};
 use crate::error::TraceError;
 use crate::names::{push_u64, ApiDetail, ByteOp, GpuApiKind, PathId, PathText};
-use crate::object::{DataObject, IdMap, IdSet, ObjectId, ObjectSource};
+use crate::object::{DataObject, IdMap, ObjectId, ObjectSource};
 use crate::options::Thresholds;
 use crate::patterns::intra::{IntraObjectData, NuafObservation};
 use crate::patterns::unified::UnifiedPageStats;
-use crate::patterns::{AccessVia, TraceView};
+use crate::patterns::AccessVia;
 use crate::peaks::UsageSample;
 use crate::report::{DegradationRecord, Report};
 use gpu_sim::{FrameTable, StreamId};
@@ -100,37 +109,30 @@ pub const FORMAT_VERSION: u32 = 4;
 /// Magic word opening every trace file.
 const MAGIC: &str = "DRGPUM-TRACE";
 
+/// One data object as the analyzer reads it: a registry object without
+/// its address.
 #[derive(Debug, Clone)]
-struct SavedObject {
-    id: u64,
+pub(crate) struct SavedObject {
+    pub(crate) id: ObjectId,
     /// Shared with the registry object, or with every row of a loaded
     /// trace that carries the same text.
-    label: Arc<str>,
-    size: u64,
-    source: ObjectSource,
-    alloc_api: usize,
-    alloc_is_api: bool,
-    free_api: Option<usize>,
-    free_is_api: bool,
-    alloc_path: PathId,
-}
-
-#[derive(Debug, Clone)]
-struct SavedIntra {
-    object: u64,
-    size: u64,
-    /// Accessed byte ranges (the bitmap, run-length encoded).
-    accessed_ranges: Vec<(u64, u64)>,
-    per_api: Vec<(usize, Vec<(u64, u64)>)>,
-    nuaf_peak: Option<NuafObservation>,
-    /// Element size and lifetime counts as [`FreqMap::runs`].
-    lifetime: Option<(u32, Vec<Run>)>,
+    pub(crate) label: Arc<str>,
+    pub(crate) size: u64,
+    pub(crate) source: ObjectSource,
+    /// Trace position after which the object existed.
+    pub(crate) alloc_api: usize,
+    pub(crate) alloc_is_api: bool,
+    /// Trace position of the deallocation, `None` if leaked.
+    pub(crate) free_api: Option<usize>,
+    pub(crate) free_is_api: bool,
+    pub(crate) alloc_path: PathId,
 }
 
 /// One run of equal lifetime counts: `(first element, elements, count)`.
 type Run = (u64, u64, u32);
 
-/// A complete, self-contained recording of one profiled run.
+/// A complete, self-contained recording of one profiled run: the
+/// analyzer's one input (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SavedTrace {
     /// Format version ([`FORMAT_VERSION`]).
@@ -139,13 +141,13 @@ pub struct SavedTrace {
     pub platform: String,
     /// The call-path table: every API and object row names its path by
     /// index into it.
-    paths: Vec<PathText>,
-    apis: Vec<GpuApi>,
-    accesses: Vec<RawAccess>,
-    objects: Vec<SavedObject>,
-    usage: Vec<UsageSample>,
-    intra: Vec<SavedIntra>,
-    unified: Vec<UnifiedPageStats>,
+    pub(crate) paths: Vec<PathText>,
+    pub(crate) apis: Vec<GpuApi>,
+    pub(crate) accesses: Vec<RawAccess>,
+    pub(crate) objects: Vec<SavedObject>,
+    pub(crate) usage: Vec<UsageSample>,
+    pub(crate) intra: Vec<IntraObjectData>,
+    pub(crate) unified: Vec<UnifiedPageStats>,
 }
 
 /// The words an enum field is written as, in code order.
@@ -181,7 +183,7 @@ fn tag_of<T: PartialEq>(tags: &Tags<T>, value: T) -> &'static str {
 
 fn object_row(o: &DataObject) -> SavedObject {
     SavedObject {
-        id: o.id.0,
+        id: o.id,
         label: o.label.clone(),
         size: o.size(),
         source: o.source,
@@ -193,28 +195,18 @@ fn object_row(o: &DataObject) -> SavedObject {
     }
 }
 
-fn intra_row(d: &IntraObjectData) -> SavedIntra {
-    SavedIntra {
-        object: d.object.0,
-        size: d.bitmap.len(),
-        accessed_ranges: d.bitmap.accessed_ranges(),
-        per_api: d
-            .per_api
-            .iter()
-            .map(|(idx, rs)| (*idx, rs.ranges().to_vec()))
-            .collect(),
-        nuaf_peak: d.nuaf_peak.clone(),
-        lifetime: d.lifetime_freq.as_ref().map(|f| (f.elem_size(), f.runs())),
-    }
-}
-
-/// Serializes a collector's recording.
+/// Clones a collector's recording.
 ///
 /// Call paths come from the collector's path table, which rendered them
 /// through its mirror of the context's frame table (`_frames`) while the
 /// program ran: each distinct path is shared by refcount, not rendered
 /// again per row.
 pub fn save(collector: &Collector, _frames: &FrameTable, platform: &str) -> SavedTrace {
+    snapshot(collector, platform)
+}
+
+/// The recording so far, as [`save`] clones it.
+pub(crate) fn snapshot(collector: &Collector, platform: &str) -> SavedTrace {
     SavedTrace {
         version: FORMAT_VERSION,
         platform: platform.to_owned(),
@@ -223,7 +215,7 @@ pub fn save(collector: &Collector, _frames: &FrameTable, platform: &str) -> Save
         accesses: collector.accesses().to_vec(),
         objects: collector.registry().iter().map(object_row).collect(),
         usage: collector.usage_curve().to_vec(),
-        intra: collector.intra_data().into_iter().map(intra_row).collect(),
+        intra: collector.intra_data().into_iter().cloned().collect(),
         unified: collector.unified_page_stats(),
     }
 }
@@ -436,7 +428,7 @@ fn put_api(e: &mut Enc<'_>, a: &GpuApi) {
 
 fn put_object(e: &mut Enc<'_>, o: &SavedObject) {
     e.open()
-        .u64(o.id)
+        .u64(o.id.0)
         .str(&o.label)
         .u64(o.size)
         .tag(&SOURCES, o.source)
@@ -504,22 +496,23 @@ fn put_delta<'a>(
 }
 
 /// One `checkpoint` payload: the full intra-object and unified-memory
-/// state as of API `api_count`.
-fn put_checkpoint(
+/// state as of API `api_count`. A map's bitmap goes out as its accessed
+/// ranges and its lifetime counts as [`FreqMap::runs`].
+fn put_checkpoint<'a>(
     e: &mut Enc<'_>,
     api_count: usize,
-    intra: &[SavedIntra],
+    intra: impl IntoIterator<Item = &'a IntraObjectData>,
     unified: &[UnifiedPageStats],
 ) {
     e.open().usize(api_count).open();
     for s in intra {
         e.open()
-            .u64(s.object)
-            .u64(s.size)
-            .pairs(&s.accessed_ranges)
+            .u64(s.object.0)
+            .u64(s.bitmap.len())
+            .pairs(&s.bitmap.accessed_ranges())
             .open();
         for (idx, ranges) in &s.per_api {
-            e.open().usize(*idx).pairs(ranges).close();
+            e.open().usize(*idx).pairs(ranges.ranges()).close();
         }
         e.close();
         match &s.nuaf_peak {
@@ -531,13 +524,14 @@ fn put_checkpoint(
                 .close(),
             None => e.null(),
         };
-        match &s.lifetime {
-            Some((elem, runs)) => e
+        match &s.lifetime_freq {
+            Some(freq) => e
                 .open()
-                .u64(u64::from(*elem))
+                .u64(u64::from(freq.elem_size()))
                 .u64s(
-                    runs.iter()
-                        .flat_map(|&(at, len, n)| [at, len, u64::from(n)]),
+                    freq.runs()
+                        .into_iter()
+                        .flat_map(|(at, len, n)| [at, len, u64::from(n)]),
                 )
                 .close(),
             None => e.null(),
@@ -929,7 +923,7 @@ fn get_access(c: &mut Cursor<'_>) -> Result<RawAccess, String> {
 fn get_object(c: &mut Cursor<'_>, interner: &mut Interner) -> Result<SavedObject, String> {
     c.open()?;
     let object = SavedObject {
-        id: c.u64()?,
+        id: c.object()?,
         label: interner.intern(&c.text()?),
         size: c.u64()?,
         source: c.tag(&SOURCES, "object source")?,
@@ -943,14 +937,28 @@ fn get_object(c: &mut Cursor<'_>, interner: &mut Interner) -> Result<SavedObject
     Ok(object)
 }
 
-fn get_intra(c: &mut Cursor<'_>) -> Result<SavedIntra, String> {
+/// A decoded intra-object map, kept as read until [`scrub`] has checked
+/// it against its object row: its declared size sizes the bitmap and the
+/// frequency map built from it.
+struct IntraRow {
+    object: ObjectId,
+    size: u64,
+    /// Accessed byte ranges (the bitmap, run-length encoded).
+    accessed: Vec<(u64, u64)>,
+    per_api: Vec<(usize, RangeSet)>,
+    nuaf_peak: Option<NuafObservation>,
+    /// Element size and lifetime counts as [`FreqMap::runs`].
+    lifetime: Option<(u32, Vec<Run>)>,
+}
+
+fn get_intra(c: &mut Cursor<'_>) -> Result<IntraRow, String> {
     c.open()?;
-    let object = c.u64()?;
+    let object = c.object()?;
     let size = c.u64()?;
-    let accessed_ranges = c.pairs()?;
+    let accessed = c.pairs()?;
     let per_api = c.list(|c| {
         c.open()?;
-        let entry = (c.num()?, c.pairs()?);
+        let entry = (c.num()?, c.pairs()?.into_iter().collect());
         c.close()?;
         Ok(entry)
     })?;
@@ -983,10 +991,10 @@ fn get_intra(c: &mut Cursor<'_>) -> Result<SavedIntra, String> {
         Ok((elem, runs))
     })?;
     c.close()?;
-    Ok(SavedIntra {
+    Ok(IntraRow {
         object,
         size,
-        accessed_ranges,
+        accessed,
         per_api,
         nuaf_peak,
         lifetime,
@@ -1054,7 +1062,7 @@ fn get_delta(c: &mut Cursor<'_>, interner: &mut Interner) -> Result<Delta, Strin
 /// A decoded `checkpoint` payload.
 struct Checkpoint {
     api_count: usize,
-    intra: Vec<SavedIntra>,
+    intra: Vec<IntraRow>,
     unified: Vec<UnifiedPageStats>,
 }
 
@@ -1191,7 +1199,7 @@ fn append<T>(into: &mut Vec<T>, rows: Vec<T>) {
 /// Checks before it mutates, so a bad delta leaves the trace untouched.
 fn apply_delta(
     trace: &mut SavedTrace,
-    ids: &mut IdMap<u64, usize>,
+    ids: &mut IdMap<ObjectId, usize>,
     d: Delta,
 ) -> Result<(), String> {
     let n = trace.apis.len() + d.apis.len();
@@ -1345,6 +1353,7 @@ fn replay(text: &str) -> (SavedTrace, Losses) {
             "platform name lost with the meta section".to_owned(),
         )),
     }
+    let mut maps = Vec::new();
     match checkpoint {
         Some(cp) => {
             if cp.api_count < trace.apis.len() {
@@ -1356,7 +1365,7 @@ fn replay(text: &str) -> (SavedTrace, Losses) {
                 );
                 losses.push((malformed("checkpoint", reason.clone()), reason));
             }
-            trace.intra = cp.intra;
+            maps = cp.intra;
             trace.unified = cp.unified;
         }
         None if !trace.apis.is_empty() => losses.push((
@@ -1365,13 +1374,13 @@ fn replay(text: &str) -> (SavedTrace, Losses) {
         )),
         None => {}
     }
-    losses.extend(scrub(&mut trace));
+    losses.extend(scrub(&mut trace, maps));
     (trace, losses)
 }
 
 /// Checks one map's lifetime runs: sorted, disjoint, nonzero, and inside
 /// the object's `ceil(size / elem_size)` elements.
-fn check_runs(s: &SavedIntra) -> Result<(), String> {
+fn check_runs(s: &IntraRow) -> Result<(), String> {
     let Some((elem, runs)) = &s.lifetime else {
         return Ok(());
     };
@@ -1399,6 +1408,29 @@ fn check_runs(s: &SavedIntra) -> Result<(), String> {
     Ok(())
 }
 
+/// The analyzer's form of a checked map: its bitmap and frequency map,
+/// sized by its object.
+fn intra_data(s: IntraRow) -> IntraObjectData {
+    let mut bitmap = AccessBitmap::new(s.size);
+    for (start, end) in s.accessed {
+        bitmap.set_range(start, end);
+    }
+    let lifetime_freq = s.lifetime.map(|(elem, runs)| {
+        let mut freq = FreqMap::new(s.size, elem);
+        for (start, len, count) in runs {
+            freq.fill(start, len, count);
+        }
+        freq
+    });
+    IntraObjectData {
+        object: s.object,
+        bitmap,
+        per_api: s.per_api,
+        nuaf_peak: s.nuaf_peak,
+        lifetime_freq,
+    }
+}
+
 /// Counts the records of one kind a [`scrub`] drops, keeping the first
 /// one's reason for the typed error.
 #[derive(Default)]
@@ -1417,13 +1449,16 @@ impl Dropped {
     }
 }
 
-/// Drops every dangling record and every invalid set of lifetime runs
-/// from a replayed trace, one loss per kind of record: [`load`] fails on
-/// the first, [`salvage`] notes them all.
-fn scrub(t: &mut SavedTrace) -> Losses {
+/// Drops every dangling record, every intra-object map sized unlike its
+/// object and every invalid set of lifetime runs from a replayed trace,
+/// then builds the kept `maps` into the trace: [`load`] fails on the first
+/// loss, [`salvage`] notes them all.
+fn scrub(t: &mut SavedTrace, mut maps: Vec<IntraRow>) -> Losses {
+    let mut losses = Losses::new();
     let n = t.apis.len();
-    let ids: IdSet<u64> = t.objects.iter().map(|o| o.id).collect();
-    let unknown = |obj: u64| (!ids.contains(&obj)).then(|| format!("unknown object {obj}"));
+    let sizes: IdMap<ObjectId, u64> = t.objects.iter().map(|o| (o.id, o.size)).collect();
+    let unknown =
+        |obj: ObjectId| (!sizes.contains_key(&obj)).then(|| format!("unknown object {}", obj.0));
 
     let mut edges = Dropped::default();
     for (i, a) in t.apis.iter_mut().enumerate() {
@@ -1432,7 +1467,7 @@ fn scrub(t: &mut SavedTrace) -> Losses {
             edges.keep((dep >= n).then(|| format!("api #{i} after {dep} >= {n} apis")))
         });
         for objs in [&mut v.reads, &mut v.writes, &mut v.frees] {
-            objs.retain(|obj| edges.keep(unknown(obj.0).map(|u| format!("api #{i} uses {u}"))));
+            objs.retain(|&obj| edges.keep(unknown(obj).map(|u| format!("api #{i} uses {u}"))));
         }
     }
 
@@ -1441,7 +1476,7 @@ fn scrub(t: &mut SavedTrace) -> Losses {
         let bad = if a.api_idx >= n {
             Some(format!("access api_idx {} >= {n} apis", a.api_idx))
         } else {
-            unknown(a.object.0).map(|u| format!("access to {u}"))
+            unknown(a.object).map(|u| format!("access to {u}"))
         };
         accesses.keep(bad)
     });
@@ -1449,7 +1484,8 @@ fn scrub(t: &mut SavedTrace) -> Losses {
     let mut anchors = Dropped::default();
     for o in &mut t.objects {
         let past_end = o.alloc_api > n || o.free_api.is_some_and(|f| f > n);
-        if !anchors.keep(past_end.then(|| format!("object {} outlives the {n} apis", o.id))) {
+        let id = o.id.0;
+        if !anchors.keep(past_end.then(|| format!("object {id} outlives the {n} apis"))) {
             o.alloc_api = o.alloc_api.min(n);
             o.free_api = o.free_api.map(|f| f.min(n));
         }
@@ -1461,13 +1497,30 @@ fn scrub(t: &mut SavedTrace) -> Losses {
         usage.keep((idx >= n).then(|| format!("usage sample api_idx {idx} >= {n} apis")))
     });
 
-    let mut maps = Dropped::default();
-    t.intra
-        .retain(|s| maps.keep(unknown(s.object).map(|u| format!("map of {u}"))));
+    // A map's declared size sizes its bitmap and frequency map: it must be
+    // its object's size before anything is allocated.
+    let mut orphans = Dropped::default();
+    maps.retain(|s| {
+        let Some(&size) = sizes.get(&s.object) else {
+            return orphans.keep(unknown(s.object).map(|u| format!("map of {u}")));
+        };
+        if s.size == size {
+            return true;
+        }
+        let what = format!(
+            "the map of object {} declares {} bytes, its object {size}",
+            s.object.0, s.size
+        );
+        losses.push((
+            malformed("checkpoint", what.clone()),
+            format!("dropped an intra-object map: {what}"),
+        ));
+        false
+    });
 
     let mut refs = Dropped::default();
-    for s in &mut t.intra {
-        let object = s.object;
+    for s in &mut maps {
+        let object = s.object.0;
         s.per_api.retain(|&(idx, _)| {
             refs.keep((idx >= n).then(|| format!("object {object} per_api index {idx} >= {n}")))
         });
@@ -1481,7 +1534,7 @@ fn scrub(t: &mut SavedTrace) -> Losses {
 
     let mut pages = Dropped::default();
     t.unified
-        .retain(|p| pages.keep(unknown(p.object.0).map(|u| format!("page of {u}"))));
+        .retain(|p| pages.keep(unknown(p.object).map(|u| format!("page of {u}"))));
 
     // A row naming a path no entry defines keeps an empty path instead,
     // appended to the table only if some row needs it.
@@ -1497,7 +1550,7 @@ fn scrub(t: &mut SavedTrace) -> Losses {
     }
     for o in &mut t.objects {
         if o.alloc_path.0 as usize >= defined {
-            let (id, p) = (o.id, o.alloc_path.0);
+            let (id, p) = (o.id.0, o.alloc_path.0);
             paths.keep(Some(format!(
                 "object {id} names path {p} ({defined} defined)"
             )));
@@ -1508,7 +1561,6 @@ fn scrub(t: &mut SavedTrace) -> Losses {
         t.paths.push(PathText::from([]));
     }
 
-    let mut losses = Losses::new();
     for (dropped, section, verb, what) in [
         (edges, "apis", "dropped", "dangling dependency edge(s)"),
         (accesses, "accesses", "dropped", "dangling access record(s)"),
@@ -1519,7 +1571,7 @@ fn scrub(t: &mut SavedTrace) -> Losses {
             "object lifetime anchor(s) past the trace end",
         ),
         (usage, "usage", "dropped", "dangling usage sample(s)"),
-        (maps, "intra", "dropped", "orphaned intra-object map(s)"),
+        (orphans, "intra", "dropped", "orphaned intra-object map(s)"),
         (refs, "intra", "dropped", "dangling intra-object record(s)"),
         (
             pages,
@@ -1535,17 +1587,21 @@ fn scrub(t: &mut SavedTrace) -> Losses {
             losses.push((TraceError::BadReference { section, reason }, note));
         }
     }
-    for s in &mut t.intra {
-        if let Err(reason) = check_runs(s) {
-            let what = format!("object {}: {reason}", s.object);
-            let note = format!("dropped the lifetime counts of {what}");
-            losses.push((
-                malformed("checkpoint", format!("lifetime runs of {what}")),
-                note,
-            ));
-            s.lifetime = None;
-        }
-    }
+    t.intra = maps
+        .into_iter()
+        .map(|mut s| {
+            if let Err(reason) = check_runs(&s) {
+                let what = format!("object {}: {reason}", s.object.0);
+                let note = format!("dropped the lifetime counts of {what}");
+                losses.push((
+                    malformed("checkpoint", format!("lifetime runs of {what}")),
+                    note,
+                ));
+                s.lifetime = None;
+            }
+            intra_data(s)
+        })
+        .collect();
     losses
 }
 
@@ -1637,7 +1693,7 @@ pub(crate) fn stream_header(platform: &str) -> String {
 }
 
 /// High-water marks of what a streaming writer has already emitted, plus
-/// per-object fingerprints for update detection.
+/// the objects that changed since the last delta.
 #[derive(Debug, Default)]
 pub(crate) struct StreamCursor {
     paths: usize,
@@ -1645,20 +1701,21 @@ pub(crate) struct StreamCursor {
     accesses: usize,
     objects: usize,
     usage: usize,
-    /// `(free_api, free_is_api, source)` per emitted object row; a change
-    /// (free observed, pool-slab reclassification) re-emits the row.
-    fingerprints: Vec<(Option<usize>, bool, ObjectSource)>,
+    /// Objects freed or reclassified since the last delta; the next delta
+    /// re-emits the rows of those it had already emitted.
+    pub(crate) changed: Vec<ObjectId>,
 }
 
 /// Encodes everything the collector gathered since `cur` as one framed
 /// `delta` section, advancing the cursor. Returns `None` when nothing new
-/// happened (no section is written).
+/// happened (no section is written). Visits only the new rows and the
+/// changed objects, never the whole registry.
 pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Option<String> {
     let paths = collector.paths().paths();
     let apis = collector.gpu_apis();
     let accesses = collector.accesses();
     let usage = collector.usage_curve();
-    let objects: Vec<&DataObject> = collector.registry().iter().collect();
+    let registry = collector.registry();
 
     // A new access attributed to an already-emitted API row means its
     // def/use sets changed at kernel end: re-emit the row as an update.
@@ -1676,28 +1733,22 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
     let new_apis = &apis[cur.apis.min(apis.len())..];
     let new_accesses = &accesses[cur.accesses.min(accesses.len())..];
 
-    let fingerprint = |o: &DataObject| (o.free_api, o.free_is_api, o.source);
-    let mut object_updates = Vec::new();
-    for (i, o) in objects.iter().enumerate().take(cur.objects) {
-        let fp = fingerprint(o);
-        if cur.fingerprints.get(i) != Some(&fp) {
-            object_updates.push(object_row(o));
-            if let Some(slot) = cur.fingerprints.get_mut(i) {
-                *slot = fp;
-            }
-        }
-    }
-    let mut new_objects = Vec::new();
-    for o in objects.iter().skip(cur.objects) {
-        cur.fingerprints.push(fingerprint(o));
-        new_objects.push(object_row(o));
-    }
+    // A changed object not emitted yet goes out whole with the new rows.
+    let mut changed = std::mem::take(&mut cur.changed);
+    changed.sort_unstable();
+    changed.dedup();
+    let object_updates: Vec<SavedObject> = changed
+        .into_iter()
+        .filter(|id| id.0 < cur.objects as u64)
+        .filter_map(|id| registry.get(id).map(object_row))
+        .collect();
+    let new_objects: Vec<SavedObject> = registry.iter().skip(cur.objects).map(object_row).collect();
     let new_usage = &usage[cur.usage.min(usage.len())..];
 
     cur.paths = paths.len();
     cur.apis = apis.len();
     cur.accesses = accesses.len();
-    cur.objects = objects.len();
+    cur.objects = registry.len();
     cur.usage = usage.len();
 
     if new_paths.is_empty()
@@ -1729,11 +1780,14 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
 /// Encodes the collector's full intra-object and unified-memory state as
 /// one framed `checkpoint` section.
 pub(crate) fn checkpoint_section(collector: &Collector) -> String {
-    let intra: Vec<SavedIntra> = collector.intra_data().into_iter().map(intra_row).collect();
-    let unified = collector.unified_page_stats();
     let mut out = String::new();
     write_frame(&mut out, "checkpoint", |e| {
-        put_checkpoint(e, collector.gpu_apis().len(), &intra, &unified);
+        put_checkpoint(
+            e,
+            collector.gpu_apis().len(),
+            collector.intra_data(),
+            &collector.unified_page_stats(),
+        );
     });
     out
 }
@@ -1791,76 +1845,27 @@ impl SavedTrace {
         out
     }
 
-    /// Rebuilds the trace view (with fresh topological timestamps) from
-    /// the recording.
-    fn rebuild(&self) -> (TraceView, Vec<IntraObjectData>, Vec<ObjectMeta>) {
-        let trace = analyzer::assemble_trace_view(
-            &self.apis,
-            &self.accesses,
-            self.objects.iter().map(|o| ObjectFacts {
-                id: ObjectId(o.id),
-                label: &o.label,
-                size: o.size,
-                analyzable: o.source.is_analyzable(),
-                alloc_api: o.alloc_api,
-                alloc_is_api: o.alloc_is_api,
-                free_api: o.free_api,
-                free_is_api: o.free_is_api,
-            }),
-        );
+    /// The call path `id` names, innermost frame first; empty if the
+    /// table has no such entry.
+    pub(crate) fn path(&self, id: PathId) -> PathText {
+        self.paths
+            .get(id.0 as usize)
+            .cloned()
+            .unwrap_or_else(|| PathText::from([]))
+    }
 
-        let intra: Vec<IntraObjectData> = self
-            .intra
-            .iter()
-            .map(|s| {
-                let mut bitmap = AccessBitmap::new(s.size);
-                for &(a, b) in &s.accessed_ranges {
-                    bitmap.set_range(a, b);
-                }
-                let per_api = s
-                    .per_api
-                    .iter()
-                    .map(|(idx, ranges)| {
-                        let rs: RangeSet = ranges.iter().copied().collect();
-                        (*idx, rs)
-                    })
-                    .collect();
-                let lifetime_freq = s.lifetime.as_ref().map(|(elem, runs)| {
-                    let mut f = FreqMap::new(s.size, *elem);
-                    for &(start, len, count) in runs {
-                        f.fill(start, len, count);
-                    }
-                    f
-                });
-                IntraObjectData {
-                    object: ObjectId(s.object),
-                    bitmap,
-                    per_api,
-                    nuaf_peak: s.nuaf_peak.clone(),
-                    lifetime_freq,
-                }
-            })
-            .collect();
-
-        let metas: Vec<ObjectMeta> = self
-            .objects
-            .iter()
-            .map(|o| ObjectMeta {
-                id: ObjectId(o.id),
-                label: o.label.clone(),
-                size: o.size,
-                source: o.source,
-                alloc_path: self
-                    .paths
-                    .get(o.alloc_path.0 as usize)
-                    .cloned()
-                    .unwrap_or_else(|| PathText::from([])),
-                alloc_api: o.alloc_api,
-                free_api: o.free_api,
-            })
-            .collect();
-
-        (trace, intra, metas)
+    /// Runs the offline analysis on the recording: the one analysis entry,
+    /// behind the live [`crate::Profiler::report`] and every reanalysis.
+    /// `degradations` carries losses taken upstream (collector fallbacks,
+    /// salvage), and `detector_deadline_ms` bounds each detector family.
+    pub(crate) fn analyze(
+        &self,
+        thresholds: &Thresholds,
+        degradations: Vec<DegradationRecord>,
+        detector_deadline_ms: Option<u64>,
+    ) -> Report {
+        let view = analyzer::assemble_trace_view(self);
+        analyzer::assemble_report(&view, self, thresholds, degradations, detector_deadline_ms)
     }
 
     /// Re-runs the full offline analysis on the recording, with arbitrary
@@ -1876,15 +1881,8 @@ impl SavedTrace {
         thresholds: &Thresholds,
         degradations: Vec<DegradationRecord>,
     ) -> Report {
-        let (trace, intra, metas) = self.rebuild();
-        analyzer::assemble_report(
-            &trace,
-            &intra,
-            &self.usage,
-            &metas,
-            &self.unified,
+        self.analyze(
             thresholds,
-            &self.platform,
             degradations,
             // Reanalysis honors the same env knobs as a live session.
             crate::governor::ResourceBudget::default()
@@ -1932,15 +1930,8 @@ mod tests {
     #[test]
     fn reanalysis_reproduces_the_live_report() {
         let (saved, live) = record();
-        let replayed = saved.reanalyze(&Thresholds::default());
-        assert_eq!(live.stats, replayed.stats);
-        assert_eq!(live.patterns_present(), replayed.patterns_present());
-        assert_eq!(live.findings.len(), replayed.findings.len());
-        for (a, b) in live.findings.iter().zip(&replayed.findings) {
-            assert_eq!(a.kind(), b.kind());
-            assert_eq!(a.object.label, b.object.label);
-            assert_eq!(a.suggestion, b.suggestion);
-        }
+        let reloaded = load(&saved.to_text()).expect("clean trace loads");
+        assert_eq!(live, reloaded.reanalyze(&Thresholds::default()));
     }
 
     #[test]
@@ -2090,6 +2081,39 @@ mod tests {
         // Later sections survived the damaged one.
         assert_eq!(trace.api_count(), saved.api_count());
         assert_eq!(trace.object_count(), saved.object_count());
+    }
+
+    /// The median time of one streamed delta over `k` deltas, each with
+    /// one object freed since the last, on a registry of `n` objects.
+    fn median_delta(n: usize, k: usize) -> std::time::Duration {
+        let mut ctx = DeviceContext::new_default();
+        let profiler = Profiler::attach(&mut ctx, ProfilerOptions::object_level());
+        let ptrs: Vec<_> = (0..n).map(|_| ctx.malloc(256, "o").unwrap()).collect();
+        let collector = profiler.collector();
+        let mut cur = StreamCursor::default();
+        assert!(delta_section(&collector.lock(), &mut cur).is_some());
+        let mut times = Vec::with_capacity(k);
+        for (i, &ptr) in ptrs.iter().enumerate().take(k) {
+            ctx.free(ptr).unwrap();
+            let c = collector.lock();
+            cur.changed.push(ObjectId(i as u64));
+            let start = std::time::Instant::now();
+            let delta = delta_section(&c, &mut cur).expect("a FREE row");
+            times.push(start.elapsed());
+            assert!(delta.contains(&format!("[{i},\"o\",256,")), "{delta}");
+        }
+        times.sort_unstable();
+        times[k / 2]
+    }
+
+    #[test]
+    fn a_streamed_delta_costs_what_changed_not_the_registry_size() {
+        let k = 1_000;
+        let (small, large) = (median_delta(2 * k, k), median_delta(16 * k, k));
+        assert!(
+            large < small * 3,
+            "one delta took {large:?} over 16k objects, {small:?} over 2k"
+        );
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 use crate::collector::Collector;
 use crate::error::ProfilerError;
+use crate::object::ObjectId;
 use crate::trace_io;
 use std::fs::File;
 use std::io::Write;
@@ -132,6 +133,12 @@ impl StreamState {
     /// Total bytes written (and fsynced) so far.
     pub fn bytes_written(&self) -> u64 {
         self.writer.bytes_written()
+    }
+
+    /// Notes that object `id` was freed or reclassified, so the next delta
+    /// re-emits its row.
+    pub(crate) fn note_changed(&mut self, id: ObjectId) {
+        self.cursor.changed.push(id);
     }
 
     /// Emits everything new since the last flush as one delta frame, plus

@@ -3,6 +3,7 @@
 //! robustness beyond the hand-written workloads.
 
 use drgpum::prelude::*;
+use drgpum::profiler::{export, trace_io};
 use gpu_sim::SplitMix64;
 
 /// Uniform draw in `[lo, hi)` from the deterministic generator.
@@ -157,25 +158,21 @@ fn random_programs_uphold_profiler_invariants() {
 
         // Renderers never panic and exports round-trip.
         let _ = report.render_text();
-        let json = drgpum::profiler::export::report_json(&report);
+        let json = export::report_json(&report);
         let _: serde_json::Value = serde_json::from_str(&json).expect("round-trip");
         let trace: serde_json::Value =
             serde_json::from_str(&profiler.perfetto_trace(&report)).expect("round-trip");
         assert!(trace["traceEvents"].is_array(), "seed {seed}");
 
-        // Saved-trace replay reproduces the live analysis.
+        // The trace text carries everything the live analysis read: loaded
+        // back and reanalyzed, it renders the same report byte for byte.
         let collector = profiler.collector();
-        let collector = collector.lock();
-        let saved =
-            drgpum::profiler::trace_io::save(&collector, ctx.call_stack().table(), "rtx3090");
-        drop(collector);
-        let replayed = saved.reanalyze(&Thresholds::default());
-        assert_eq!(
-            report.patterns_present(),
-            replayed.patterns_present(),
-            "seed {seed}"
-        );
-        assert_eq!(report.stats, replayed.stats, "seed {seed}");
+        let text = trace_io::save(&collector.lock(), ctx.call_stack().table(), "rtx3090").to_text();
+        let replayed = trace_io::load(&text)
+            .unwrap_or_else(|e| panic!("seed {seed}: the saved trace does not load: {e}"))
+            .reanalyze(&Thresholds::default());
+        assert_eq!(report.render_text(), replayed.render_text(), "seed {seed}");
+        assert_eq!(json, export::report_json(&replayed), "seed {seed}");
 
         // The advisor stays in range.
         let est = profiler.estimate_savings(&report);

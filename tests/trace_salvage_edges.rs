@@ -1,10 +1,14 @@
 //! Deterministic trace-salvage edge cases: a zero-length final section,
-//! truncation inside a frame's length prefix, and truncation inside the
-//! CRC. Each must salvage to exactly the intact prefix, with the losses
-//! counted in the `SalvageReport` — never a panic, never silent loss.
+//! truncation inside a frame's length prefix, truncation inside the CRC,
+//! and an intact frame whose intra-object map declares a size its object
+//! does not have. Each must salvage to exactly what is intact, with the
+//! losses counted in the `SalvageReport` — never a panic or an abort,
+//! never silent loss.
 
 use drgpum::prelude::*;
-use drgpum::profiler::trace_io;
+use drgpum::profiler::{trace_io, TraceError};
+use drgpum::workloads::common::Variant;
+use drgpum::workloads::registry::RunConfig;
 use std::path::PathBuf;
 
 fn temp_path(name: &str) -> PathBuf {
@@ -154,4 +158,64 @@ fn batch_trace_truncated_mid_frame_salvages_the_intact_sections() {
     let report = trace_io::reanalyze_salvaged(crafted, &Thresholds::default());
     assert!(report.is_degraded());
     assert_eq!(report.detectors.len(), 4);
+}
+
+/// Profiles `2MM` as `drgpum run 2MM --intra --save-trace` does and returns
+/// the saved trace text.
+fn two_mm_trace() -> String {
+    let spec = drgpum::workloads::registry::by_name("2MM").expect("2MM is registered");
+    let mut ctx = DeviceContext::new_default();
+    let mut options = ProfilerOptions::intra_object();
+    if let Some(elem) = spec.elem_size_hint {
+        options.elem_size = elem;
+    }
+    let profiler = Profiler::attach(&mut ctx, options);
+    let cfg = RunConfig {
+        pool_observer: None,
+    };
+    (spec.run)(&mut ctx, Variant::Unoptimized, &cfg).expect("2MM runs");
+    let collector = profiler.collector();
+    let text = trace_io::save(&collector.lock(), ctx.call_stack().table(), "rtx3090").to_text();
+    text
+}
+
+#[test]
+fn an_intra_map_sized_unlike_its_object_is_refused_before_it_is_built() {
+    let clean = two_mm_trace();
+    // Declare the first map (object 0, 2304 bytes) 2^62 bytes, then
+    // reframe the checkpoint with the new length and CRC: the frame is
+    // intact, only the size is wrong. Built as declared, the map's bitmap
+    // alone would need 2^59 bytes.
+    let header_at = clean.find("section checkpoint ").expect("checkpoint");
+    let payload_at = header_at + clean[header_at..].find('\n').expect("header ends") + 1;
+    let payload_end = payload_at + clean[payload_at..].find('\n').expect("payload ends");
+    let payload = &clean[payload_at..payload_end];
+    assert!(payload.contains("[[0,2304,"), "{payload}");
+    let payload = payload.replacen("[[0,2304,", &format!("[[0,{},", 1u64 << 62), 1);
+    let crafted = format!(
+        "{}section checkpoint {} {}\n{payload}{}",
+        &clean[..header_at],
+        payload.len(),
+        trace_io::crc32(payload.as_bytes()),
+        &clean[payload_end..]
+    );
+
+    match trace_io::load(&crafted) {
+        Err(TraceError::Malformed { section, reason }) => {
+            assert_eq!(section, "checkpoint");
+            assert!(reason.contains(&(1u64 << 62).to_string()), "{reason}");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+
+    let (salvaged, losses) = trace_io::salvage(&crafted);
+    assert_eq!(losses.notes.len(), 1, "{:?}", losses.notes);
+    assert!(losses.notes[0].contains("dropped an intra-object map"));
+    let intact = trace_io::load(&clean).expect("the clean trace loads");
+    assert_eq!(salvaged.api_count(), intact.api_count());
+    assert_eq!(salvaged.object_count(), intact.object_count());
+
+    let report = trace_io::reanalyze_salvaged(&crafted, &Thresholds::default());
+    assert!(report.is_degraded(), "the dropped map must surface");
+    assert_eq!(report.stats, intact.reanalyze(&Thresholds::default()).stats);
 }
