@@ -126,15 +126,17 @@ pub fn largest_footprint_kernel(spec: &WorkloadSpec) -> Option<String> {
     let collector = profiler.collector();
     let collector = collector.lock();
     let mut best: Option<(u64, String)> = None;
-    for (idx, api) in collector.gpu_apis().iter().enumerate() {
+    for api in collector.gpu_apis() {
         if api.kind != GpuApiKind::Kerl {
             continue;
         }
-        let footprint: u64 = collector
-            .accesses()
-            .iter()
-            .filter(|a| a.api_idx == idx)
-            .filter_map(|a| collector.registry().get(a.object).map(|o| o.size()))
+        // The objects the kernel touched: its row's reads and writes.
+        let mut touched: Vec<_> = api.vertex.reads.iter().chain(&api.vertex.writes).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let footprint: u64 = touched
+            .into_iter()
+            .filter_map(|&o| collector.registry().get(o).map(|o| o.size()))
             .sum();
         if best.as_ref().map(|(b, _)| footprint > *b).unwrap_or(true) {
             best = Some((footprint, api.detail.to_string()));

@@ -7,7 +7,7 @@
 //! the collector's recording ([`crate::trace_io::save`]) through the same
 //! entry, `SavedTrace::analyze`, that reanalyzes a trace loaded back.
 
-use crate::collector::GpuApi;
+use crate::collector::{api_accesses, GpuApi};
 use crate::depgraph::DependencyGraph;
 use crate::governor::CancelToken;
 use crate::names::{ApiDetail, ApiName, GpuApiKind};
@@ -28,8 +28,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Builds the [`TraceView`] — the timestamp-augmented object-level memory
-/// access trace of Fig. 2 — from a recording's APIs, raw accesses and
-/// object rows.
+/// access trace of Fig. 2 — from a recording's API rows, whose def/use
+/// sets give both the timestamps and the accesses, and its object rows.
 pub(crate) fn assemble_trace_view(t: &SavedTrace) -> TraceView {
     let apis = &t.apis;
     let api_ts = DependencyGraph::build(apis.iter().map(|a| &a.vertex)).into_timestamps();
@@ -46,25 +46,20 @@ pub(crate) fn assemble_trace_view(t: &SavedTrace) -> TraceView {
         .collect();
     let api_is_dealloc = apis.iter().map(|a| a.kind == GpuApiKind::Free).collect();
 
-    // Group accesses per object. An access with a dangling API index (which
-    // a faulting run can produce) is dropped rather than panicking.
+    // Group accesses per object.
     let mut per_object: IdMap<ObjectId, Vec<ObjectAccess>> = IdMap::default();
-    for acc in &t.accesses {
-        let (Some(&ts), Some(&name)) = (api_ts.get(acc.api_idx), api_names.get(acc.api_idx)) else {
-            continue;
-        };
+    for acc in api_accesses(apis) {
         per_object
             .entry(acc.object)
             .or_default()
             .push(ObjectAccess {
                 api: ApiRef {
                     idx: acc.api_idx,
-                    ts,
-                    name,
+                    ts: api_ts[acc.api_idx],
+                    name: api_names[acc.api_idx],
                 },
                 read: acc.read,
                 write: acc.write,
-                via: acc.via,
             });
     }
 

@@ -23,7 +23,6 @@ use crate::object::{IdMap, ObjectId, ObjectRegistry, ObjectSource, ResolveCache,
 use crate::options::{AnalysisLevel, ProfilerOptions};
 use crate::patterns::intra::IntraObjectData;
 use crate::patterns::unified::UnifiedPageStats;
-use crate::patterns::AccessVia;
 use crate::peaks::UsageSample;
 use crate::report::DegradationRecord;
 use crate::trace_stream::StreamState;
@@ -80,13 +79,13 @@ pub struct GpuApi {
     pub kind: GpuApiKind,
     /// Detail: byte count, kernel name, or object label.
     pub detail: ApiDetail,
-    /// Stream of the invocation.
-    pub stream: StreamId,
     /// Ordinal of the invocation within its stream.
     pub ordinal_in_stream: u64,
     /// Host call path, in the session's [`PathTable`].
     pub path: PathId,
-    /// Object def/use/free sets for dependency construction.
+    /// Stream, object def/use/free sets and event predecessors, for
+    /// dependency construction; the reads and writes are also the API's
+    /// object accesses (see [`api_accesses`]).
     pub vertex: VertexAccess,
     /// Simulated start/end times (for the GUI timeline).
     pub start_ns: u64,
@@ -97,11 +96,12 @@ pub struct GpuApi {
 impl GpuApi {
     /// The display name `MNEMONIC(stream, ordinal)`.
     pub fn name(&self) -> ApiName {
-        ApiName::new(self.kind, self.stream, self.ordinal_in_stream)
+        ApiName::new(self.kind, self.vertex.stream, self.ordinal_in_stream)
     }
 }
 
-/// One object access observed at one GPU API.
+/// One object access by one GPU API, derived from its row by
+/// [`api_accesses`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawAccess {
     /// Trace index of the accessing API.
@@ -112,8 +112,42 @@ pub struct RawAccess {
     pub read: bool,
     /// The API wrote the object.
     pub write: bool,
-    /// Kind of API.
-    pub via: AccessVia,
+}
+
+/// The object accesses the API rows `apis` record, in trace order: the
+/// rows' reads and writes are the one record of what each API touched.
+///
+/// * ALLOC and FREE rows yield none: their writes and frees are
+///   dependency defs only.
+/// * CPY and SET rows yield a read-only access per `reads` entry, then a
+///   write-only access per `writes` entry, so a device-to-device copy
+///   within one object is a read followed by a write.
+/// * KERL rows yield one access per distinct object in `reads ∪ writes`,
+///   reading if the object is in `reads` and writing if it is in
+///   `writes`.
+pub fn api_accesses(apis: &[GpuApi]) -> impl Iterator<Item = RawAccess> + '_ {
+    apis.iter().enumerate().flat_map(|(api_idx, api)| {
+        let (reads, writes): (&[ObjectId], &[ObjectId]) = match api.kind {
+            GpuApiKind::Alloc | GpuApiKind::Free => (&[], &[]),
+            _ => (&api.vertex.reads, &api.vertex.writes),
+        };
+        let kernel = api.kind == GpuApiKind::Kerl;
+        let access = move |object, read, write| RawAccess {
+            api_idx,
+            object,
+            read,
+            write,
+        };
+        let loads = reads.iter().enumerate().filter_map(move |(i, &o)| {
+            let first = !kernel || !reads[..i].contains(&o);
+            first.then(|| access(o, true, kernel && writes.contains(&o)))
+        });
+        let stores = writes.iter().enumerate().filter_map(move |(i, &o)| {
+            let first = !kernel || !(reads.contains(&o) || writes[..i].contains(&o));
+            first.then(|| access(o, false, true))
+        });
+        loads.chain(stores)
+    })
 }
 
 /// Where intra-object access maps were updated for one kernel (Sec. 5.5).
@@ -174,7 +208,6 @@ pub struct Collector {
     opts: ProfilerOptions,
     registry: ObjectRegistry,
     gpu_apis: Vec<GpuApi>,
-    accesses: Vec<RawAccess>,
     usage: Vec<UsageSample>,
     in_use_bytes: u64,
     /// Intra-object state, dense by object id (`intra[id]`). Object ids are
@@ -244,7 +277,6 @@ impl Collector {
             opts,
             registry: ObjectRegistry::new(),
             gpu_apis: Vec::new(),
-            accesses: Vec::new(),
             usage: Vec::new(),
             in_use_bytes: 0,
             intra: Vec::new(),
@@ -338,9 +370,10 @@ impl Collector {
         &self.gpu_apis
     }
 
-    /// All object accesses gathered so far.
-    pub fn accesses(&self) -> &[RawAccess] {
-        &self.accesses
+    /// All object accesses gathered so far, derived from the API rows by
+    /// [`api_accesses`].
+    pub fn accesses(&self) -> Vec<RawAccess> {
+        api_accesses(&self.gpu_apis).collect()
     }
 
     /// The memory-usage curve (bytes in use after each GPU API).
@@ -416,7 +449,6 @@ impl Collector {
         self.gpu_apis.push(GpuApi {
             kind,
             detail,
-            stream: event.stream,
             ordinal_in_stream: event.ordinal_in_stream,
             path: self.paths.intern(&event.call_path),
             vertex,
@@ -426,14 +458,15 @@ impl Collector {
         idx
     }
 
-    fn note_access(
-        &mut self,
-        api_idx: usize,
-        object: ObjectId,
-        read: bool,
-        write: bool,
-        via: AccessVia,
-    ) {
+    /// Adds `object` to the def/use sets of API row `api_idx`, which a
+    /// streaming trace has not written yet: rows go out complete.
+    fn note_access(&mut self, api_idx: usize, object: ObjectId, read: bool, write: bool) {
+        debug_assert!(
+            self.stream
+                .as_ref()
+                .is_none_or(|s| s.streamed_apis() <= api_idx),
+            "API row {api_idx} was streamed before its accesses were noted"
+        );
         // A faulting run can deliver kernel-end callbacks with no matching
         // trace entry; drop the attribution rather than panic.
         let Some(api) = self.gpu_apis.get_mut(api_idx) else {
@@ -443,15 +476,6 @@ impl Collector {
             ));
             return;
         };
-        self.accesses.push(RawAccess {
-            api_idx,
-            object,
-            read,
-            write,
-            via,
-        });
-        self.governor
-            .charge(std::mem::size_of::<RawAccess>() as u64);
         let v = &mut api.vertex;
         if read {
             v.reads.push(object);
@@ -588,7 +612,6 @@ impl Collector {
         len: u64,
         read: bool,
         write: bool,
-        via: AccessVia,
     ) {
         // The resolve scratch is free between record buffers.
         let (mut segments, seg_flags) = std::mem::take(&mut self.resolved_scratch);
@@ -598,7 +621,7 @@ impl Collector {
         // segment per side: attribute the object-level access once.
         for (i, s) in segments.iter().enumerate() {
             if !segments[..i].iter().any(|p| p.object == s.object) {
-                self.note_access(api_idx, s.object, read, write, via);
+                self.note_access(api_idx, s.object, read, write);
             }
         }
         for s in &segments {
@@ -727,13 +750,12 @@ impl Collector {
                     obj,
                     f & kernel_flags::READ != 0,
                     f & kernel_flags::WRITE != 0,
-                    AccessVia::Kernel,
                 );
             }
         } else {
             for t in touched {
                 if let Some(obj) = self.registry.resolve(t.base) {
-                    self.note_access(api_idx, obj, t.read, t.written, AccessVia::Kernel);
+                    self.note_access(api_idx, obj, t.read, t.written);
                 }
             }
         }
@@ -946,26 +968,26 @@ impl SanitizerHooks for Collector {
             ApiKind::MemcpyH2D { dst, size } => {
                 let detail = ApiDetail::Bytes(*size, ByteOp::H2D);
                 let api_idx = self.push_api(event, GpuApiKind::Cpy, detail, Default::default());
-                self.range_access(api_idx, *dst, *size, false, true, AccessVia::Memcpy);
+                self.range_access(api_idx, *dst, *size, false, true);
                 self.record_usage();
             }
             ApiKind::MemcpyD2H { src, size } => {
                 let detail = ApiDetail::Bytes(*size, ByteOp::D2H);
                 let api_idx = self.push_api(event, GpuApiKind::Cpy, detail, Default::default());
-                self.range_access(api_idx, *src, *size, true, false, AccessVia::Memcpy);
+                self.range_access(api_idx, *src, *size, true, false);
                 self.record_usage();
             }
             ApiKind::MemcpyD2D { dst, src, size } => {
                 let detail = ApiDetail::Bytes(*size, ByteOp::D2D);
                 let api_idx = self.push_api(event, GpuApiKind::Cpy, detail, Default::default());
-                self.range_access(api_idx, *src, *size, true, false, AccessVia::Memcpy);
-                self.range_access(api_idx, *dst, *size, false, true, AccessVia::Memcpy);
+                self.range_access(api_idx, *src, *size, true, false);
+                self.range_access(api_idx, *dst, *size, false, true);
                 self.record_usage();
             }
             ApiKind::Memset { dst, size, .. } => {
                 let detail = ApiDetail::Bytes(*size, ByteOp::Set);
                 let api_idx = self.push_api(event, GpuApiKind::Set, detail, Default::default());
-                self.range_access(api_idx, *dst, *size, false, true, AccessVia::Memset);
+                self.range_access(api_idx, *dst, *size, false, true);
                 self.record_usage();
             }
             ApiKind::KernelLaunch { name, .. } => {
@@ -995,9 +1017,13 @@ impl SanitizerHooks for Collector {
             _ => {}
         }
         // Deterministic governance boundary: budget trips (and stream
-        // deltas) land between GPU APIs, never inside a record buffer.
+        // deltas) land between GPU APIs, never inside a record buffer. A
+        // launch's row goes out at kernel end, with its def/use sets, so a
+        // streamed row is never rewritten.
         self.enforce_budget();
-        self.stream_flush();
+        if !matches!(event.kind, ApiKind::KernelLaunch { .. }) {
+            self.stream_flush();
+        }
     }
 
     fn on_kernel_begin(&mut self, info: &KernelInfo) -> PatchMode {
@@ -1074,9 +1100,8 @@ impl SanitizerHooks for Collector {
         let t_flush = Instant::now();
         self.finish_kernel(touched);
         self.phase.flush_ns += t_flush.elapsed().as_nanos() as u64;
-        // The kernel's accesses were attributed to its (already-emitted)
-        // KernelLaunch trace row: re-check the budget and flush the updated
-        // row to the stream before the next API.
+        // The kernel's accesses are in its launch row now: re-check the
+        // budget and stream the completed row before the next API.
         self.enforce_budget();
         self.stream_flush();
     }
@@ -1227,9 +1252,54 @@ mod tests {
         let acc = col.accesses();
         assert_eq!(acc.len(), 3);
         assert!(acc[0].write && !acc[0].read);
-        assert_eq!(acc[0].via, AccessVia::Memset);
+        assert_eq!(col.gpu_apis()[acc[0].api_idx].kind, GpuApiKind::Set);
         assert!(acc[1].write && !acc[1].read);
         assert!(acc[2].read && !acc[2].write);
+    }
+
+    #[test]
+    fn accesses_are_derived_from_the_api_rows() {
+        let mut ctx = DeviceContext::new_default();
+        let c = attach(&mut ctx, ProfilerOptions::intra_object());
+        let a = ctx.malloc(256, "a").unwrap();
+        // A device-to-device copy within one object.
+        ctx.memcpy_d2d(a + 128, a, 64).unwrap();
+        // A kernel that loads and stores one object.
+        ctx.launch(
+            "scale",
+            LaunchConfig::cover(16, 16).unwrap(),
+            StreamId::DEFAULT,
+            move |t| {
+                let i = t.global_x();
+                if i < 16 {
+                    let v = t.load_f32(a + i * 4);
+                    t.store_f32(a + i * 4, 2.0 * v);
+                }
+            },
+        )
+        .unwrap();
+        ctx.free(a).unwrap();
+        let col = c.lock();
+        let kinds: Vec<GpuApiKind> = col.gpu_apis().iter().map(|api| api.kind).collect();
+        use GpuApiKind::{Alloc, Cpy, Free, Kerl};
+        assert_eq!(kinds, [Alloc, Cpy, Kerl, Free]);
+        let obj = col.registry().iter().next().unwrap().id;
+        let access = |api_idx, read, write| RawAccess {
+            api_idx,
+            object: obj,
+            read,
+            write,
+        };
+        // The copy reads, then writes; the kernel's load and store are one
+        // access; the ALLOC and FREE rows give none.
+        assert_eq!(
+            col.accesses(),
+            [
+                access(1, true, false),
+                access(1, false, true),
+                access(2, true, true)
+            ]
+        );
     }
 
     #[test]
@@ -1253,10 +1323,10 @@ mod tests {
         )
         .unwrap();
         let col = c.lock();
-        let kernel_accesses: Vec<&RawAccess> = col
+        let kernel_accesses: Vec<RawAccess> = col
             .accesses()
-            .iter()
-            .filter(|x| x.via == AccessVia::Kernel)
+            .into_iter()
+            .filter(|x| col.gpu_apis()[x.api_idx].kind == GpuApiKind::Kerl)
             .collect();
         assert_eq!(kernel_accesses.len(), 2);
         let obj_a = col.registry().iter().find(|o| &*o.label == "a").unwrap().id;
@@ -1319,7 +1389,7 @@ mod tests {
         let kernel_accesses = col
             .accesses()
             .iter()
-            .filter(|x| x.via == AccessVia::Kernel)
+            .filter(|x| col.gpu_apis()[x.api_idx].kind == GpuApiKind::Kerl)
             .count();
         assert_eq!(kernel_accesses, 4);
         assert_eq!(col.mode_decisions().len(), 2);
@@ -1442,7 +1512,7 @@ mod tests {
         // The kernel access attributed to the tensor, not the slab.
         let acc = col
             .accesses()
-            .iter()
+            .into_iter()
             .find(|a| a.object == tensor.id)
             .expect("tensor access");
         assert!(acc.write);
@@ -1484,8 +1554,8 @@ mod tests {
         for id in [o1, o2] {
             let acc = col
                 .accesses()
-                .iter()
-                .find(|a| a.object == id && a.via == AccessVia::Memcpy)
+                .into_iter()
+                .find(|a| a.object == id && col.gpu_apis()[a.api_idx].kind == GpuApiKind::Cpy)
                 .expect("memcpy access attributed");
             assert!(acc.write && !acc.read);
         }

@@ -107,9 +107,6 @@ pub struct ResourceBudget {
     /// running at its deadline is cooperatively cancelled and reported
     /// `TimedOut`; the other detectors are unaffected.
     pub detector_deadline_ms: Option<u64>,
-    /// Cooperative deadline per simulated kernel launch, in milliseconds
-    /// (enforced by `gpu_sim` via `SimConfig::kernel_deadline_ms`).
-    pub kernel_deadline_ms: Option<u64>,
 }
 
 /// Environment variable read by [`ResourceBudget::apply_env`] for the
@@ -123,11 +120,6 @@ impl ResourceBudget {
     /// An explicitly unlimited budget (the default).
     pub fn unlimited() -> Self {
         ResourceBudget::default()
-    }
-
-    /// `true` when no limit is set at all.
-    pub fn is_unlimited(&self) -> bool {
-        *self == ResourceBudget::default()
     }
 
     /// Sets the resident-bytes limit (builder style).
@@ -145,12 +137,6 @@ impl ResourceBudget {
     /// Sets the per-detector watchdog deadline (builder style).
     pub fn with_detector_deadline_ms(mut self, ms: u64) -> Self {
         self.detector_deadline_ms = Some(ms);
-        self
-    }
-
-    /// Sets the per-kernel cooperative deadline (builder style).
-    pub fn with_kernel_deadline_ms(mut self, ms: u64) -> Self {
-        self.kernel_deadline_ms = Some(ms);
         self
     }
 
@@ -505,13 +491,11 @@ mod tests {
         let b = ResourceBudget::unlimited()
             .with_resident_bytes(1)
             .with_trace_bytes(2)
-            .with_detector_deadline_ms(3)
-            .with_kernel_deadline_ms(4);
-        assert!(!b.is_unlimited());
+            .with_detector_deadline_ms(3);
+        assert_ne!(b, ResourceBudget::unlimited());
         assert_eq!(b.max_resident_bytes, Some(1));
         assert_eq!(b.max_trace_bytes, Some(2));
         assert_eq!(b.detector_deadline_ms, Some(3));
-        assert_eq!(b.kernel_deadline_ms, Some(4));
         // apply_env never overrides explicit fields (whatever the env says).
         let same = b.clone().apply_env();
         assert_eq!(same.max_resident_bytes, Some(1));

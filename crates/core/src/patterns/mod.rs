@@ -128,18 +128,6 @@ impl fmt::Display for PatternKind {
     }
 }
 
-/// How a GPU API touched an object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessVia {
-    /// A host→device / device→device copy destination or a device→host /
-    /// device→device copy source.
-    Memcpy,
-    /// A `cudaMemset`.
-    Memset,
-    /// A kernel load/store.
-    Kernel,
-}
-
 /// A reference to one GPU API invocation in the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApiRef {
@@ -160,8 +148,6 @@ pub struct ObjectAccess {
     pub read: bool,
     /// The API wrote the object.
     pub write: bool,
-    /// Kind of API that performed the access.
-    pub via: AccessVia,
 }
 
 /// One data object's view of the trace, the input to object-level detectors.

@@ -7,8 +7,9 @@
 //! paper's rule verbatim. Redundant allocation has its own one-pass
 //! algorithm in [`crate::patterns::redundant`].
 
-use super::{AccessVia, IdleSpan, ObjectView, PatternEvidence, PatternFinding, TraceView};
+use super::{IdleSpan, ObjectAccess, ObjectView, PatternEvidence, PatternFinding, TraceView};
 use crate::governor::CancelToken;
+use crate::names::GpuApiKind;
 use crate::options::Thresholds;
 
 /// Runs all six rule-based object-level detectors over every analyzable
@@ -156,13 +157,12 @@ pub fn detect_temporary_idleness(
 /// memory copy or memory set — the first write is never consumed.
 pub fn detect_dead_writes(obj: &ObjectView) -> Vec<PatternFinding> {
     let mut findings = Vec::new();
+    let copy_set_write = |a: &ObjectAccess| {
+        matches!(a.api.name.kind(), Some(GpuApiKind::Cpy | GpuApiKind::Set)) && a.write && !a.read
+    };
     for pair in obj.accesses.windows(2) {
         let (a, b) = (&pair[0], &pair[1]);
-        let a_copy_set_write =
-            matches!(a.via, AccessVia::Memcpy | AccessVia::Memset) && a.write && !a.read;
-        let b_copy_set_write =
-            matches!(b.via, AccessVia::Memcpy | AccessVia::Memset) && b.write && !b.read;
-        if a_copy_set_write && b_copy_set_write {
+        if copy_set_write(a) && copy_set_write(b) {
             findings.push(PatternFinding {
                 object: obj.id,
                 evidence: PatternEvidence::DeadWrite {
@@ -178,8 +178,10 @@ pub fn detect_dead_writes(obj: &ObjectView) -> Vec<PatternFinding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::ApiName;
     use crate::object::ObjectId;
-    use crate::patterns::{ApiRef, ObjectAccess, PatternKind};
+    use crate::patterns::{ApiRef, PatternKind};
+    use gpu_sim::StreamId;
 
     /// Builds a trace with `n` GPU APIs at timestamps `0..n`.
     fn trace(n: usize) -> TraceView {
@@ -190,18 +192,22 @@ mod tests {
         trace.api_ref(idx)
     }
 
+    /// An access by API `idx`, renamed to the given kind.
     fn access(
         trace: &TraceView,
         idx: usize,
         read: bool,
         write: bool,
-        via: AccessVia,
+        kind: GpuApiKind,
     ) -> ObjectAccess {
+        let name = ApiName::new(kind, StreamId::DEFAULT, idx as u64);
         ObjectAccess {
-            api: api(trace, idx),
+            api: ApiRef {
+                name,
+                ..api(trace, idx)
+            },
             read,
             write,
-            via,
         }
     }
 
@@ -227,8 +233,8 @@ mod tests {
         let tv = trace(13);
         let mut b = object(&tv, 2, Some(12));
         b.accesses = vec![
-            access(&tv, 7, true, false, AccessVia::Kernel),
-            access(&tv, 9, true, false, AccessVia::Kernel),
+            access(&tv, 7, true, false, GpuApiKind::Kerl),
+            access(&tv, 9, true, false, GpuApiKind::Kerl),
         ];
         let ea = detect_early_allocation(&tv, &b).expect("EA fires");
         match ea.evidence {
@@ -263,8 +269,8 @@ mod tests {
         let tv = trace(13);
         let mut c = object(&tv, 0, None);
         c.accesses = vec![
-            access(&tv, 1, true, true, AccessVia::Kernel),
-            access(&tv, 8, true, false, AccessVia::Kernel),
+            access(&tv, 1, true, true, GpuApiKind::Kerl),
+            access(&tv, 8, true, false, GpuApiKind::Kerl),
         ];
         assert_eq!(
             detect_memory_leak(&c).expect("ML").kind(),
@@ -284,7 +290,7 @@ mod tests {
     fn tight_lifetime_has_no_findings() {
         let tv = trace(4);
         let mut o = object(&tv, 0, Some(2));
-        o.accesses = vec![access(&tv, 1, true, true, AccessVia::Kernel)];
+        o.accesses = vec![access(&tv, 1, true, true, GpuApiKind::Kerl)];
         assert!(detect_early_allocation(&tv, &o).is_none());
         assert!(detect_late_deallocation(&tv, &o).is_none());
         assert!(detect_unused_allocation(&o).is_none());
@@ -315,7 +321,7 @@ mod tests {
     fn leaked_object_is_not_late_deallocated() {
         let tv = trace(10);
         let mut o = object(&tv, 0, None);
-        o.accesses = vec![access(&tv, 1, true, false, AccessVia::Kernel)];
+        o.accesses = vec![access(&tv, 1, true, false, GpuApiKind::Kerl)];
         assert!(detect_late_deallocation(&tv, &o).is_none());
         assert!(detect_memory_leak(&o).is_some());
     }
@@ -327,9 +333,9 @@ mod tests {
         let tv = trace(5);
         let mut o = object(&tv, 0, Some(4));
         o.accesses = vec![
-            access(&tv, 1, false, true, AccessVia::Memcpy),
-            access(&tv, 2, false, true, AccessVia::Memcpy),
-            access(&tv, 3, true, false, AccessVia::Kernel),
+            access(&tv, 1, false, true, GpuApiKind::Cpy),
+            access(&tv, 2, false, true, GpuApiKind::Cpy),
+            access(&tv, 3, true, false, GpuApiKind::Kerl),
         ];
         let dw = detect_dead_writes(&o);
         assert_eq!(dw.len(), 1);
@@ -349,8 +355,8 @@ mod tests {
         let tv = trace(4);
         let mut o = object(&tv, 0, Some(3));
         o.accesses = vec![
-            access(&tv, 1, false, true, AccessVia::Kernel),
-            access(&tv, 2, false, true, AccessVia::Memcpy),
+            access(&tv, 1, false, true, GpuApiKind::Kerl),
+            access(&tv, 2, false, true, GpuApiKind::Cpy),
         ];
         assert!(detect_dead_writes(&o).is_empty());
     }
@@ -360,9 +366,9 @@ mod tests {
         let tv = trace(5);
         let mut o = object(&tv, 0, Some(4));
         o.accesses = vec![
-            access(&tv, 1, false, true, AccessVia::Memcpy),
-            access(&tv, 2, true, false, AccessVia::Kernel),
-            access(&tv, 3, false, true, AccessVia::Memcpy),
+            access(&tv, 1, false, true, GpuApiKind::Cpy),
+            access(&tv, 2, true, false, GpuApiKind::Kerl),
+            access(&tv, 3, false, true, GpuApiKind::Cpy),
         ];
         assert!(detect_dead_writes(&o).is_empty());
     }
@@ -373,8 +379,8 @@ mod tests {
         let tv = trace(4);
         let mut o = object(&tv, 0, Some(3));
         o.accesses = vec![
-            access(&tv, 1, false, true, AccessVia::Memset),
-            access(&tv, 2, false, true, AccessVia::Memcpy),
+            access(&tv, 1, false, true, GpuApiKind::Set),
+            access(&tv, 2, false, true, GpuApiKind::Cpy),
         ];
         assert_eq!(detect_dead_writes(&o).len(), 1);
     }
@@ -388,8 +394,8 @@ mod tests {
         o.free = None;
         o.free_anchor = Some(9); // freed just before API 9
         o.accesses = vec![
-            access(&tv, 5, true, false, AccessVia::Kernel),
-            access(&tv, 6, true, false, AccessVia::Kernel),
+            access(&tv, 5, true, false, GpuApiKind::Kerl),
+            access(&tv, 6, true, false, GpuApiKind::Kerl),
         ];
         let ea = detect_early_allocation(&tv, &o).expect("EA");
         match ea.evidence {
@@ -428,8 +434,8 @@ mod tests {
         let tv = trace(5);
         let mut o = object(&tv, 0, None);
         o.accesses = vec![
-            access(&tv, 1, true, false, AccessVia::Kernel),
-            access(&tv, 4, true, false, AccessVia::Kernel),
+            access(&tv, 1, true, false, GpuApiKind::Kerl),
+            access(&tv, 4, true, false, GpuApiKind::Kerl),
         ];
         // Exactly 2 intervening APIs (T=2,3): fires at threshold 2.
         assert!(detect_temporary_idleness(&tv, &o, 2).is_some());

@@ -181,7 +181,7 @@ pub fn reuse_pairs(findings: &[PatternFinding]) -> Vec<(ObjectId, ObjectId)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns::{AccessVia, ApiRef, ObjectAccess};
+    use crate::patterns::{ApiRef, ObjectAccess};
 
     fn mk_trace(n: usize) -> TraceView {
         TraceView::synthetic(n)
@@ -196,7 +196,6 @@ mod tests {
             },
             read: true,
             write: true,
-            via: AccessVia::Kernel,
         };
         let accesses = if first == last {
             vec![mk(first)]

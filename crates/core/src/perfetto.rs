@@ -70,9 +70,9 @@ pub fn trace_json(trace: &SavedTrace, report: &Report) -> String {
             // --- Pane 1: GPU APIs, one track per stream. -----------------
             let mut streams_seen = std::collections::BTreeSet::new();
             for (idx, api) in apis.iter().enumerate() {
-                let tid = u64::from(api.stream.0) + 1;
-                if streams_seen.insert(api.stream.0) {
-                    metadata(j, 1, Some(tid), &format!("stream {}", api.stream.0));
+                let tid = u64::from(api.vertex.stream.0) + 1;
+                if streams_seen.insert(api.vertex.stream.0) {
+                    metadata(j, 1, Some(tid), &format!("stream {}", api.vertex.stream.0));
                 }
                 // A backtrace, innermost frame first: `  #0 f @ file:line` lines.
                 let mut call_path = String::new();

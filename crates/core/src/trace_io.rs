@@ -12,7 +12,7 @@
 //! program. That is how a user tunes the paper's user-tunable `X`
 //! parameters (Sec. 3) interactively over one recording.
 //!
-//! # On-disk format (version 4)
+//! # On-disk format (version 5)
 //!
 //! There is one format. A batch trace ([`SavedTrace::to_text`]) is a stream
 //! with a single `delta` and a single `checkpoint`; a streaming trace
@@ -20,11 +20,11 @@
 //! `checkpoint` every few deltas:
 //!
 //! ```text
-//! DRGPUM-TRACE 4
+//! DRGPUM-TRACE 5
 //! section meta <byte-len> <crc32>
 //! ["rtx3090"]
 //! section delta <byte-len> <crc32>
-//! [[path...],[api...],[[idx,api]...],[access...],[object...],[object...],[idx,bytes,...]]
+//! [[path...],[api...],[object...],[object...],[idx,bytes,...]]
 //! section checkpoint <byte-len> <crc32>
 //! [api_count,[intra...],[unified...]]
 //! end
@@ -35,7 +35,9 @@
 //! positional JSON arrays with no whitespace, written straight into the
 //! output text and read back by a byte cursor. Deltas append rows at
 //! implicit indices (path entries in path-id order, API rows in trace
-//! order) and re-emit rows whose def/use sets or free state changed.
+//! order), then re-emit the rows of objects freed or reclassified since.
+//! An API row is written once, complete: a streamed kernel's row goes out
+//! at kernel end, with its def/use sets.
 //!
 //! A path entry is one call path, its frames rendered innermost first. An
 //! API row `[kind,detail,stream,ordinal,reads,writes,frees,after,start,
@@ -44,8 +46,12 @@
 //! and a delta carries each new path entry ahead of its rows, so every
 //! prefix of a stream that ends on a frame defines every path it uses. An
 //! API's display name is not stored: it is `kind(stream, ordinal)`. The
-//! enum fields `kind`, `source` and an access's `via` are short words
-//! (`"KERL"`, `"pool_tensor"`, `"memcpy"`).
+//! enum fields `kind` and `source` are short words (`"KERL"`,
+//! `"pool_tensor"`).
+//!
+//! An API row's `reads` and `writes` are the one record of what it
+//! touched: the dependency graph times them, and the detectors' per-object
+//! accesses are derived from them by [`crate::collector::api_accesses`].
 //!
 //! Intra-object and unified-memory maps are mutated in place during
 //! collection, so they travel in `checkpoint` snapshots, the latest of
@@ -67,7 +73,7 @@
 //! Both readers replay the frames in order with one decoder:
 //!
 //! * [`load`] is **strict**: the replay must lose nothing — any framing
-//!   damage, checksum mismatch, version skew (a version 3 trace
+//!   damage, checksum mismatch, version skew (version 3 and 4 traces
 //!   included), missing finish marker, invalid frequency run, or dangling
 //!   cross-reference — a path id no entry defines among them — is a typed
 //!   [`TraceError`].
@@ -86,7 +92,7 @@
 
 use crate::accessmap::{AccessBitmap, FreqMap, RangeSet};
 use crate::analyzer;
-use crate::collector::{Collector, GpuApi, RawAccess};
+use crate::collector::{api_accesses, Collector, GpuApi, RawAccess};
 use crate::depgraph::{ObjectList, VertexAccess};
 use crate::error::TraceError;
 use crate::names::{push_u64, ApiDetail, ByteOp, GpuApiKind, PathId, PathText};
@@ -94,7 +100,6 @@ use crate::object::{DataObject, IdMap, ObjectId, ObjectSource};
 use crate::options::Thresholds;
 use crate::patterns::intra::{IntraObjectData, NuafObservation};
 use crate::patterns::unified::UnifiedPageStats;
-use crate::patterns::AccessVia;
 use crate::peaks::UsageSample;
 use crate::report::{DegradationRecord, Report};
 use gpu_sim::{FrameTable, StreamId};
@@ -104,7 +109,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Serialization format version this build writes and reads strictly.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Magic word opening every trace file.
 const MAGIC: &str = "DRGPUM-TRACE";
@@ -143,7 +148,6 @@ pub struct SavedTrace {
     /// index into it.
     pub(crate) paths: Vec<PathText>,
     pub(crate) apis: Vec<GpuApi>,
-    pub(crate) accesses: Vec<RawAccess>,
     pub(crate) objects: Vec<SavedObject>,
     pub(crate) usage: Vec<UsageSample>,
     pub(crate) intra: Vec<IntraObjectData>,
@@ -159,12 +163,6 @@ const KINDS: [(&str, GpuApiKind); 5] = [
     ("CPY", GpuApiKind::Cpy),
     ("SET", GpuApiKind::Set),
     ("KERL", GpuApiKind::Kerl),
-];
-
-const VIAS: [(&str, AccessVia); 3] = [
-    ("memcpy", AccessVia::Memcpy),
-    ("memset", AccessVia::Memset),
-    ("kernel", AccessVia::Kernel),
 ];
 
 const SOURCES: [(&str, ObjectSource); 3] = [
@@ -212,7 +210,6 @@ pub(crate) fn snapshot(collector: &Collector, platform: &str) -> SavedTrace {
         platform: platform.to_owned(),
         paths: collector.paths().paths().to_vec(),
         apis: collector.gpu_apis().to_vec(),
-        accesses: collector.accesses().to_vec(),
         objects: collector.registry().iter().map(object_row).collect(),
         usage: collector.usage_curve().to_vec(),
         intra: collector.intra_data().into_iter().cloned().collect(),
@@ -441,15 +438,12 @@ fn put_object(e: &mut Enc<'_>, o: &SavedObject) {
     e.bool(o.free_is_api).u64(u64::from(o.alloc_path.0)).close();
 }
 
-/// One `delta` payload: new call paths, then new rows plus re-emitted
-/// (updated) rows.
-#[allow(clippy::too_many_arguments)] // one argument per payload list, in payload order
-fn put_delta<'a>(
+/// One `delta` payload: new call paths, new API and object rows, the
+/// re-emitted rows of changed objects, and new usage samples.
+fn put_delta(
     e: &mut Enc<'_>,
     paths: &[PathText],
     apis: &[GpuApi],
-    api_updates: impl IntoIterator<Item = (usize, &'a GpuApi)>,
-    accesses: &[RawAccess],
     objects: &[SavedObject],
     object_updates: &[SavedObject],
     usage: &[UsageSample],
@@ -461,22 +455,6 @@ fn put_delta<'a>(
     e.close().open();
     for a in apis {
         put_api(e, a);
-    }
-    e.close().open();
-    for (idx, a) in api_updates {
-        e.open().usize(idx);
-        put_api(e, a);
-        e.close();
-    }
-    e.close().open();
-    for a in accesses {
-        e.open()
-            .usize(a.api_idx)
-            .u64(a.object.0)
-            .bool(a.read)
-            .bool(a.write)
-            .tag(&VIAS, a.via)
-            .close();
     }
     e.close().open();
     for o in objects {
@@ -890,7 +868,6 @@ fn get_api(c: &mut Cursor<'_>, interner: &mut Interner) -> Result<GpuApi, String
     let api = GpuApi {
         kind,
         detail,
-        stream,
         ordinal_in_stream: c.u64()?,
         vertex: VertexAccess {
             stream,
@@ -905,19 +882,6 @@ fn get_api(c: &mut Cursor<'_>, interner: &mut Interner) -> Result<GpuApi, String
     };
     c.close()?;
     Ok(api)
-}
-
-fn get_access(c: &mut Cursor<'_>) -> Result<RawAccess, String> {
-    c.open()?;
-    let access = RawAccess {
-        api_idx: c.num()?,
-        object: c.object()?,
-        read: c.bool()?,
-        write: c.bool()?,
-        via: c.tag(&VIAS, "access kind")?,
-    };
-    c.close()?;
-    Ok(access)
 }
 
 fn get_object(c: &mut Cursor<'_>, interner: &mut Interner) -> Result<SavedObject, String> {
@@ -1018,8 +982,6 @@ fn get_unified(c: &mut Cursor<'_>) -> Result<UnifiedPageStats, String> {
 struct Delta {
     paths: Vec<PathText>,
     apis: Vec<GpuApi>,
-    api_updates: Vec<(usize, GpuApi)>,
-    accesses: Vec<RawAccess>,
     objects: Vec<SavedObject>,
     object_updates: Vec<SavedObject>,
     usage: Vec<UsageSample>,
@@ -1033,13 +995,6 @@ fn get_delta(c: &mut Cursor<'_>, interner: &mut Interner) -> Result<Delta, Strin
             Ok(PathText::from(frames))
         })?,
         apis: c.list(|c| get_api(c, interner))?,
-        api_updates: c.list(|c| {
-            c.open()?;
-            let update = (c.num()?, get_api(c, interner)?);
-            c.close()?;
-            Ok(update)
-        })?,
-        accesses: c.list(get_access)?,
         objects: c.list(|c| get_object(c, interner))?,
         object_updates: c.list(|c| get_object(c, interner))?,
         usage: c
@@ -1196,22 +1151,9 @@ fn append<T>(into: &mut Vec<T>, rows: Vec<T>) {
 
 /// Appends one decoded delta to the replayed trace. `ids` maps each
 /// object id to its row, so an update finds its row in constant time.
-/// Checks before it mutates, so a bad delta leaves the trace untouched.
-fn apply_delta(
-    trace: &mut SavedTrace,
-    ids: &mut IdMap<ObjectId, usize>,
-    d: Delta,
-) -> Result<(), String> {
-    let n = trace.apis.len() + d.apis.len();
-    if let Some((idx, _)) = d.api_updates.iter().find(|(idx, _)| *idx >= n) {
-        return Err(format!("api update index {idx} out of range ({n} apis)"));
-    }
+fn apply_delta(trace: &mut SavedTrace, ids: &mut IdMap<ObjectId, usize>, d: Delta) {
     append(&mut trace.paths, d.paths);
     append(&mut trace.apis, d.apis);
-    for (idx, row) in d.api_updates {
-        trace.apis[idx] = row;
-    }
-    append(&mut trace.accesses, d.accesses);
     let first = trace.objects.len();
     for (i, o) in d.objects.iter().enumerate() {
         ids.entry(o.id).or_insert(first + i);
@@ -1227,7 +1169,6 @@ fn apply_delta(
         }
     }
     append(&mut trace.usage, d.usage);
-    Ok(())
 }
 
 /// Everything a replay lost, in order: the typed error [`load`] reports
@@ -1304,7 +1245,7 @@ fn replay(text: &str) -> (SavedTrace, Losses) {
             "delta" => {
                 deltas += 1;
                 let applied = decode(payload, |c| get_delta(c, &mut interner))
-                    .and_then(|d| apply_delta(&mut trace, &mut ids, d));
+                    .map(|d| apply_delta(&mut trace, &mut ids, d));
                 if let Err(reason) = applied {
                     let e = malformed("delta", reason);
                     lose_frame(&mut losses, "stopped at damaged streaming frame", e);
@@ -1471,16 +1412,6 @@ fn scrub(t: &mut SavedTrace, mut maps: Vec<IntraRow>) -> Losses {
         }
     }
 
-    let mut accesses = Dropped::default();
-    t.accesses.retain(|a| {
-        let bad = if a.api_idx >= n {
-            Some(format!("access api_idx {} >= {n} apis", a.api_idx))
-        } else {
-            unknown(a.object).map(|u| format!("access to {u}"))
-        };
-        accesses.keep(bad)
-    });
-
     let mut anchors = Dropped::default();
     for o in &mut t.objects {
         let past_end = o.alloc_api > n || o.free_api.is_some_and(|f| f > n);
@@ -1563,7 +1494,6 @@ fn scrub(t: &mut SavedTrace, mut maps: Vec<IntraRow>) -> Losses {
 
     for (dropped, section, verb, what) in [
         (edges, "apis", "dropped", "dangling dependency edge(s)"),
-        (accesses, "accesses", "dropped", "dangling access record(s)"),
         (
             anchors,
             "objects",
@@ -1613,8 +1543,8 @@ fn scrub(t: &mut SavedTrace, mut maps: Vec<IntraRow>) -> Losses {
 /// Returns a typed [`TraceError`] for a missing or foreign header, a
 /// version this build does not read, truncation, checksum mismatches,
 /// malformed payloads, a missing finish marker or checkpoint, invalid
-/// lifetime frequency runs, and dangling cross-references (an access
-/// pointing at a GPU API or object that does not exist). Use [`salvage`]
+/// lifetime frequency runs, and dangling cross-references (an API row
+/// naming an object or API that does not exist). Use [`salvage`]
 /// to read as much as possible of a damaged trace instead.
 pub fn load(text: &str) -> Result<SavedTrace, TraceError> {
     let (trace, losses) = replay(text);
@@ -1666,7 +1596,6 @@ fn empty_trace() -> SavedTrace {
         platform: "<unknown>".to_owned(),
         paths: Vec::new(),
         apis: Vec::new(),
-        accesses: Vec::new(),
         objects: Vec::new(),
         usage: Vec::new(),
         intra: Vec::new(),
@@ -1697,8 +1626,7 @@ pub(crate) fn stream_header(platform: &str) -> String {
 #[derive(Debug, Default)]
 pub(crate) struct StreamCursor {
     paths: usize,
-    apis: usize,
-    accesses: usize,
+    pub(crate) apis: usize,
     objects: usize,
     usage: usize,
     /// Objects freed or reclassified since the last delta; the next delta
@@ -1713,25 +1641,13 @@ pub(crate) struct StreamCursor {
 pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Option<String> {
     let paths = collector.paths().paths();
     let apis = collector.gpu_apis();
-    let accesses = collector.accesses();
     let usage = collector.usage_curve();
     let registry = collector.registry();
-
-    // A new access attributed to an already-emitted API row means its
-    // def/use sets changed at kernel end: re-emit the row as an update.
-    let mut updated: Vec<usize> = accesses[cur.accesses.min(accesses.len())..]
-        .iter()
-        .map(|a| a.api_idx)
-        .filter(|&i| i < cur.apis)
-        .collect();
-    updated.sort_unstable();
-    updated.dedup();
 
     // Every path a row below names is in the table by now: new entries
     // go out in this delta, ahead of the rows.
     let new_paths = &paths[cur.paths.min(paths.len())..];
     let new_apis = &apis[cur.apis.min(apis.len())..];
-    let new_accesses = &accesses[cur.accesses.min(accesses.len())..];
 
     // A changed object not emitted yet goes out whole with the new rows.
     let mut changed = std::mem::take(&mut cur.changed);
@@ -1747,14 +1663,11 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
 
     cur.paths = paths.len();
     cur.apis = apis.len();
-    cur.accesses = accesses.len();
     cur.objects = registry.len();
     cur.usage = usage.len();
 
     if new_paths.is_empty()
         && new_apis.is_empty()
-        && updated.is_empty()
-        && new_accesses.is_empty()
         && new_objects.is_empty()
         && object_updates.is_empty()
         && new_usage.is_empty()
@@ -1767,8 +1680,6 @@ pub(crate) fn delta_section(collector: &Collector, cur: &mut StreamCursor) -> Op
             e,
             new_paths,
             new_apis,
-            updated.iter().map(|&i| (i, &apis[i])),
-            new_accesses,
             &new_objects,
             &object_updates,
             new_usage,
@@ -1815,6 +1726,12 @@ impl SavedTrace {
         self.apis.get(idx).map(|a| &a.detail)
     }
 
+    /// The object accesses the detectors read, derived from the API rows
+    /// by [`api_accesses`], in trace order.
+    pub fn accesses(&self) -> Vec<RawAccess> {
+        api_accesses(&self.apis).collect()
+    }
+
     /// The allocation call path of the `idx`-th object row, innermost
     /// frame first; `None` past the last row.
     pub fn object_call_path(&self, idx: usize) -> Option<&PathText> {
@@ -1827,16 +1744,7 @@ impl SavedTrace {
         let mut out = String::new();
         put_header(&mut out, self.version, &self.platform);
         write_frame(&mut out, "delta", |e| {
-            put_delta(
-                e,
-                &self.paths,
-                &self.apis,
-                [],
-                &self.accesses,
-                &self.objects,
-                &[],
-                &self.usage,
-            );
+            put_delta(e, &self.paths, &self.apis, &self.objects, &[], &self.usage);
         });
         write_frame(&mut out, "checkpoint", |e| {
             put_checkpoint(e, self.apis.len(), &self.intra, &self.unified);
@@ -1968,16 +1876,16 @@ mod tests {
         let (saved, _) = record();
         assert_eq!(saved.version, FORMAT_VERSION);
         let text = saved.to_text();
-        assert!(text.starts_with("DRGPUM-TRACE 4\n"));
+        assert!(text.starts_with("DRGPUM-TRACE 5\n"));
     }
 
     #[test]
     fn load_rejects_unknown_and_older_versions() {
         let (saved, _) = record();
-        for found in [99, 3] {
+        for found in [99, 3, 4] {
             let text = saved
                 .to_text()
-                .replace("DRGPUM-TRACE 4", &format!("DRGPUM-TRACE {found}"));
+                .replace("DRGPUM-TRACE 5", &format!("DRGPUM-TRACE {found}"));
             match load(&text) {
                 Err(TraceError::UnsupportedVersion {
                     found: f,
@@ -2028,17 +1936,12 @@ mod tests {
     fn load_rejects_dangling_references() {
         let (saved, _) = record();
         let mut broken = saved.clone();
-        broken.accesses.push(RawAccess {
-            api_idx: 9999,
-            object: ObjectId(0),
-            read: true,
-            write: false,
-            via: AccessVia::Kernel,
-        });
+        let kernel = broken.apis.iter_mut().find(|a| a.kind == GpuApiKind::Kerl);
+        kernel.unwrap().vertex.reads.push(ObjectId(9999));
         let text = broken.to_text();
         match load(&text) {
             Err(TraceError::BadReference { section, reason }) => {
-                assert_eq!(section, "accesses");
+                assert_eq!(section, "apis");
                 assert!(reason.contains("9999"), "{reason}");
             }
             other => panic!("unexpected {other:?}"),

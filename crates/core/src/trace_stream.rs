@@ -3,12 +3,14 @@
 //! A batch trace ([`crate::trace_io::SavedTrace::to_text`]) is written at
 //! process exit — which is exactly when a crashing run loses everything.
 //! [`StreamingTraceWriter`] instead appends frames of the same trace format
-//! (version 4, see [`crate::trace_io`]) to disk *as the run progresses*,
+//! (version 5, see [`crate::trace_io`]) to disk *as the run progresses*,
 //! fsyncing after every frame:
 //!
-//! * the `DRGPUM-TRACE 4` header and the `meta` frame on creation;
-//! * one `delta` frame per GPU API event (new call-path entries and trace
-//!   rows, plus updated def/use sets when a kernel finishes);
+//! * the `DRGPUM-TRACE 5` header and the `meta` frame on creation;
+//! * one `delta` frame per GPU API event with output (new call-path
+//!   entries, trace rows, objects and freed or reclassified objects). A
+//!   kernel's row goes out at kernel end, complete with its def/use sets,
+//!   so every row is written once;
 //! * a periodic `checkpoint` frame snapshotting the mutable state
 //!   (intra-object access maps, unified-memory pages) that deltas cannot
 //!   carry incrementally;
@@ -133,6 +135,11 @@ impl StreamState {
     /// Total bytes written (and fsynced) so far.
     pub fn bytes_written(&self) -> u64 {
         self.writer.bytes_written()
+    }
+
+    /// API rows already written: rows below this index are final.
+    pub(crate) fn streamed_apis(&self) -> usize {
+        self.cursor.apis
     }
 
     /// Notes that object `id` was freed or reclassified, so the next delta

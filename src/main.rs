@@ -198,10 +198,9 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
     }
     if let Some(ms) = deadline_ms {
         // One wall-clock deadline governs both watchdogs: each offline
-        // detector and each kernel's block loop.
-        budget = budget
-            .with_detector_deadline_ms(ms)
-            .with_kernel_deadline_ms(ms);
+        // detector (the budget's) and each kernel's block loop (the
+        // device's).
+        budget = budget.with_detector_deadline_ms(ms);
         ctx.set_kernel_deadline_ms(Some(ms));
     }
     options.budget = budget;

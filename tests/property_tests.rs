@@ -11,8 +11,7 @@ use drgpum::profiler::object::ObjectId;
 use drgpum::profiler::options::Thresholds;
 use drgpum::profiler::patterns::intra::{self, IntraObjectData};
 use drgpum::profiler::patterns::{
-    object_level, redundant, AccessVia, ApiRef, ObjectAccess, ObjectView, PatternEvidence,
-    TraceView,
+    object_level, redundant, ApiRef, ObjectAccess, ObjectView, PatternEvidence, TraceView,
 };
 use drgpum::profiler::peaks::{find_peaks, UsageSample};
 use drgpum::profiler::trace_io;
@@ -702,7 +701,6 @@ fn object_level_findings_are_sound() {
                 },
                 read: true,
                 write: false,
-                via: AccessVia::Kernel,
             };
             let accesses = if first == last {
                 vec![mk(first)]
@@ -780,7 +778,6 @@ fn redundant_allocation_pairs_are_valid() {
                 },
                 read: true,
                 write: true,
-                via: AccessVia::Kernel,
             };
             let accesses = if first == last {
                 vec![mk(first)]
@@ -1587,7 +1584,7 @@ fn json_str(s: &str) -> String {
 /// `apis` rows, and the finish marker — framed exactly as the writer
 /// frames them.
 fn framed_trace(deltas: &[String], apis: usize) -> String {
-    let mut text = String::from("DRGPUM-TRACE 4\n");
+    let mut text = String::from("DRGPUM-TRACE 5\n");
     let meta = r#"["rtx3090"]"#.to_owned();
     let checkpoint = format!("[{apis},[],[]]");
     let frames = std::iter::once(("meta", &meta))
@@ -1729,7 +1726,7 @@ fn loaded_details_render_their_source_text() {
                 .map(object_row)
                 .collect();
             deltas.push(format!(
-                "[{paths},[{}],[],[],[{}],[],[]]",
+                "[{paths},[{}],[{}],[],[]]",
                 apis.join(","),
                 objs.join(",")
             ));

@@ -1,4 +1,4 @@
-//! The trace format (version 4) pinned through hand-written traces: object
+//! The trace format (version 5) pinned through hand-written traces: object
 //! updates replayed across deltas, lifetime frequency runs that a strict
 //! load rejects and a salvage drops, call-path references to undefined
 //! path entries, and strings that need escaping; plus a streamed trace cut
@@ -28,12 +28,9 @@ fn crc32(bytes: &[u8]) -> u32 {
 /// A finished trace holding `frames` (`(name, payload)`) after the meta
 /// frame and a first delta that defines call path 0 and nothing else.
 fn trace(frames: &[(&str, String)]) -> String {
-    let mut text = String::from("DRGPUM-TRACE 4\n");
+    let mut text = String::from("DRGPUM-TRACE 5\n");
     let meta = ("meta", r#"["rtx3090"]"#.to_owned());
-    let path = (
-        "delta",
-        r#"[[["main @ app.rs:1"]],[],[],[],[],[],[]]"#.to_owned(),
-    );
+    let path = ("delta", r#"[[["main @ app.rs:1"]],[],[],[],[]]"#.to_owned());
     for (name, payload) in [&meta, &path].into_iter().chain(frames) {
         text += &format!(
             "section {name} {} {}\n{payload}\n",
@@ -51,15 +48,11 @@ fn object(id: u64, free_api: Option<usize>) -> String {
     format!(r#"[{id},"obj{id}",64,"cuda",0,false,{free},false,0]"#)
 }
 
-/// A delta payload with no path entry and no API, access or usage rows.
+/// A delta payload with no path entry and no API or usage rows.
 fn delta(objects: &[String], updates: &[String]) -> (&'static str, String) {
     (
         "delta",
-        format!(
-            "[[],[],[],[],[{}],[{}],[]]",
-            objects.join(","),
-            updates.join(",")
-        ),
+        format!("[[],[],[{}],[{}],[]]", objects.join(","), updates.join(",")),
     )
 }
 
@@ -259,14 +252,17 @@ fn crc32_matches_a_bytewise_model_at_every_length_and_offset() {
 
 #[test]
 fn a_version_3_trace_is_unsupported() {
-    let v4 = trace(&[delta(&[object(1, None)], &[]), checkpoint("")]);
-    let v3 = v4.replacen("DRGPUM-TRACE 4", "DRGPUM-TRACE 3", 1);
-    match trace_io::load(&v3) {
-        Err(TraceError::UnsupportedVersion {
-            found: 3,
-            supported: 4,
-        }) => {}
-        other => panic!("a v3 trace must be refused, got {other:?}"),
+    // Versions 3 and 4 both carried a separate access list; neither loads.
+    let v5 = trace(&[delta(&[object(1, None)], &[]), checkpoint("")]);
+    for old in [3, 4] {
+        let text = v5.replacen("DRGPUM-TRACE 5", &format!("DRGPUM-TRACE {old}"), 1);
+        match trace_io::load(&text) {
+            Err(TraceError::UnsupportedVersion {
+                found,
+                supported: 5,
+            }) if found == old => {}
+            other => panic!("a v{old} trace must be refused, got {other:?}"),
+        }
     }
 }
 
@@ -276,7 +272,7 @@ fn an_undefined_path_id_is_a_dangling_reference() {
     let api = r#"["ALLOC","obj1",0,0,[],[1],[],[],0,1,7]"#;
     let rows = (
         "delta",
-        format!("[[],[{api}],[],[],[{}],[],[0,64]]", object(1, None)),
+        format!("[[],[{api}],[{}],[],[0,64]]", object(1, None)),
     );
     let text = trace(&[rows, ("checkpoint", "[1,[],[]]".to_owned())]);
     match trace_io::load(&text) {
@@ -305,7 +301,7 @@ fn an_undefined_path_id_is_a_dangling_reference() {
 /// Streams an intra-object PyTorch run (its caching pool observed) and
 /// returns the finished trace text.
 fn streamed_pytorch() -> String {
-    let path = std::env::temp_dir().join(format!("drgpum-v4-{}-pytorch", std::process::id()));
+    let path = std::env::temp_dir().join(format!("drgpum-v5-{}-pytorch", std::process::id()));
     let spec = drgpum::workloads::by_name("PyTorch").expect("registered workload");
     let mut ctx = DeviceContext::new_default();
     let mut options = ProfilerOptions::intra_object();
